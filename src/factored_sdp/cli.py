@@ -10,8 +10,8 @@ constants of a sensing instance), and ``replay`` (re-run a saved
 values before the manifest is written, and output bytes never depend on
 --jobs or the output path.
 
-Exit codes: 0 success, 2 argument/input errors (including malformed
-triplet lines, reported with their line number), 3 solver divergence
+Exit codes: 0 success, 2 argument/input errors (every bad flag value,
+and malformed triplet lines with their line number), 3 solver divergence
 (partial CSVs are still written, with the divergence row marked by NaN
 metrics).
 """
@@ -48,9 +48,6 @@ from .theory import (
 
 ALGORITHMS = ("fgd", "sfgd", "projgd", "svrg-fixed", "svrg-sbb0", "svrg-sbb")
 
-FIXED_STEP_ALGOS = ("fgd", "projgd", "svrg-fixed")
-BASE_STEP_ALGOS = ("sfgd", "svrg-sbb0", "svrg-sbb")
-
 # Trial inits draw from their own seed stream. Offsetting keeps trial seed
 # s from replaying the dataset seed's generator: with a shared seed the
 # random init would reproduce the planted factor draw (same shape, same
@@ -63,8 +60,10 @@ class CliError(ValueError):
 
 
 class TripletFormatError(CliError):
+    """Malformed triplet file; ``line_no`` is None for a whole-file fault."""
+
     def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -120,7 +119,7 @@ def read_triplets(path, p=None):
                 raise TripletFormatError(line_no, "indices must be pairwise distinct")
             triplets.append((i, j, k))
     if not triplets:
-        raise TripletFormatError(0, "no triplets in file")
+        raise TripletFormatError(None, f"{path}: no triplets in file")
     T = np.asarray(triplets, dtype=int)
     return T, (p if p is not None else int(T.max()) + 1)
 
@@ -246,60 +245,82 @@ def _default_steps(L_hat, sigma1, n, family="sensing"):
     """
     base = 1.0 / (L_hat * max(sigma1, 1e-12))
     if family == "embed":
-        return {
-            "fgd": 0.03 * base,
-            "projgd": 0.5 / L_hat,
-            "sfgd": 0.0015 * base,
-            "svrg-fixed": 0.0015 * base,
-            "svrg-sbb0": 0.001 * base,
-            "svrg-sbb": 0.001 * base,
-        }
-    root_n = math.sqrt(n)
-    return {
-        "fgd": 0.25 * base,
-        "projgd": 0.5 / L_hat,
-        "sfgd": 0.25 * base / root_n,
-        "svrg-fixed": 0.25 * base / root_n,
-        "svrg-sbb0": 0.1 * base / root_n,
-        "svrg-sbb": 0.1 * base / root_n,
-    }
+        full, stochastic, adaptive = 0.03 * base, 0.0015 * base, 0.001 * base
+    else:
+        root_n = math.sqrt(n)
+        full = 0.25 * base
+        stochastic, adaptive = 0.25 * base / root_n, 0.1 * base / root_n
+    return {"fgd": full, "projgd": 0.5 / L_hat, "sfgd": stochastic,
+            "svrg-fixed": stochastic, "svrg-sbb0": adaptive, "svrg-sbb": adaptive}
 
 
-def _make_schedule(algo, eta_map, eta0_map, eps, m):
-    if algo == "svrg-fixed":
-        return StepSchedule("fixed", eta=eta_map[algo])
-    if algo == "svrg-sbb0":
-        return StepSchedule("sbb", eps=0.0, m=m, eta0=eta0_map[algo])
-    if algo == "svrg-sbb":
-        return StepSchedule("sbb", eps=eps, m=m, eta0=eta0_map[algo])
-    raise CliError(f"no schedule for {algo!r}")
+def _resolve_steps(args, algos, L_hat, sigma1, n, family):
+    """Resolve --eta/--eta0 to per-algorithm maps and fill --eps/--t0.
+
+    The defaults are ``_default_steps(L_hat, sigma1, n, family)`` and
+    ``t0 = n``.  Returns the manifest flags from --algos through --t0.
+    """
+    defaults = _default_steps(L_hat, sigma1, n, family)
+    args.eta = {**defaults, **_per_algo_values(args.eta, algos, "--eta")}
+    args.eta0 = {**defaults, **_per_algo_values(args.eta0, algos, "--eta0")}
+    if args.eps is None:
+        args.eps = 0.02 * L_hat
+    if args.t0 is None:
+        args.t0 = float(n)
+    return [
+        "--algos", ",".join(algos),
+        "--eta", ",".join(repr(args.eta[a]) for a in algos),
+        "--eta0", ",".join(repr(args.eta0[a]) for a in algos),
+        "--eps", repr(args.eps), "--t0", repr(args.t0),
+    ]
 
 
-def _run_one(obj, algo, seed, U0, epochs, m, eval_every, eta_map, eta0_map,
-             eps, t0, X_ref, U_ref, metric):
-    """One (algorithm, seed) trial; divergence returns the marked record."""
+def _checked(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, its ValueError (a library range check) as CliError."""
     try:
-        if algo in ("svrg-fixed", "svrg-sbb0", "svrg-sbb"):
-            cfg = SolverConfig(algorithm=algo, r=U0.shape[1], epochs=epochs,
-                               seed=seed, m=m, eval_every=eval_every,
-                               schedule=_make_schedule(algo, eta_map, eta0_map, eps, m))
-            return run_svrg(obj, cfg, U0, X_ref=X_ref, U_ref=U_ref, metric=metric)
-        if algo == "fgd":
-            cfg = SolverConfig(algorithm=algo, r=U0.shape[1], epochs=epochs,
-                               seed=seed, eval_every=eval_every, eta=eta_map[algo])
-            return run_fgd(obj, cfg, U0, X_ref=X_ref, U_ref=U_ref, metric=metric)
-        if algo == "sfgd":
-            cfg = SolverConfig(algorithm=algo, r=U0.shape[1], epochs=epochs,
-                               seed=seed, eval_every=eval_every,
-                               eta0=eta0_map[algo], t0=t0)
-            return run_sfgd(obj, cfg, U0, X_ref=X_ref, U_ref=U_ref, metric=metric)
-        if algo == "projgd":
-            cfg = SolverConfig(algorithm=algo, r=U0.shape[1], epochs=epochs,
-                               seed=seed, eval_every=eval_every, eta=eta_map[algo])
-            return run_projgd(obj, cfg, gram(U0), X_ref=X_ref, metric=metric)
-    except DivergedError as err:
-        return err.record
-    raise CliError(f"unknown algorithm {algo!r}")
+        return fn(*args, **kwargs)
+    except ValueError as err:
+        raise CliError(str(err))
+
+
+def _seeds(args):
+    if args.seeds < 1 or args.seed_base < 0:
+        raise CliError("need --seeds >= 1 and --seed-base >= 0")
+    return range(args.seed_base, args.seed_base + args.seeds)
+
+
+def _trial(args, algo, seed, obj, U0, X_ref=None, U_ref=None, metric=None):
+    """The (algorithm, seed) trial as a closure returning its record.
+
+    Config and schedule are built now, so a flag outside their range is a
+    CliError before any trial runs.  A diverged run returns its marked record.
+    """
+    fields = dict(algorithm=algo, r=U0.shape[1], epochs=args.epochs, seed=seed,
+                  eval_every=args.eval_every)
+    if algo.startswith("svrg"):
+        if algo == "svrg-fixed":
+            schedule = _checked(StepSchedule, "fixed", eta=args.eta[algo])
+        else:
+            eps = 0.0 if algo == "svrg-sbb0" else args.eps
+            schedule = _checked(StepSchedule, "sbb", eps=eps, m=args.m,
+                                eta0=args.eta0[algo])
+        fields.update(m=args.m, schedule=schedule)
+    elif algo == "sfgd":
+        fields.update(eta0=args.eta0[algo], t0=args.t0)
+    else:
+        fields.update(eta=args.eta[algo])
+    config = _checked(SolverConfig, **fields)
+
+    def run():
+        try:
+            if algo == "projgd":
+                return run_projgd(obj, config, gram(U0), X_ref=X_ref, metric=metric)
+            solver = {"fgd": run_fgd, "sfgd": run_sfgd}.get(algo, run_svrg)
+            return solver(obj, config, U0, X_ref=X_ref, U_ref=U_ref, metric=metric)
+        except DivergedError as err:
+            return err.record
+
+    return run
 
 
 def _curve_rows(records, with_error_cols=True, with_metric=False):
@@ -332,67 +353,55 @@ def _median(values):
 # sensing
 
 
-def cmd_sensing(args):
-    algos = _parse_algos(args.algos)
+def _sensing_setup(args):
+    """The sensing instance, its rank-r reference factor, L_hat and constants.
+
+    Fills the --r-star and --n defaults and rejects ranks outside [1, p].
+    """
     if args.r_star is None:
         args.r_star = args.r
     if args.n is None:
         args.n = 10 * args.p
-    if args.r < 1 or args.r_star < 1 or args.r_star > args.p:
-        raise CliError("need 1 <= r and 1 <= r_star <= p")
-    obj = sensing_generate(args.p, args.r_star, args.n, args.instance_seed)
+    if not (1 <= args.r <= args.p and 1 <= args.r_star <= args.p):
+        raise CliError("need 1 <= r <= p and 1 <= r_star <= p")
+    obj = _checked(sensing_generate, args.p, args.r_star, args.n, args.instance_seed)
+    _, U_ref = truncated_approx(obj.Xstar, args.r)
+    L_hat, mu_hat = estimate_smoothness(
+        obj, _probe_pairs(obj.p, args.r, seed=args.instance_seed + 1))
+    gamma0 = 2.0 * (math.sqrt(2.0) - 1.0) / (3.0 * (L_hat / mu_hat))
+    stats = _checked(estimate_region_stats, obj, U_ref, gamma0,
+                     n_samples=args.region_samples, seed=args.instance_seed)
+    return obj, U_ref, L_hat, compute_constants(L_hat, mu_hat, obj.Xstar, args.r, stats)
+
+
+def cmd_sensing(args):
+    algos = _parse_algos(args.algos)
+    if not args.threshold >= 0:
+        raise CliError("--threshold must be >= 0")
+    obj, U_ref, L_hat, constants = _sensing_setup(args)
     if args.m is None:
         args.m = obj.n
-
-    _, U_ref = truncated_approx(obj.Xstar, args.r)
     sigma1 = float(np.linalg.eigvalsh(obj.Xstar).max())
-    L_hat, mu_hat = estimate_smoothness(
-        obj,
-        _probe_pairs(obj.p, args.r, seed=args.instance_seed + 1),
-    )
-
-    constants = compute_constants(
-        L_hat, mu_hat, obj.Xstar, args.r,
-        estimate_region_stats(
-            obj, U_ref, 2.0 * (math.sqrt(2.0) - 1.0) / (3.0 * (L_hat / mu_hat)),
-            n_samples=args.region_samples, seed=args.instance_seed,
-        ),
-    )
-
-    defaults = _default_steps(L_hat, sigma1, obj.n)
-    eta_map = {**defaults, **_per_algo_values(args.eta, algos, "--eta")}
-    eta0_map = {**defaults, **_per_algo_values(args.eta0, algos, "--eta0")}
-    if args.eps is None:
-        args.eps = 0.02 * L_hat
-    if args.t0 is None:
-        args.t0 = float(obj.n)
+    step_flags = _resolve_steps(args, algos, L_hat, sigma1, obj.n, "sensing")
     if args.init_radius is None:
         if math.isfinite(constants.gamma_u):
             args.init_radius = 0.5 * math.sqrt(constants.gamma_u)
         else:
             args.init_radius = 0.05 * float(np.linalg.norm(U_ref))
 
-    seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    trials = []
-    for algo in algos:
-        for seed in seeds:
-            U0 = init_perturbed_optimum(U_ref, args.init_radius, INIT_SEED_OFFSET + seed)
-            trials.append(
-                lambda a=algo, s=seed, u=U0: _run_one(
-                    obj, a, s, u, args.epochs, args.m, args.eval_every,
-                    eta_map, eta0_map, args.eps, args.t0,
-                    obj.Xstar, U_ref, None,
-                )
-            )
+    trials = [
+        _trial(args, algo, seed, obj,
+               _checked(init_perturbed_optimum, U_ref, args.init_radius,
+                        INIT_SEED_OFFSET + seed),
+               X_ref=obj.Xstar, U_ref=U_ref)
+        for algo in algos for seed in _seeds(args)
+    ]
     records = _run_parallel(trials, _resolve_jobs(args.jobs))
 
     os.makedirs(args.out, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out, "curves.csv"),
-        ["algorithm", "seed", "epoch", "eta", "f", "error_X", "error_U",
-         "sample_grads"],
-        _curve_rows(records),
-    )
+    _write_csv(os.path.join(args.out, "curves.csv"),
+               ["algorithm", "seed", "epoch", "eta", "f", "error_X", "error_U",
+                "sample_grads"], _curve_rows(records))
     summary = []
     for algo in sorted(algos):
         recs = [r for r in records if r.algorithm == algo]
@@ -413,11 +422,8 @@ def cmd_sensing(args):
          "median_epochs_to_threshold", "median_final_error_X"],
         summary,
     )
-    _write_csv(
-        os.path.join(args.out, "constants.csv"),
-        ["name", "value"],
-        constants_rows(constants),
-    )
+    _write_csv(os.path.join(args.out, "constants.csv"), ["name", "value"],
+               constants_rows(constants))
     _write_plot_script(args.out, algos, "relative error ||X - X*||_F", True)
     _write_manifest(args.out, "sensing", [
         "sensing",
@@ -426,10 +432,7 @@ def cmd_sensing(args):
         "--instance-seed", str(args.instance_seed),
         "--epochs", str(args.epochs), "--eval-every", str(args.eval_every),
         "--seeds", str(args.seeds), "--seed-base", str(args.seed_base),
-        "--algos", ",".join(algos),
-        "--eta", ",".join(repr(eta_map[a]) for a in algos),
-        "--eta0", ",".join(repr(eta0_map[a]) for a in algos),
-        "--eps", repr(args.eps), "--t0", repr(args.t0),
+        *step_flags,
         "--init-radius", repr(args.init_radius),
         "--threshold", repr(args.threshold),
         "--region-samples", str(args.region_samples),
@@ -467,8 +470,8 @@ def cmd_embed(args):
         raise CliError("--dim must be at least 1")
     triplets, p = read_triplets(args.triplets, args.p)
     args.p = p
-    if args.lam < 0:
-        raise CliError("--lambda must be nonnegative")
+    if not 0 <= args.lam < math.inf:
+        raise CliError("--lambda must be finite and nonnegative")
 
     n_train_nominal = min(max(int(round(args.split * triplets.shape[0])), 1),
                           triplets.shape[0])
@@ -479,30 +482,17 @@ def cmd_embed(args):
     L_hat, _ = estimate_smoothness(
         probe_obj, _probe_pairs(p, dim, seed=args.seed_base + 1)
     )
-    defaults = _default_steps(L_hat, max(float(args.init_scale) ** 2, 1.0),
-                              n_train_nominal, family="embed")
-    eta_map = {**defaults, **_per_algo_values(args.eta, algos, "--eta")}
-    eta0_map = {**defaults, **_per_algo_values(args.eta0, algos, "--eta0")}
-    if args.eps is None:
-        args.eps = 0.02 * L_hat
-    if args.t0 is None:
-        args.t0 = float(n_train_nominal)
+    sigma1 = max(float(args.init_scale) ** 2, 1.0)
+    step_flags = _resolve_steps(args, algos, L_hat, sigma1, n_train_nominal, "embed")
 
-    seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     has_test = args.split < 1.0
     trials = []
-    for seed in seeds:
+    for seed in _seeds(args):
         train, test = _split_triplets(triplets, args.split, seed)
         obj = TripletProblem(p, train, args.lam)
         metric = (lambda X, t=test: test_error(X, t)) if has_test else None
-        U0 = init_scheme3(p, dim, args.init_scale, INIT_SEED_OFFSET + seed)
-        for algo in algos:
-            trials.append(
-                lambda a=algo, s=seed, o=obj, u=U0, mt=metric: _run_one(
-                    o, a, s, u, args.epochs, args.m, args.eval_every,
-                    eta_map, eta0_map, args.eps, args.t0, None, None, mt,
-                )
-            )
+        U0 = _checked(init_scheme3, p, dim, args.init_scale, INIT_SEED_OFFSET + seed)
+        trials += [_trial(args, algo, seed, obj, U0, metric=metric) for algo in algos]
     records = _run_parallel(trials, _resolve_jobs(args.jobs))
 
     os.makedirs(args.out, exist_ok=True)
@@ -510,11 +500,8 @@ def cmd_embed(args):
     if has_test:
         header.append("test_error")
     header.append("sample_grads")
-    _write_csv(
-        os.path.join(args.out, "curves.csv"),
-        header,
-        _curve_rows(records, with_error_cols=False, with_metric=has_test),
-    )
+    _write_csv(os.path.join(args.out, "curves.csv"), header,
+               _curve_rows(records, with_error_cols=False, with_metric=has_test))
     summary = []
     for rec in records:
         row = [rec.algorithm, rec.seed, rec.rows[-1].f if rec.rows else None]
@@ -526,10 +513,8 @@ def cmd_embed(args):
     if has_test:
         sum_header.append("final_test_error")
     _write_csv(os.path.join(args.out, "summary.csv"), sum_header, summary)
-    _write_plot_script(
-        args.out, algos,
-        "test error" if has_test else "training loss", False,
-    )
+    _write_plot_script(args.out, algos, "test error" if has_test else "training loss",
+                       False)
     _write_manifest(args.out, "embed", [
         "embed",
         "--triplets", os.path.abspath(args.triplets),
@@ -539,10 +524,7 @@ def cmd_embed(args):
         "--eval-every", str(args.eval_every),
         "--seeds", str(args.seeds), "--seed-base", str(args.seed_base),
         "--init-scale", repr(args.init_scale),
-        "--algos", ",".join(algos),
-        "--eta", ",".join(repr(eta_map[a]) for a in algos),
-        "--eta0", ",".join(repr(eta0_map[a]) for a in algos),
-        "--eps", repr(args.eps), "--t0", repr(args.t0),
+        *step_flags,
     ])
     return 3 if any(r.diverged for r in records) else 0
 
@@ -558,9 +540,9 @@ def cmd_gen_triplets(args):
         raise CliError("--count must be at least 1")
     if not (0.0 <= args.noise <= 1.0):
         raise CliError("--noise must be in [0, 1]")
-    if args.dim < 1 or args.scale <= 0:
-        raise CliError("need --dim >= 1 and --scale > 0")
-    rng = np.random.default_rng(args.seed)
+    if args.dim < 1 or not 0 < args.scale < math.inf:
+        raise CliError("need --dim >= 1 and a finite --scale > 0")
+    rng = _checked(np.random.default_rng, args.seed)
     points = rng.standard_normal((args.p, args.dim)) * args.scale
 
     lines = []
@@ -606,30 +588,12 @@ def cmd_gen_triplets(args):
 
 
 def cmd_constants(args):
-    if args.r_star is None:
-        args.r_star = args.r
-    if args.n is None:
-        args.n = 10 * args.p
-    obj = sensing_generate(args.p, args.r_star, args.n, args.instance_seed)
-    _, U_ref = truncated_approx(obj.Xstar, args.r)
-    L_hat, mu_hat = estimate_smoothness(
-        obj, _probe_pairs(obj.p, args.r, seed=args.instance_seed + 1)
-    )
-    constants = compute_constants(
-        L_hat, mu_hat, obj.Xstar, args.r,
-        estimate_region_stats(
-            obj, U_ref, 2.0 * (math.sqrt(2.0) - 1.0) / (3.0 * (L_hat / mu_hat)),
-            n_samples=args.region_samples, seed=args.instance_seed,
-        ),
-    )
+    constants = _sensing_setup(args)[3]
     sys.stdout.write(constants_report_text(constants))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        _write_csv(
-            os.path.join(args.out, "constants.csv"),
-            ["name", "value"],
-            constants_rows(constants),
-        )
+        _write_csv(os.path.join(args.out, "constants.csv"), ["name", "value"],
+                   constants_rows(constants))
         _write_manifest(args.out, "constants", [
             "constants",
             "--p", str(args.p), "--r", str(args.r),
@@ -664,8 +628,11 @@ def cmd_replay(args):
 # parser
 
 
-def _add_common(sub, with_algos=True):
+def _add_common(sub, algos):
+    """Flags of the solver commands; ``algos`` is the --algos default."""
     sub.add_argument("--out", required=True, help="output directory")
+    sub.add_argument("--algos", default=algos,
+                     help=f"comma list from: {', '.join(ALGORITHMS)}")
     sub.add_argument("--seeds", type=int, default=1, help="number of trial seeds")
     sub.add_argument("--seed-base", type=int, default=0,
                      help="first trial seed; trial i uses seed-base + i")
@@ -674,19 +641,30 @@ def _add_common(sub, with_algos=True):
     sub.add_argument("--epochs", type=int, default=100)
     sub.add_argument("--eval-every", type=int, default=1,
                      help="record metrics every this many epochs")
-    if with_algos:
-        sub.add_argument("--eta", default=None,
-                         help="fixed step; one value or a comma list per --algos")
-        sub.add_argument("--eta0", default=None,
-                         help="initial/base step for sfgd and the adaptive "
-                              "schedules; one value or a comma list")
-        sub.add_argument("--eps", type=float, default=None,
-                         help="stabilizer for svrg-sbb (default 0.02 * measured L)")
-        sub.add_argument("--m", type=int, default=None,
-                         help="inner-loop length (default: sample size)")
-        sub.add_argument("--t0", type=float, default=None,
-                         help="sfgd decay horizon (default: sample size; inf "
-                              "freezes the step at eta0)")
+    sub.add_argument("--eta", default=None,
+                     help="fixed step; one value or a comma list per --algos")
+    sub.add_argument("--eta0", default=None,
+                     help="initial/base step for sfgd and the adaptive "
+                          "schedules; one value or a comma list")
+    sub.add_argument("--eps", type=float, default=None,
+                     help="stabilizer for svrg-sbb (default 0.02 * measured L)")
+    sub.add_argument("--m", type=int, default=None,
+                     help="inner-loop length (default: sample size)")
+    sub.add_argument("--t0", type=float, default=None,
+                     help="sfgd decay horizon (default: sample size; inf "
+                          "freezes the step at eta0)")
+
+
+def _add_instance(sub):
+    """Flags of the sensing instance that both sensing and constants build."""
+    sub.add_argument("--p", type=int, default=100)
+    sub.add_argument("--r", type=int, default=5, help="solver rank")
+    sub.add_argument("--r-star", type=int, default=None,
+                     help="planted rank (default: same as --r)")
+    sub.add_argument("--n", type=int, default=None,
+                     help="number of measurements (default 10p)")
+    sub.add_argument("--instance-seed", type=int, default=0)
+    sub.add_argument("--region-samples", type=int, default=64)
 
 
 def build_parser():
@@ -697,27 +675,16 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     sensing = subs.add_parser("sensing", help="synthetic matrix-sensing benchmark")
-    _add_common(sensing)
-    sensing.add_argument("--p", type=int, default=100)
-    sensing.add_argument("--r", type=int, default=5, help="solver rank")
-    sensing.add_argument("--r-star", type=int, default=None,
-                         help="planted rank (default: same as --r)")
-    sensing.add_argument("--n", type=int, default=None,
-                         help="number of measurements (default 10p)")
-    sensing.add_argument("--instance-seed", type=int, default=0)
+    _add_common(sensing, "svrg-fixed,svrg-sbb0,svrg-sbb")
+    _add_instance(sensing)
     sensing.add_argument("--init-radius", type=float, default=None,
                          help="Frobenius radius of the perturbed-optimum init")
     sensing.add_argument("--threshold", type=float, default=3e-6,
                          help="error_X level for the epochs-to-threshold summary")
-    sensing.add_argument("--region-samples", type=int, default=64)
-    sensing.add_argument(
-        "--algos", default="svrg-fixed,svrg-sbb0,svrg-sbb",
-        help=f"comma list from: {', '.join(ALGORITHMS)}",
-    )
     sensing.set_defaults(func=cmd_sensing)
 
     embed = subs.add_parser("embed", help="ordinal embedding from a triplet file")
-    _add_common(embed)
+    _add_common(embed, "svrg-sbb,sfgd,fgd")
     embed.add_argument("--triplets", required=True, help="triplet file path")
     embed.add_argument("--p", type=int, default=None,
                        help="number of points (default: max index + 1)")
@@ -729,10 +696,6 @@ def build_parser():
     embed.add_argument("--split", type=float, default=0.8,
                        help="train fraction; 1.0 disables the test columns")
     embed.add_argument("--init-scale", type=float, default=1.0)
-    embed.add_argument(
-        "--algos", default="svrg-sbb,sfgd,fgd",
-        help=f"comma list from: {', '.join(ALGORITHMS)}",
-    )
     embed.set_defaults(func=cmd_embed)
 
     gen = subs.add_parser("gen-triplets", help="plant a synthetic triplet dataset")
@@ -750,12 +713,7 @@ def build_parser():
                              help="convergence-constant audit for a sensing instance")
     consts.add_argument("--out", default=None,
                         help="optional directory for constants.csv")
-    consts.add_argument("--p", type=int, default=100)
-    consts.add_argument("--r", type=int, default=5)
-    consts.add_argument("--r-star", type=int, default=None)
-    consts.add_argument("--n", type=int, default=None)
-    consts.add_argument("--instance-seed", type=int, default=0)
-    consts.add_argument("--region-samples", type=int, default=64)
+    _add_instance(consts)
     consts.set_defaults(func=cmd_constants)
 
     replay = subs.add_parser("replay", help="re-run a saved run.json manifest")
@@ -771,10 +729,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (CliError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -51,16 +51,16 @@ def init_scheme2(obj, r):
 
 def init_scheme3(p, r, scale, seed):
     """i.i.d. normal entries scaled so that E ||U||_F^2 = scale^2."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < np.inf:
+        raise ValueError("scale must be finite and positive")
     rng = np.random.default_rng(seed)
     return rng.standard_normal((p, r)) * (scale / np.sqrt(p * r))
 
 
 def init_perturbed_optimum(U_ref, radius, seed):
     """U_ref plus a Gaussian direction of exact Frobenius length ``radius``."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0 <= radius < np.inf:
+        raise ValueError("radius must be finite and nonnegative")
     if radius == 0:
         return np.array(U_ref, dtype=float, copy=True)
     rng = np.random.default_rng(seed)

@@ -10,16 +10,9 @@ import numpy as np
 
 from dataclasses import dataclass
 
-# Tolerances for reconstruction / orthogonality / cone-membership checks.
-# Scaled absolute-relative mix so both tiny and large spectra behave.
-TOL_ORTH = 1e-10
-
-
-def tol_recon(M):
-    return 1e-9 * max(1.0, float(np.linalg.norm(M)))
-
 
 def tol_psd(M):
+    """Cone-membership tolerance, an absolute-relative mix for any spectrum."""
     return 1e-8 * max(1.0, float(np.linalg.norm(M, 2)))
 
 

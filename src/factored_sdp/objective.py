@@ -21,11 +21,12 @@ class NoProbes(Exception):
 class SampleObjective:
     """Oracle bundle for f(X) = (1/n) sum_i f_i(X).
 
-    Subclasses set `n` and `p` and implement the four required oracles.
-    `grad_sample_times_factor` is an optional fast path for the product
-    grad f_i(X) @ U without materializing the p-by-p per-sample gradient;
-    `value_and_grad_full` is an optional fused full-batch evaluation.
-    Instances are read-only after construction and safe to share.
+    Subclasses set `n` and `p` and implement `eval_sample` and
+    `grad_sample`.  The full-batch oracles, the fused `value_and_grad_full`
+    and the factor product `grad_sample_times_factor` are derived from
+    those; subclasses override them with faster versions, the factor
+    product to skip the p-by-p per-sample gradient.  Instances are
+    read-only after construction and safe to share.
     """
 
     n = None
@@ -46,7 +47,9 @@ class SampleObjective:
             G += self.grad_sample(i, X)
         return G / self.n
 
-    grad_sample_times_factor = None
+    def grad_sample_times_factor(self, i, X, U):
+        """grad f_i(X) @ U, with X = U U^T when X is None."""
+        return self.grad_sample(i, gram(U) if X is None else X) @ U
 
     def value_and_grad_full(self, X):
         return self.eval_full(X), self.grad_full(X)
@@ -228,9 +231,6 @@ class TripletProblem(SampleObjective):
         if self.lam:
             G += self.lam * np.eye(self.p)
         return G
-
-    def value_and_grad_full(self, X):
-        return self.eval_full(X), self.grad_full(X)
 
     def grad_sample_times_factor(self, i, X, U):
         ti, tj, tk = self.triplets[i]

@@ -9,9 +9,10 @@ Four algorithms share the RunRecord trace format:
                   step (n sampled steps per epoch)
 * ``run_projgd``  projected gradient descent in X-space (baseline)
 
-Epoch accounting follows sample-gradient counts: FGD, SFGD, and ProjGD
-spend n sample gradients per epoch, SVRG spends n + m per outer
-iteration.  Metric evaluations are not counted.
+The factored solvers step along ``grad_sample_times_factor``, which every
+SampleObjective provides.  Epoch accounting follows sample-gradient
+counts: FGD, SFGD, and ProjGD spend n sample gradients per epoch, SVRG
+spends n + m per outer iteration.  Metric evaluations are not counted.
 """
 
 import math
@@ -57,6 +58,13 @@ class SolverConfig:
             raise ValueError("inner-loop length m must be at least 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be at least 1")
+        # written so that NaN fails every range
+        if self.eta is not None and not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and >= 0")
+        if self.eta0 is not None and not 0 < self.eta0 < math.inf:
+            raise ValueError("eta0 must be finite and > 0")
+        if self.t0 is not None and not self.t0 > 0:
+            raise ValueError("t0 must be positive (inf freezes the step)")
 
 
 @dataclass
@@ -94,50 +102,72 @@ def epoch_cost(algorithm, n, m=None):
     raise ValueError(f"unknown algorithm: {algorithm!r}")
 
 
-def _metrics(X, U, X_ref, U_ref, metric):
-    error_X = None
-    if X_ref is not None:
-        error_X = float(
-            np.linalg.norm(X - X_ref) / max(1.0, np.linalg.norm(X_ref))
-        )
-    error_U = None
-    if U_ref is not None and U is not None:
-        error_U = procrustes_dist(U, U_ref)
-    mval = float(metric(X)) if metric is not None else None
-    return error_X, error_U, mval
-
-
 def _check_factor(obj, config, U0):
     U = np.array(U0, dtype=float)
     if U.ndim != 2 or U.shape != (obj.p, config.r):
-        raise ValueError(
-            f"initial factor must have shape ({obj.p}, {config.r}), got {U.shape}"
-        )
+        raise ValueError(f"initial factor must have shape ({obj.p}, {config.r}), "
+                         f"got {U.shape}")
     return U
 
 
-def _finite(M):
-    return bool(np.isfinite(M).all()) and float(np.abs(M).max()) <= DIVERGE_LIMIT
+class _Recorder:
+    """The rows, divergence marker and final state of one run.
 
+    ``kind`` prices an epoch through ``epoch_cost``.  ``U`` is the factor,
+    or None for the X-space solver, which has no factor error; ``X``
+    defaults to ``gram(U)``.  A row computes its metrics before any
+    objective value it still has to evaluate.
+    """
 
-def _diverge(record, epoch, grads, has_x_ref, has_u, has_u_ref, has_metric, U, X):
-    nan = float("nan")
-    record.rows.append(
-        Row(
-            epoch=epoch,
-            eta=0.0,
-            f=nan,
-            error_X=nan if has_x_ref else None,
-            error_U=nan if (has_u and has_u_ref) else None,
-            metric=nan if has_metric else None,
-            sample_grads=grads,
-        )
-    )
-    record.diverged = True
-    record.diverged_epoch = epoch
-    record.final_U = U
-    record.final_X = X
-    raise DivergedError(f"iterate diverged at epoch {epoch}", epoch, record)
+    def __init__(self, obj, config, kind, X_ref, U_ref, metric):
+        m = config.m if kind == "svrg" else None
+        self.obj, self.cost = obj, epoch_cost(kind, obj.n, m)
+        self.epochs, self.eval_every = config.epochs, config.eval_every
+        self.X_ref, self.U_ref, self.metric = X_ref, U_ref, metric
+        self.record = RunRecord(config.algorithm, config.seed, obj.n, m)
+
+    def row(self, k, eta, U, X=None, f=None):
+        """Record epoch k if due (every eval_every epochs, and the last).
+
+        ``f`` defaults to ``eval_full(X)``.
+        """
+        if k % self.eval_every and k != self.epochs:
+            return
+        if X is None:
+            X = gram(U)
+        error_X = None if self.X_ref is None else float(
+            np.linalg.norm(X - self.X_ref) / max(1.0, np.linalg.norm(self.X_ref)))
+        error_U = (None if U is None or self.U_ref is None
+                   else procrustes_dist(U, self.U_ref))
+        mval = None if self.metric is None else float(self.metric(X))
+        if f is None:
+            f = self.obj.eval_full(X)
+        self.record.rows.append(
+            Row(k, eta, float(f), error_X, error_U, mval, k * self.cost))
+
+    def check(self, epoch, U, X=None):
+        """Raise DivergedError after a NaN row unless the new iterate is in range.
+
+        The factor ``U`` is checked, or ``X`` when ``U`` is None.
+        """
+        M = X if U is None else U
+        if np.isfinite(M).all() and float(np.abs(M).max()) <= DIVERGE_LIMIT:
+            return
+        nan = float("nan")
+        has = (self.X_ref is not None, U is not None and self.U_ref is not None,
+               self.metric is not None)
+        self.record.rows.append(
+            Row(epoch, 0.0, nan, *(nan if h else None for h in has), epoch * self.cost))
+        self.record.diverged, self.record.diverged_epoch = True, epoch
+        self.record.final_U, self.record.final_X = U, X
+        raise DivergedError(f"iterate diverged at epoch {epoch}", epoch, self.record)
+
+    def finish(self, U, X=None):
+        """Append the final row (step 0.0) and return the record."""
+        X = gram(U) if X is None else X
+        self.row(self.epochs, 0.0, U, X)
+        self.record.final_U, self.record.final_X = U, X
+        return self.record
 
 
 def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
@@ -152,11 +182,9 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
         raise ValueError("run_svrg needs config.schedule")
     if config.m is None:
         raise ValueError("run_svrg needs config.m")
-    m = config.m
     Utilde = _check_factor(obj, config, U0)
     rng = np.random.default_rng(config.seed)
-    record = RunRecord(config.algorithm, config.seed, obj.n, m)
-    cost = epoch_cost("svrg", obj.n, m)
+    rec = _Recorder(obj, config, "svrg", X_ref, U_ref, metric)
     gstf = obj.grad_sample_times_factor
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
@@ -164,73 +192,37 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
             f, G = obj.value_and_grad_full(Xt)
             g_anchor = G @ Utilde
             eta = config.schedule.next_step(k, Xt, G)
-            if k % config.eval_every == 0:
-                ex, eu, mv = _metrics(Xt, Utilde, X_ref, U_ref, metric)
-                record.rows.append(Row(k, eta, float(f), ex, eu, mv, k * cost))
-            idx = rng.integers(0, obj.n, size=m)
+            rec.row(k, eta, Utilde, Xt, f)
+            idx = rng.integers(0, obj.n, size=config.m)
             U = Utilde.copy()
             # The update is applied in place on fresh oracle outputs; the
             # inner loop runs n+ times per epoch and per-step temporaries
             # dominate its cost otherwise.
             for i in idx.tolist():
-                if gstf is not None:
-                    current = gstf(i, None, U)
-                    anchor = gstf(i, Xt, Utilde)
-                else:
-                    current = obj.grad_sample(i, gram(U)) @ U
-                    anchor = obj.grad_sample(i, Xt) @ Utilde
-                current -= anchor
+                current = gstf(i, None, U)
+                current -= gstf(i, Xt, Utilde)
                 current += g_anchor
                 current *= eta
                 U -= current
             Utilde = U
-            if not _finite(Utilde):
-                _diverge(
-                    record, k + 1, (k + 1) * cost,
-                    X_ref is not None, True, U_ref is not None, metric is not None,
-                    Utilde, None,
-                )
-        Xt = gram(Utilde)
-        ex, eu, mv = _metrics(Xt, Utilde, X_ref, U_ref, metric)
-        record.rows.append(
-            Row(config.epochs, 0.0, float(obj.eval_full(Xt)), ex, eu, mv,
-                config.epochs * cost)
-        )
-    record.final_U = Utilde
-    record.final_X = Xt
-    return record
+            rec.check(k + 1, Utilde)
+        return rec.finish(Utilde)
 
 
 def run_fgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     """Full factored gradient descent; one iteration is one epoch."""
-    if config.eta is None or config.eta < 0:
-        raise ValueError("run_fgd needs config.eta >= 0")
+    if config.eta is None:
+        raise ValueError("run_fgd needs config.eta")
     U = _check_factor(obj, config, U0)
-    record = RunRecord(config.algorithm, config.seed, obj.n, None)
-    cost = epoch_cost("fgd", obj.n)
+    rec = _Recorder(obj, config, "fgd", X_ref, U_ref, metric)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
             X = gram(U)
             f, G = obj.value_and_grad_full(X)
-            if k % config.eval_every == 0:
-                ex, eu, mv = _metrics(X, U, X_ref, U_ref, metric)
-                record.rows.append(Row(k, config.eta, float(f), ex, eu, mv, k * cost))
+            rec.row(k, config.eta, U, X, f)
             U = U - config.eta * (G @ U)
-            if not _finite(U):
-                _diverge(
-                    record, k + 1, (k + 1) * cost,
-                    X_ref is not None, True, U_ref is not None, metric is not None,
-                    U, None,
-                )
-        X = gram(U)
-        ex, eu, mv = _metrics(X, U, X_ref, U_ref, metric)
-        record.rows.append(
-            Row(config.epochs, 0.0, float(obj.eval_full(X)), ex, eu, mv,
-                config.epochs * cost)
-        )
-    record.final_U = U
-    record.final_X = X
-    return record
+            rec.check(k + 1, U)
+        return rec.finish(U)
 
 
 def run_sfgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
@@ -242,81 +234,45 @@ def run_sfgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     sampled steps.  The row for epoch k records the step used at the
     first inner step of that epoch.
     """
-    if config.eta0 is None or config.eta0 <= 0:
-        raise ValueError("run_sfgd needs config.eta0 > 0")
+    if config.eta0 is None:
+        raise ValueError("run_sfgd needs config.eta0")
     t0 = float(config.t0) if config.t0 is not None else float(obj.n)
-    if not (t0 > 0 or t0 == math.inf):
-        raise ValueError("t0 must be positive")
     U = _check_factor(obj, config, U0)
     rng = np.random.default_rng(config.seed)
-    record = RunRecord(config.algorithm, config.seed, obj.n, None)
-    cost = epoch_cost("sfgd", obj.n)
+    rec = _Recorder(obj, config, "sfgd", X_ref, U_ref, metric)
     gstf = obj.grad_sample_times_factor
     t = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
-            if k % config.eval_every == 0:
-                X = gram(U)
-                ex, eu, mv = _metrics(X, U, X_ref, U_ref, metric)
-                eta_row = config.eta0 / (1.0 + t / t0)
-                record.rows.append(
-                    Row(k, eta_row, float(obj.eval_full(X)), ex, eu, mv, k * cost)
-                )
+            rec.row(k, config.eta0 / (1.0 + t / t0), U)
             idx = rng.integers(0, obj.n, size=obj.n)
             for i in idx.tolist():
                 eta_t = config.eta0 / (1.0 + t / t0)
-                if gstf is not None:
-                    direction = gstf(i, None, U)
-                else:
-                    direction = obj.grad_sample(i, gram(U)) @ U
+                direction = gstf(i, None, U)
                 direction *= eta_t
                 U -= direction
                 t += 1
-            if not _finite(U):
-                _diverge(
-                    record, k + 1, (k + 1) * cost,
-                    X_ref is not None, True, U_ref is not None, metric is not None,
-                    U, None,
-                )
-        X = gram(U)
-        ex, eu, mv = _metrics(X, U, X_ref, U_ref, metric)
-        record.rows.append(
-            Row(config.epochs, 0.0, float(obj.eval_full(X)), ex, eu, mv,
-                config.epochs * cost)
-        )
-    record.final_U = U
-    record.final_X = X
-    return record
+            rec.check(k + 1, U)
+        return rec.finish(U)
 
 
 def run_projgd(obj, config, X0, X_ref=None, metric=None):
-    """Projected gradient descent in X-space; one iteration is one epoch."""
-    if config.eta is None or config.eta < 0:
-        raise ValueError("run_projgd needs config.eta >= 0")
+    """Projected gradient descent in X-space; one iteration is one epoch.
+
+    Divergence is judged on the unprojected step, which a diverged
+    record keeps as ``final_X``.
+    """
+    if config.eta is None:
+        raise ValueError("run_projgd needs config.eta")
     X = symmetrize(np.array(X0, dtype=float))
     if X.shape != (obj.p, obj.p):
         raise ValueError(f"initial matrix must have shape ({obj.p}, {obj.p})")
-    record = RunRecord(config.algorithm, config.seed, obj.n, None)
-    cost = epoch_cost("projgd", obj.n)
+    rec = _Recorder(obj, config, "projgd", X_ref, None, metric)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
             f, G = obj.value_and_grad_full(X)
-            if k % config.eval_every == 0:
-                ex, _, mv = _metrics(X, None, X_ref, None, metric)
-                record.rows.append(Row(k, config.eta, float(f), ex, None, mv, k * cost))
+            rec.row(k, config.eta, None, X, f)
             raw = X - config.eta * G
-            if not _finite(raw):
-                _diverge(
-                    record, k + 1, (k + 1) * cost,
-                    X_ref is not None, False, False, metric is not None,
-                    None, raw,
-                )
+            rec.check(k + 1, None, raw)
             X = proj_psd(raw)
-        ex, _, mv = _metrics(X, None, X_ref, None, metric)
-        record.rows.append(
-            Row(config.epochs, 0.0, float(obj.eval_full(X)), ex, None, mv,
-                config.epochs * cost)
-        )
-    record.final_U = None
-    record.final_X = X
-    return record
+        return rec.finish(None, X)

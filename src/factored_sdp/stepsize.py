@@ -32,19 +32,19 @@ class StepSchedule:
             raise ValueError(f"unknown schedule kind: {kind!r}")
         self.kind = kind
         if kind == FIXED:
-            if eta is None or not eta > 0:
-                raise ValueError("fixed schedule requires eta > 0")
+            if eta is None or not 0 < eta < math.inf:
+                raise ValueError("fixed schedule requires a finite eta > 0")
             self.eta = float(eta)
         else:
-            if eps is None or eps < 0:
-                raise ValueError("adaptive schedule requires eps >= 0")
+            if eps is None or not 0 <= eps < math.inf:
+                raise ValueError("adaptive schedule requires a finite eps >= 0")
             if m is None or int(m) < 1:
                 raise ValueError("adaptive schedule requires a positive inner-loop length m")
             self.eps = float(eps)
             self.m = int(m)
             self.eta0 = 1e-3 if eta0 is None else float(eta0)
-            if not self.eta0 > 0:
-                raise ValueError("eta0 must be positive")
+            if not 0 < self.eta0 < math.inf:
+                raise ValueError("eta0 must be finite and positive")
             self._prev_X = None
             self._prev_g = None
             self._prev_eta = None

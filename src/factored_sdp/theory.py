@@ -239,6 +239,8 @@ def estimate_region_stats(obj, Ur, gamma0, n_samples=500, seed=0):
     under-estimate the true suprema, which loosens eta_max; reports that
     source it.  Also returns the full-gradient norm at the center.
     """
+    if n_samples < 0:
+        raise ValueError("n_samples must be nonnegative")
     Ur = np.asarray(Ur, dtype=float)
     p, r = Ur.shape
     sigma_r_Xr = float(np.linalg.svd(Ur, compute_uv=False)[-1] ** 2)

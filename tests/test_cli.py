@@ -128,8 +128,10 @@ class TestReadTriplets:
 
     def test_empty_file_rejected(self, tmp_path):
         path = self.write(tmp_path, "# only comments\n")
-        with pytest.raises(TripletFormatError, match="no triplets"):
+        with pytest.raises(TripletFormatError, match="no triplets") as info:
             read_triplets(path)
+        assert path in str(info.value)
+        assert "line 0" not in str(info.value)
 
     def test_malformed_file_exits_2_via_cli(self, tmp_path, capsys):
         path = self.write(tmp_path, "0 1 2\n0 1 2 3\n")
@@ -330,6 +332,28 @@ class TestSensingCommand:
         summary = read_rows(out / "summary.csv")
         assert summary[1][0] == "fgd"
 
+    @pytest.mark.parametrize("flag,value", [
+        ("epochs", "0"), ("eval-every", "0"), ("m", "0"), ("seeds", "0"),
+        ("seed-base", "-1"), ("eps", "-1"), ("eps", "nan"), ("eta", "-1"),
+        ("eta", "nan"), ("eta", "inf"), ("eta0", "0"), ("t0", "-1"),
+        ("t0", "nan"), ("init-radius", "nan"), ("threshold", "nan"),
+        ("region-samples", "-1"), ("n", "0"), ("r", "0"), ("r", "9"),
+    ])
+    def test_bad_flag_value_exits_2_before_output(self, tmp_path, capsys,
+                                                  flag, value):
+        out = tmp_path / "run"
+        flags = {"algos": ",".join(ALGORITHMS), "epochs": 1, "seeds": 1,
+                 "region_samples": 2}
+        flags[flag.replace("-", "_")] = value
+        rc = run_sensing(out, **flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_t0_inf_is_valid(self, tmp_path):
+        assert run_sensing(tmp_path / "run", algos="sfgd", t0="inf", seeds=1) == 0
+
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["sensing"])
@@ -417,6 +441,15 @@ class TestConstantsCommand:
         out = capsys.readouterr().out
         assert "eta_max" in out and "kappa" in out
 
+    @pytest.mark.parametrize("rank", [["--r", "0"], ["--r", "9"],
+                                      ["--r", "2", "--r-star", "9"]])
+    def test_bad_rank_exits_2(self, tmp_path, capsys, rank):
+        out = tmp_path / "run"
+        rc = main(["constants", "--p", "8", "--out", str(out), *rank])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: need 1 <= r")
+        assert not out.exists()
+
     def test_optional_outputs_and_replay(self, tmp_path, capsys):
         out = tmp_path / "orig"
         rc = main(["constants", "--p", "8", "--r", "2", "--n", "60",
@@ -428,6 +461,35 @@ class TestConstantsCommand:
         capsys.readouterr()
         assert file_bytes(out / "constants.csv") == \
             file_bytes(rep / "constants.csv")
+
+
+class TestTracedNames:
+    """An outside tracer replaces these module names of the CLI at run time;
+    the CLI must look them up on each call rather than bind them once."""
+
+    def test_patched_names_are_called(self, tmp_path, monkeypatch, capsys):
+        import factored_sdp.cli as cli
+
+        calls = {}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("run_svrg", "run_fgd", "StepSchedule", "compute_constants"):
+            monkeypatch.setattr(cli, name, counting(name))
+        assert run_sensing(tmp_path / "run", seeds=1, epochs=1,
+                           algos="fgd,svrg-fixed") == 0
+        assert calls == {"run_svrg": 1, "run_fgd": 1, "StepSchedule": 1,
+                         "compute_constants": 1}
+        assert main(["constants", "--p", "8", "--r", "2", "--n", "60",
+                     "--region-samples", "2"]) == 0
+        capsys.readouterr()
+        assert calls["compute_constants"] == 2
 
 
 class TestReplayValidation:

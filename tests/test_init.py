@@ -119,8 +119,9 @@ class TestScheme3:
         assert np.abs(init_scheme3(5, 3, 1.0, 9) - init_scheme3(5, 3, 1.0, 10)).max() > 0
 
     def test_rejects_zero_scale(self):
-        with pytest.raises(ValueError):
-            init_scheme3(4, 2, 0.0, 0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                init_scheme3(4, 2, bad, 0)
 
 
 class TestPerturbedOptimum:
@@ -142,5 +143,6 @@ class TestPerturbedOptimum:
                                       init_perturbed_optimum(U, 0.3, 5))
 
     def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            init_perturbed_optimum(np.eye(3), -0.1, 0)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                init_perturbed_optimum(np.eye(3), bad, 0)

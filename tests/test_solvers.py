@@ -45,6 +45,58 @@ class LinearObjective(SampleObjective):
         return self.C.copy()
 
 
+def assert_diverges_with_partial_record(algo):
+    """A huge step makes ``algo`` diverge; check the marked partial record."""
+    prob = sensing_generate(5, 2, 10, seed=21)
+    U0 = np.random.default_rng(22).standard_normal((5, 2))
+    base = dict(algorithm=algo, r=2, epochs=50, seed=0)
+    if algo == "svrg":
+        run = lambda: run_svrg(prob, SolverConfig(**base, m=10, schedule=fixed(1e6)), U0,
+                               X_ref=prob.Xstar, U_ref=prob.Ustar)
+    elif algo == "sfgd":
+        run = lambda: run_sfgd(prob, SolverConfig(**base, eta0=1e6), U0,
+                               X_ref=prob.Xstar, U_ref=prob.Ustar)
+    elif algo == "projgd":
+        run = lambda: run_projgd(prob, SolverConfig(**base, eta=1e6), gram(U0),
+                                 X_ref=prob.Xstar)
+    else:
+        run = lambda: run_fgd(prob, SolverConfig(**base, eta=1e6), U0, X_ref=prob.Xstar)
+    with pytest.raises(DivergedError) as info:
+        run()
+    err = info.value
+    assert isinstance(err.record, RunRecord)
+    assert err.record.diverged
+    assert err.record.diverged_epoch == err.epoch
+    assert 1 <= err.epoch <= 50
+    last = err.record.rows[-1]
+    assert last.epoch == err.epoch
+    assert np.isnan(last.f)
+    assert np.isnan(last.error_X)
+    grads = [row.sample_grads for row in err.record.rows]
+    assert grads == sorted(grads)
+    if algo == "projgd":
+        # X-space run: no factor, and final_X is the step before projection
+        assert last.error_U is None
+        assert err.record.final_U is None
+        X = symmetrize(gram(U0))
+        if err.epoch > 1:
+            X = run_projgd(prob, SolverConfig(**{**base, "epochs": err.epoch - 1},
+                                              eta=1e6), gram(U0)).final_X
+        np.testing.assert_array_equal(err.record.final_X, X - 1e6 * prob.grad_full(X))
+    else:
+        assert err.record.final_X is None
+        assert err.record.final_U.shape == (5, 2)
+    return err
+
+
+@pytest.mark.parametrize("algo", ["svrg", "sfgd", "projgd"])
+def test_divergence_partial_record_other_runners(algo):
+    """Every runner shares fgd's divergence report (TestFgd covers fgd)."""
+    err = assert_diverges_with_partial_record(algo)
+    if algo != "projgd":
+        assert np.isnan(err.record.rows[-1].error_U)
+
+
 def svrg_config(**kw):
     base = dict(algorithm="svrg-fixed", r=2, epochs=3, seed=0, m=5,
                 schedule=fixed(0.01))
@@ -62,6 +114,12 @@ class TestSolverConfig:
             SolverConfig(algorithm="svrg-fixed", r=1, epochs=1, seed=0, m=0)
         with pytest.raises(ValueError):
             SolverConfig(algorithm="fgd", r=1, epochs=1, seed=0, eval_every=0)
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"eta": -1.0}, {"eta": nan}, {"eta": inf}, {"eta0": 0.0},
+                    {"eta0": nan}, {"t0": 0.0}, {"t0": nan}):
+            with pytest.raises(ValueError):
+                SolverConfig(algorithm="fgd", r=1, epochs=1, seed=0, **bad)
+        SolverConfig(algorithm="sfgd", r=1, epochs=1, seed=0, eta0=1.0, t0=inf)
 
     def test_rejects_factor_shape_mismatch(self):
         prob = sensing_generate(4, 2, 8, seed=0)
@@ -219,22 +277,7 @@ class TestFgd:
             assert b <= a + 1e-12
 
     def test_divergence_reported_with_partial_record(self):
-        prob = sensing_generate(5, 2, 10, seed=21)
-        U0 = np.random.default_rng(22).standard_normal((5, 2))
-        cfg = SolverConfig(algorithm="fgd", r=2, epochs=50, seed=0, eta=1e6)
-        with pytest.raises(DivergedError) as info:
-            run_fgd(prob, cfg, U0, X_ref=prob.Xstar)
-        err = info.value
-        assert isinstance(err.record, RunRecord)
-        assert err.record.diverged
-        assert err.record.diverged_epoch == err.epoch
-        assert 1 <= err.epoch <= 50
-        last = err.record.rows[-1]
-        assert last.epoch == err.epoch
-        assert np.isnan(last.f)
-        assert np.isnan(last.error_X)
-        grads = [row.sample_grads for row in err.record.rows]
-        assert grads == sorted(grads)
+        assert_diverges_with_partial_record("fgd")
 
 
 class TestSfgd:

@@ -28,6 +28,9 @@ class TestFixed:
             fixed(0.0)
         with pytest.raises(ValueError):
             fixed(-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                fixed(bad)
 
 
 class TestAdaptive:
@@ -136,6 +139,11 @@ class TestAdaptive:
             sbb(0.1, 0)
         with pytest.raises(ValueError):
             sbb(0.1, 10, eta0=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sbb(bad, 10)
+            with pytest.raises(ValueError):
+                sbb(0.1, 10, eta0=bad)
 
 
 class TestUpperBound:

@@ -542,6 +542,11 @@ class TestEstimateRegionStats:
         b = estimate_region_stats(obj, obj.Ustar, 0.2, n_samples=50, seed=5)
         assert a == b
 
+    def test_rejects_negative_sample_count(self):
+        obj = basis_sensing(4, r=2, seed=1)
+        with pytest.raises(ValueError):
+            estimate_region_stats(obj, obj.Ustar, 0.2, n_samples=-1)
+
 
 class TestReporting:
     def test_rows_cover_all_fields(self):
