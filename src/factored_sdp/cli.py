@@ -8,12 +8,14 @@ constants of a sensing instance), and ``replay`` (re-run a saved
 ``replay_argv`` reproduces the CSVs byte-for-byte: all derived defaults
 (step sizes, inner-loop lengths, ranks) are resolved to explicit flag
 values before the manifest is written, and output bytes never depend on
---jobs or the output path.
+--jobs or the output path.  The manifest lists every option of the
+subcommand's parser except --out and --jobs, in parser order.
 
 Exit codes: 0 success, 2 argument/input errors (every bad flag value,
-and malformed triplet lines with their line number), 3 solver divergence
-(partial CSVs are still written, with the divergence row marked by NaN
-metrics).
+malformed triplet lines with their line number, an ``embed --split``
+below 1 that leaves no test triplet, and an adaptive step whose secant
+denominator is exactly zero), 3 solver divergence (partial CSVs are
+still written, with the divergence row marked by NaN metrics).
 """
 
 import argparse
@@ -38,7 +40,7 @@ from .solvers import (
     run_sfgd,
     run_svrg,
 )
-from .stepsize import StepSchedule
+from .stepsize import StallError, StepSchedule
 from .theory import (
     compute_constants,
     constants_report_text,
@@ -144,9 +146,25 @@ def _write_csv(path, header, rows):
             writer.writerow([_cell(v) for v in row])
 
 
-def _write_manifest(out_dir, command, replay_argv):
-    manifest = {"command": command, "replay_argv": list(replay_argv)}
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
+def _write_manifest(args):
+    """Write run.json, whose replay_argv repeats every option of ``args.parser``.
+
+    Options but --out/--jobs follow parser order with the value the command
+    resolved onto ``args``; one still unset (None) is left out.  Floats are
+    written by ``repr``, per-algorithm maps as comma lists in --algos order.
+    """
+    argv = [args.command]
+    for action in args.parser._actions:
+        value = getattr(args, action.dest, None)
+        if value is None or action.dest in ("out", "jobs"):
+            continue
+        if isinstance(value, dict):
+            value = ",".join(repr(value[a]) for a in args.algos)
+        elif isinstance(value, list):
+            value = ",".join(value)
+        argv += [action.option_strings[0], _cell(value)]
+    manifest = {"command": args.command, "replay_argv": argv}
+    with open(os.path.join(args.out, "run.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
         fh.write("\n")
 
@@ -254,25 +272,21 @@ def _default_steps(L_hat, sigma1, n, family="sensing"):
             "svrg-fixed": stochastic, "svrg-sbb0": adaptive, "svrg-sbb": adaptive}
 
 
-def _resolve_steps(args, algos, L_hat, sigma1, n, family):
-    """Resolve --eta/--eta0 to per-algorithm maps and fill --eps/--t0.
+def _resolve_steps(args, L_hat, sigma1, n, family):
+    """Resolve --eta/--eta0 to per-algorithm maps and fill --eps/--m/--t0.
 
     The defaults are ``_default_steps(L_hat, sigma1, n, family)`` and
-    ``t0 = n``.  Returns the manifest flags from --algos through --t0.
+    ``m = t0 = n``.
     """
     defaults = _default_steps(L_hat, sigma1, n, family)
-    args.eta = {**defaults, **_per_algo_values(args.eta, algos, "--eta")}
-    args.eta0 = {**defaults, **_per_algo_values(args.eta0, algos, "--eta0")}
+    args.eta = {**defaults, **_per_algo_values(args.eta, args.algos, "--eta")}
+    args.eta0 = {**defaults, **_per_algo_values(args.eta0, args.algos, "--eta0")}
     if args.eps is None:
         args.eps = 0.02 * L_hat
+    if args.m is None:
+        args.m = n
     if args.t0 is None:
         args.t0 = float(n)
-    return [
-        "--algos", ",".join(algos),
-        "--eta", ",".join(repr(args.eta[a]) for a in algos),
-        "--eta0", ",".join(repr(args.eta0[a]) for a in algos),
-        "--eps", repr(args.eps), "--t0", repr(args.t0),
-    ]
 
 
 def _checked(fn, *args, **kwargs):
@@ -323,19 +337,24 @@ def _trial(args, algo, seed, obj, U0, X_ref=None, U_ref=None, metric=None):
     return run
 
 
-def _curve_rows(records, with_error_cols=True, with_metric=False):
-    rows = []
-    for rec in records:
-        for row in rec.rows:
-            out = [rec.algorithm, rec.seed, row.epoch, row.eta, row.f]
-            if with_error_cols:
-                out.extend([row.error_X, row.error_U])
-            if with_metric:
-                out.append(row.metric)
-            out.append(row.sample_grads)
-            rows.append(out)
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return rows
+def _write_run(args, records, columns, summary_header, summary, ylabel, logscale):
+    """Write curves.csv, summary.csv, plot.gp and run.json; return the exit code.
+
+    ``columns`` maps the curves.csv columns between ``f`` and ``sample_grads``
+    to the Row fields they print.  The code is 3 if a trial diverged, else 0.
+    """
+    curves = [[rec.algorithm, rec.seed, row.epoch, row.eta, row.f,
+               *(getattr(row, field) for field in columns.values()), row.sample_grads]
+              for rec in records for row in rec.rows]
+    curves.sort(key=lambda r: (r[0], r[1], r[2]))
+    os.makedirs(args.out, exist_ok=True)
+    _write_csv(os.path.join(args.out, "curves.csv"),
+               ["algorithm", "seed", "epoch", "eta", "f", *columns, "sample_grads"],
+               curves)
+    _write_csv(os.path.join(args.out, "summary.csv"), summary_header, summary)
+    _write_plot_script(args.out, args.algos, ylabel, logscale)
+    _write_manifest(args)
+    return 3 if any(r.diverged for r in records) else 0
 
 
 def _epochs_to_threshold(record, threshold):
@@ -375,14 +394,12 @@ def _sensing_setup(args):
 
 
 def cmd_sensing(args):
-    algos = _parse_algos(args.algos)
+    args.algos = _parse_algos(args.algos)
     if not args.threshold >= 0:
         raise CliError("--threshold must be >= 0")
     obj, U_ref, L_hat, constants = _sensing_setup(args)
-    if args.m is None:
-        args.m = obj.n
     sigma1 = float(np.linalg.eigvalsh(obj.Xstar).max())
-    step_flags = _resolve_steps(args, algos, L_hat, sigma1, obj.n, "sensing")
+    _resolve_steps(args, L_hat, sigma1, obj.n, "sensing")
     if args.init_radius is None:
         if math.isfinite(constants.gamma_u):
             args.init_radius = 0.5 * math.sqrt(constants.gamma_u)
@@ -394,50 +411,29 @@ def cmd_sensing(args):
                _checked(init_perturbed_optimum, U_ref, args.init_radius,
                         INIT_SEED_OFFSET + seed),
                X_ref=obj.Xstar, U_ref=U_ref)
-        for algo in algos for seed in _seeds(args)
+        for algo in args.algos for seed in _seeds(args)
     ]
     records = _run_parallel(trials, _resolve_jobs(args.jobs))
 
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "curves.csv"),
-               ["algorithm", "seed", "epoch", "eta", "f", "error_X", "error_U",
-                "sample_grads"], _curve_rows(records))
     summary = []
-    for algo in sorted(algos):
+    for algo in sorted(args.algos):
         recs = [r for r in records if r.algorithm == algo]
         hits = [_epochs_to_threshold(r, args.threshold) for r in recs]
         reached = [h for h in hits if h is not None]
-        finals = [
-            r.rows[-1].error_X for r in recs
-            if r.rows and r.rows[-1].error_X is not None
-            and math.isfinite(r.rows[-1].error_X)
-        ]
+        finals = [r.rows[-1].error_X for r in recs]
+        finals = [e for e in finals if math.isfinite(e)]
         summary.append([
             algo, args.threshold, len(reached), len(recs),
             _median(reached), _median(finals),
         ])
-    _write_csv(
-        os.path.join(args.out, "summary.csv"),
+    code = _write_run(
+        args, records, {"error_X": "error_X", "error_U": "error_U"},
         ["algorithm", "threshold", "seeds_reached", "seeds_total",
          "median_epochs_to_threshold", "median_final_error_X"],
-        summary,
-    )
+        summary, "relative error ||X - X*||_F", True)
     _write_csv(os.path.join(args.out, "constants.csv"), ["name", "value"],
                constants_rows(constants))
-    _write_plot_script(args.out, algos, "relative error ||X - X*||_F", True)
-    _write_manifest(args.out, "sensing", [
-        "sensing",
-        "--p", str(args.p), "--r", str(args.r), "--r-star", str(args.r_star),
-        "--n", str(args.n), "--m", str(args.m),
-        "--instance-seed", str(args.instance_seed),
-        "--epochs", str(args.epochs), "--eval-every", str(args.eval_every),
-        "--seeds", str(args.seeds), "--seed-base", str(args.seed_base),
-        *step_flags,
-        "--init-radius", repr(args.init_radius),
-        "--threshold", repr(args.threshold),
-        "--region-samples", str(args.region_samples),
-    ])
-    return 3 if any(r.diverged for r in records) else 0
+    return code
 
 
 def _probe_pairs(p, r, seed, n_pairs=8):
@@ -452,81 +448,64 @@ def _probe_pairs(p, r, seed, n_pairs=8):
 # embedding
 
 
+def _train_size(split, total):
+    """Triplets in the train part of a ``split`` partition of ``total``."""
+    return min(max(int(round(split * total)), 1), total)
+
+
 def _split_triplets(triplets, split, seed):
     """Disjoint train/test partition with sizes within 1 of the ratio."""
-    total = triplets.shape[0]
-    n_train = int(round(split * total))
-    n_train = min(max(n_train, 1), total)
-    perm = np.random.default_rng(seed).permutation(total)
+    perm = np.random.default_rng(seed).permutation(len(triplets))
+    n_train = _train_size(split, len(perm))
     return triplets[perm[:n_train]], triplets[perm[n_train:]]
 
 
 def cmd_embed(args):
-    algos = _parse_algos(args.algos)
+    args.algos = _parse_algos(args.algos)
     if not (0.0 < args.split <= 1.0):
         raise CliError("--split must be in (0, 1]")
-    dim = args.dim if args.dim is not None else (args.r if args.r is not None else 2)
-    if dim < 1:
+    if args.dim is None:
+        args.dim = args.r if args.r is not None else 2
+    args.r = None  # folded into --dim, so the manifest records --dim alone
+    if args.dim < 1:
         raise CliError("--dim must be at least 1")
-    triplets, p = read_triplets(args.triplets, args.p)
-    args.p = p
+    triplets, args.p = read_triplets(args.triplets, args.p)
+    args.triplets = os.path.abspath(args.triplets)
     if not 0 <= args.lam < math.inf:
         raise CliError("--lambda must be finite and nonnegative")
+    n_train = _train_size(args.split, len(triplets))
+    has_test = args.split < 1.0
+    if has_test and n_train == len(triplets):
+        raise CliError(f"--split {args.split!r} leaves no triplet for the test set")
 
-    n_train_nominal = min(max(int(round(args.split * triplets.shape[0])), 1),
-                          triplets.shape[0])
-    if args.m is None:
-        args.m = n_train_nominal
-
-    probe_obj = TripletProblem(p, triplets, args.lam)
+    probe_obj = TripletProblem(args.p, triplets, args.lam)
     L_hat, _ = estimate_smoothness(
-        probe_obj, _probe_pairs(p, dim, seed=args.seed_base + 1)
+        probe_obj, _probe_pairs(args.p, args.dim, seed=args.seed_base + 1)
     )
     sigma1 = max(float(args.init_scale) ** 2, 1.0)
-    step_flags = _resolve_steps(args, algos, L_hat, sigma1, n_train_nominal, "embed")
+    _resolve_steps(args, L_hat, sigma1, n_train, "embed")
 
-    has_test = args.split < 1.0
     trials = []
     for seed in _seeds(args):
         train, test = _split_triplets(triplets, args.split, seed)
-        obj = TripletProblem(p, train, args.lam)
+        obj = TripletProblem(args.p, train, args.lam)
         metric = (lambda X, t=test: test_error(X, t)) if has_test else None
-        U0 = _checked(init_scheme3, p, dim, args.init_scale, INIT_SEED_OFFSET + seed)
-        trials += [_trial(args, algo, seed, obj, U0, metric=metric) for algo in algos]
+        U0 = _checked(init_scheme3, args.p, args.dim, args.init_scale,
+                      INIT_SEED_OFFSET + seed)
+        trials += [_trial(args, algo, seed, obj, U0, metric=metric)
+                   for algo in args.algos]
     records = _run_parallel(trials, _resolve_jobs(args.jobs))
 
-    os.makedirs(args.out, exist_ok=True)
-    header = ["algorithm", "seed", "epoch", "eta", "f"]
-    if has_test:
-        header.append("test_error")
-    header.append("sample_grads")
-    _write_csv(os.path.join(args.out, "curves.csv"), header,
-               _curve_rows(records, with_error_cols=False, with_metric=has_test))
-    summary = []
-    for rec in records:
-        row = [rec.algorithm, rec.seed, rec.rows[-1].f if rec.rows else None]
-        if has_test:
-            row.append(rec.rows[-1].metric if rec.rows else None)
-        summary.append(row)
-    summary.sort(key=lambda r: (r[0], r[1]))
-    sum_header = ["algorithm", "seed", "final_f"]
-    if has_test:
-        sum_header.append("final_test_error")
-    _write_csv(os.path.join(args.out, "summary.csv"), sum_header, summary)
-    _write_plot_script(args.out, algos, "test error" if has_test else "training loss",
-                       False)
-    _write_manifest(args.out, "embed", [
-        "embed",
-        "--triplets", os.path.abspath(args.triplets),
-        "--p", str(p), "--dim", str(dim),
-        "--lambda", repr(args.lam), "--split", repr(args.split),
-        "--m", str(args.m), "--epochs", str(args.epochs),
-        "--eval-every", str(args.eval_every),
-        "--seeds", str(args.seeds), "--seed-base", str(args.seed_base),
-        "--init-scale", repr(args.init_scale),
-        *step_flags,
-    ])
-    return 3 if any(r.diverged for r in records) else 0
+    columns = {"test_error": "metric"} if has_test else {}
+    summary = sorted(
+        ([rec.algorithm, rec.seed, rec.rows[-1].f,
+          *(getattr(rec.rows[-1], name) for name in columns.values())]
+         for rec in records),
+        key=lambda r: (r[0], r[1]))
+    return _write_run(
+        args, records, columns,
+        ["algorithm", "seed", "final_f", *("final_" + c for c in columns)],
+        summary, "test error" if has_test else "training loss", False)
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +553,7 @@ def cmd_gen_triplets(args):
         [f"x{d}" for d in range(args.dim)],
         [list(map(float, row)) for row in points],
     )
-    _write_manifest(args.out, "gen-triplets", [
-        "gen-triplets",
-        "--p", str(args.p), "--dim", str(args.dim),
-        "--count", str(args.count), "--noise", repr(args.noise),
-        "--seed", str(args.seed), "--scale", repr(args.scale),
-    ])
+    _write_manifest(args)
     return 0
 
 
@@ -594,13 +568,7 @@ def cmd_constants(args):
         os.makedirs(args.out, exist_ok=True)
         _write_csv(os.path.join(args.out, "constants.csv"), ["name", "value"],
                    constants_rows(constants))
-        _write_manifest(args.out, "constants", [
-            "constants",
-            "--p", str(args.p), "--r", str(args.r),
-            "--r-star", str(args.r_star), "--n", str(args.n),
-            "--instance-seed", str(args.instance_seed),
-            "--region-samples", str(args.region_samples),
-        ])
+        _write_manifest(args)
     return 0
 
 
@@ -681,7 +649,7 @@ def build_parser():
                          help="Frobenius radius of the perturbed-optimum init")
     sensing.add_argument("--threshold", type=float, default=3e-6,
                          help="error_X level for the epochs-to-threshold summary")
-    sensing.set_defaults(func=cmd_sensing)
+    sensing.set_defaults(func=cmd_sensing, parser=sensing)
 
     embed = subs.add_parser("embed", help="ordinal embedding from a triplet file")
     _add_common(embed, "svrg-sbb,sfgd,fgd")
@@ -696,7 +664,7 @@ def build_parser():
     embed.add_argument("--split", type=float, default=0.8,
                        help="train fraction; 1.0 disables the test columns")
     embed.add_argument("--init-scale", type=float, default=1.0)
-    embed.set_defaults(func=cmd_embed)
+    embed.set_defaults(func=cmd_embed, parser=embed)
 
     gen = subs.add_parser("gen-triplets", help="plant a synthetic triplet dataset")
     gen.add_argument("--out", required=True, help="output directory")
@@ -707,14 +675,14 @@ def build_parser():
                      help="probability a triplet is emitted flipped")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--scale", type=float, default=1.0)
-    gen.set_defaults(func=cmd_gen_triplets)
+    gen.set_defaults(func=cmd_gen_triplets, parser=gen)
 
     consts = subs.add_parser("constants",
                              help="convergence-constant audit for a sensing instance")
     consts.add_argument("--out", default=None,
                         help="optional directory for constants.csv")
     _add_instance(consts)
-    consts.set_defaults(func=cmd_constants)
+    consts.set_defaults(func=cmd_constants, parser=consts)
 
     replay = subs.add_parser("replay", help="re-run a saved run.json manifest")
     replay.add_argument("manifest", help="path to a run.json")
@@ -729,10 +697,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, OSError) as err:
+    except (CliError, OSError, StallError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
 
 def entrypoint():
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

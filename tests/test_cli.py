@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from factored_sdp.cli import (
     _parse_algos,
     _per_algo_values,
     _split_triplets,
+    build_parser,
     main,
     read_triplets,
 )
@@ -425,6 +428,34 @@ class TestEmbedCommand:
         assert run_embed(triplet_file, tmp_path / "run", split="0.0") == 2
         assert "--split" in capsys.readouterr().err
 
+    def test_split_leaving_no_test_triplet_exits_2(self, tmp_path, capsys):
+        """With 5 triplets, --split 0.95 rounds the train part up to all 5."""
+        path = tmp_path / "five.txt"
+        path.write_text("0 1 2\n1 2 3\n2 3 4\n3 4 0\n4 0 1\n", encoding="utf-8")
+        out = tmp_path / "run"
+        rc = main(["embed", "--triplets", str(path), "--out", str(out),
+                   "--split", "0.95", "--epochs", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --split") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_stalled_secant_exits_2(self, tmp_path, capsys):
+        """At this init scale every margin saturates, so the gradient does not
+        change between snapshots and svrg-sbb0's secant denominator is 0."""
+        data = tmp_path / "data"
+        assert main(["gen-triplets", "--out", str(data), "--p", "20",
+                     "--count", "600", "--noise", "0.1", "--seed", "3"]) == 0
+        out = tmp_path / "run"
+        rc = main(["embed", "--triplets", str(data / "triplets.txt"),
+                   "--out", str(out), "--dim", "2", "--epochs", "3",
+                   "--algos", "svrg-sbb0", "--init-scale", "1e3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BB denominator is zero")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_negative_lambda_exits_2(self, triplet_file, tmp_path, capsys):
         rc = main(["embed", "--triplets", str(triplet_file),
                    "--out", str(tmp_path / "run"), "--lambda", "-1.0",
@@ -461,6 +492,53 @@ class TestConstantsCommand:
         capsys.readouterr()
         assert file_bytes(out / "constants.csv") == \
             file_bytes(rep / "constants.csv")
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["sensing", "embed", "gen-triplets",
+                                         "constants"])
+    def test_lists_every_parser_option_once(self, triplet_file, tmp_path,
+                                            command, capsys):
+        out = tmp_path / "run"
+        argv = {
+            "sensing": ["sensing", "--p", "8", "--r", "2", "--n", "60",
+                        "--epochs", "1", "--region-samples", "2",
+                        "--algos", "fgd,svrg-sbb"],
+            "embed": ["embed", "--triplets", str(triplet_file), "--r", "2",
+                      "--epochs", "1", "--algos", "fgd, svrg-sbb"],
+            "gen-triplets": ["gen-triplets", "--p", "8", "--count", "20"],
+            "constants": ["constants", "--p", "8", "--r", "2", "--n", "60",
+                          "--region-samples", "2"],
+        }[command] + ["--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        manifest = json.loads(file_bytes(out / "run.json"))
+        replay = manifest["replay_argv"]
+        assert manifest["command"] == replay[0] == command
+        flags = replay[1::2]
+        declared = [action.option_strings[0]
+                    for action in build_parser().parse_args(argv).parser._actions
+                    if action.dest not in ("help", "out", "jobs")]
+        if command == "embed":
+            declared.remove("--r")
+            assert "--r" not in flags
+            assert replay[replay.index("--dim") + 1] == "2"
+            assert replay[replay.index("--algos") + 1] == "fgd,svrg-sbb"
+        assert flags == declared
+
+
+class TestModuleEntrypoint:
+    def test_python_dash_m_runs_the_cli(self):
+        import factored_sdp
+
+        src = os.path.dirname(os.path.dirname(factored_sdp.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "factored_sdp.cli", "constants", "--p", "8",
+             "--r", "2", "--n", "60", "--region-samples", "2"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "eta_max" in proc.stdout
 
 
 class TestTracedNames:
