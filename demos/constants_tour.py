@@ -15,14 +15,14 @@ import math
 import numpy as np
 
 from factored_sdp.init import init_perturbed_optimum
-from factored_sdp.linalg import gram, truncated_approx
-from factored_sdp.objective import estimate_smoothness, sensing_generate
+from factored_sdp.linalg import truncated_approx
+from factored_sdp.objective import estimate_smoothness, probe_pairs, sensing_generate
 from factored_sdp.solvers import SolverConfig, run_svrg
 from factored_sdp.stepsize import fixed
 from factored_sdp.theory import (
-    SQRT2M1,
     compute_constants,
     estimate_region_stats,
+    region_gamma0,
     theorem1_rate,
 )
 
@@ -38,17 +38,9 @@ def main():
 
     obj = sensing_generate(args.p, args.r, args.n, 0)
     _, Ur = truncated_approx(obj.Xstar, args.r)
-    rng = np.random.default_rng(1)
-    pairs = [
-        (gram(rng.standard_normal((args.p, args.r))),
-         gram(rng.standard_normal((args.p, args.r))))
-        for _ in range(8)
-    ]
-    L, mu = estimate_smoothness(obj, pairs)
+    L, mu = estimate_smoothness(obj, probe_pairs(args.p, args.r, seed=1))
     kappa = L / mu
-    stats = estimate_region_stats(
-        obj, Ur, 2.0 * SQRT2M1 / (3.0 * kappa), n_samples=64, seed=0
-    )
+    stats = estimate_region_stats(obj, Ur, region_gamma0(L, mu), n_samples=64, seed=0)
     c = compute_constants(L, mu, obj.Xstar, args.r, stats)
 
     print(f"instance: sensing p={args.p} r={args.r} n={args.n}")

@@ -9,35 +9,17 @@ variance-reduced solver and the plain stochastic baseline.
 
 import argparse
 
-import numpy as np
-
-from factored_sdp.cli import test_error
 from factored_sdp.init import init_scheme3
-from factored_sdp.linalg import gram
-from factored_sdp.objective import TripletProblem, estimate_smoothness
+from factored_sdp.objective import (
+    TripletProblem,
+    estimate_smoothness,
+    planted_triplets,
+    probe_pairs,
+    split_triplets,
+    test_error,
+)
 from factored_sdp.solvers import SolverConfig, run_sfgd, run_svrg
 from factored_sdp.stepsize import sbb
-
-
-def planted_triplets(p, dim, count, noise, seed):
-    """Triplets ordered by planted distances, each flipped with prob noise."""
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((p, dim))
-    out = []
-    while len(out) < count:
-        i, j, k = (int(v) for v in rng.integers(0, p, size=3))
-        if i == j or i == k or j == k:
-            continue
-        d2_ij = float(np.sum((points[i] - points[j]) ** 2))
-        d2_ik = float(np.sum((points[i] - points[k]) ** 2))
-        if d2_ij == d2_ik:
-            continue
-        if d2_ij > d2_ik:
-            j, k = k, j
-        if noise > 0.0 and rng.uniform() < noise:
-            j, k = k, j
-        out.append((i, j, k))
-    return np.asarray(out, dtype=int)
 
 
 def main():
@@ -50,24 +32,18 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    triplets = planted_triplets(args.p, args.dim, args.count, args.noise, args.seed)
-    perm = np.random.default_rng(args.seed + 1).permutation(args.count)
-    n_train = int(round(0.8 * args.count))
-    train, test = triplets[perm[:n_train]], triplets[perm[n_train:]]
+    _, triplets = planted_triplets(args.p, args.dim, args.count, args.seed,
+                                   noise=args.noise)
+    train, test = split_triplets(triplets, 0.8, args.seed + 1)
     obj = TripletProblem(args.p, train, lam=1e-2)
-    print(f"{args.p} items in {args.dim}-d, {n_train} train / "
+    print(f"{args.p} items in {args.dim}-d, {len(train)} train / "
           f"{len(test)} test triplets, label noise {args.noise:.0%}")
 
     U0 = init_scheme3(args.p, args.dim, 1.0, args.seed + 7)
     metric = lambda X: test_error(X, test)
 
-    rng = np.random.default_rng(args.seed + 2)
-    pairs = [
-        (gram(rng.standard_normal((args.p, args.dim))),
-         gram(rng.standard_normal((args.p, args.dim))))
-        for _ in range(8)
-    ]
-    L_hat, _ = estimate_smoothness(obj, pairs)
+    L_hat, _ = estimate_smoothness(
+        obj, probe_pairs(args.p, args.dim, seed=args.seed + 2))
 
     records = {}
     cfg = SolverConfig(algorithm="svrg-sbb", r=args.dim, epochs=args.epochs,

@@ -14,20 +14,11 @@ import argparse
 import math
 import time
 
-import numpy as np
-
 from factored_sdp.init import init_perturbed_optimum
-from factored_sdp.linalg import gram, norms
-from factored_sdp.objective import estimate_smoothness, sensing_generate
-from factored_sdp.solvers import SolverConfig, run_fgd, run_sfgd, run_svrg
+from factored_sdp.linalg import norms
+from factored_sdp.objective import estimate_smoothness, probe_pairs, sensing_generate
+from factored_sdp.solvers import SolverConfig, epochs_to, run_fgd, run_sfgd, run_svrg
 from factored_sdp.stepsize import fixed, sbb
-
-
-def epochs_to(rows, threshold):
-    for row in rows:
-        if row.error_X is not None and row.error_X <= threshold:
-            return row.epoch
-    return math.inf
 
 
 def main():
@@ -40,13 +31,8 @@ def main():
     args = ap.parse_args()
 
     prob = sensing_generate(args.p, args.r, args.n, args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    pairs = [
-        (gram(rng.standard_normal((args.p, args.r))),
-         gram(rng.standard_normal((args.p, args.r))))
-        for _ in range(8)
-    ]
-    L_hat, mu_hat = estimate_smoothness(prob, pairs)
+    L_hat, mu_hat = estimate_smoothness(
+        prob, probe_pairs(args.p, args.r, seed=args.seed + 1))
     _, sigma1 = norms(prob.Xstar)
     base = 1.0 / (L_hat * sigma1)
     root_n = math.sqrt(prob.n)

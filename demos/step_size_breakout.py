@@ -13,11 +13,8 @@ The table sweeps eps upward from zero and reports what happened.
 
 import argparse
 
-import numpy as np
-
 from factored_sdp.init import init_perturbed_optimum
-from factored_sdp.linalg import gram
-from factored_sdp.objective import estimate_smoothness, sensing_generate
+from factored_sdp.objective import estimate_smoothness, probe_pairs, sensing_generate
 from factored_sdp.solvers import DivergedError, SolverConfig, run_svrg
 from factored_sdp.stepsize import sbb, sbb_upper_bound
 
@@ -33,13 +30,8 @@ def main():
     r = 3
     prob = sensing_generate(args.p, r, args.n, args.seed)
     m = prob.n
-    rng = np.random.default_rng(args.seed + 1)
-    pairs = [
-        (gram(rng.standard_normal((args.p, r))),
-         gram(rng.standard_normal((args.p, r))))
-        for _ in range(8)
-    ]
-    L_hat, mu_hat = estimate_smoothness(prob, pairs)
+    L_hat, mu_hat = estimate_smoothness(
+        prob, probe_pairs(args.p, r, seed=args.seed + 1))
 
     print(f"sensing p={args.p} n={args.n}, m = n = {m}")
     print(f"measured curvature: L_hat={L_hat:.3f} mu_hat={mu_hat:.3f}")

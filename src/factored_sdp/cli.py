@@ -9,7 +9,11 @@ constants of a sensing instance), and ``replay`` (re-run a saved
 (step sizes, inner-loop lengths, ranks) are resolved to explicit flag
 values before the manifest is written, and output bytes never depend on
 --jobs or the output path.  The manifest lists every option of the
-subcommand's parser except --out and --jobs, in parser order.
+subcommand's parser except --out and --jobs, in parser order.  The rules
+that build an experiment (planted triplets, the train/test split, the
+held-out test error, the smoothness probe pairs) live in ``objective``,
+and epochs-to-threshold in ``solvers``, so the CLI, the tests and the
+demos build the same instances.
 
 Exit codes: 0 success, 2 argument/input errors (every bad flag value,
 malformed triplet lines with their line number, an ``embed --split``
@@ -31,10 +35,20 @@ import numpy as np
 
 from .init import init_perturbed_optimum, init_scheme3
 from .linalg import gram, truncated_approx
-from .objective import TripletProblem, estimate_smoothness, sensing_generate
+from .objective import (
+    TripletProblem,
+    estimate_smoothness,
+    planted_triplets,
+    probe_pairs,
+    sensing_generate,
+    split_triplets,
+    test_error,
+    train_size,
+)
 from .solvers import (
     DivergedError,
     SolverConfig,
+    epochs_to,
     run_fgd,
     run_projgd,
     run_sfgd,
@@ -46,6 +60,7 @@ from .theory import (
     constants_report_text,
     constants_rows,
     estimate_region_stats,
+    region_gamma0,
 )
 
 ALGORITHMS = ("fgd", "sfgd", "projgd", "svrg-fixed", "svrg-sbb0", "svrg-sbb")
@@ -67,26 +82,6 @@ class TripletFormatError(CliError):
     def __init__(self, line_no, message):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-class EmptyTestSet(RuntimeError):
-    """test_error was asked to score an empty triplet set."""
-
-
-def test_error(X, triplets):
-    """Fraction of triplets (i, j, k) whose ordering d2_ij <= d2_ik fails.
-
-    Ties count as violations, so the all-equal-distances Gram matrix
-    (the identity) scores 1.0.
-    """
-    T = np.asarray(triplets, dtype=int)
-    if T.ndim != 2 or T.shape[1] != 3 or T.shape[0] == 0:
-        raise EmptyTestSet("need a nonempty (n, 3) triplet array")
-    X = np.asarray(X, dtype=float)
-    I, J, K = T[:, 0], T[:, 1], T[:, 2]
-    d2_ij = X[I, I] + X[J, J] - X[I, J] - X[J, I]
-    d2_ik = X[I, I] + X[K, K] - X[I, K] - X[K, I]
-    return float(np.mean(d2_ij >= d2_ik))
 
 
 def read_triplets(path, p=None):
@@ -190,17 +185,9 @@ def _write_plot_script(out_dir, algos, ylabel, logscale):
         fh.write("\n".join(lines) + "\n")
 
 
-def _resolve_jobs(args_jobs):
-    env = os.environ.get("FACTORED_SDP_THREADS")
-    if env is not None:
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise CliError(f"FACTORED_SDP_THREADS={env!r} is not an integer")
-    else:
-        jobs = args_jobs
+def _resolve_jobs(jobs):
     if jobs < 1:
-        raise CliError("jobs must be at least 1")
+        raise CliError("--jobs must be at least 1")
     return jobs
 
 
@@ -357,13 +344,6 @@ def _write_run(args, records, columns, summary_header, summary, ylabel, logscale
     return 3 if any(r.diverged for r in records) else 0
 
 
-def _epochs_to_threshold(record, threshold):
-    for row in record.rows:
-        if row.error_X is not None and row.error_X <= threshold:
-            return row.epoch
-    return None
-
-
 def _median(values):
     return float(statistics.median(values)) if values else None
 
@@ -386,9 +366,8 @@ def _sensing_setup(args):
     obj = _checked(sensing_generate, args.p, args.r_star, args.n, args.instance_seed)
     _, U_ref = truncated_approx(obj.Xstar, args.r)
     L_hat, mu_hat = estimate_smoothness(
-        obj, _probe_pairs(obj.p, args.r, seed=args.instance_seed + 1))
-    gamma0 = 2.0 * (math.sqrt(2.0) - 1.0) / (3.0 * (L_hat / mu_hat))
-    stats = _checked(estimate_region_stats, obj, U_ref, gamma0,
+        obj, probe_pairs(obj.p, args.r, seed=args.instance_seed + 1))
+    stats = _checked(estimate_region_stats, obj, U_ref, region_gamma0(L_hat, mu_hat),
                      n_samples=args.region_samples, seed=args.instance_seed)
     return obj, U_ref, L_hat, compute_constants(L_hat, mu_hat, obj.Xstar, args.r, stats)
 
@@ -418,8 +397,8 @@ def cmd_sensing(args):
     summary = []
     for algo in sorted(args.algos):
         recs = [r for r in records if r.algorithm == algo]
-        hits = [_epochs_to_threshold(r, args.threshold) for r in recs]
-        reached = [h for h in hits if h is not None]
+        hits = [epochs_to(r.rows, args.threshold) for r in recs]
+        reached = [h for h in hits if h < math.inf]
         finals = [r.rows[-1].error_X for r in recs]
         finals = [e for e in finals if math.isfinite(e)]
         summary.append([
@@ -436,28 +415,8 @@ def cmd_sensing(args):
     return code
 
 
-def _probe_pairs(p, r, seed, n_pairs=8):
-    rng = np.random.default_rng(seed)
-    return [
-        (gram(rng.standard_normal((p, r))), gram(rng.standard_normal((p, r))))
-        for _ in range(n_pairs)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # embedding
-
-
-def _train_size(split, total):
-    """Triplets in the train part of a ``split`` partition of ``total``."""
-    return min(max(int(round(split * total)), 1), total)
-
-
-def _split_triplets(triplets, split, seed):
-    """Disjoint train/test partition with sizes within 1 of the ratio."""
-    perm = np.random.default_rng(seed).permutation(len(triplets))
-    n_train = _train_size(split, len(perm))
-    return triplets[perm[:n_train]], triplets[perm[n_train:]]
 
 
 def cmd_embed(args):
@@ -473,21 +432,24 @@ def cmd_embed(args):
     args.triplets = os.path.abspath(args.triplets)
     if not 0 <= args.lam < math.inf:
         raise CliError("--lambda must be finite and nonnegative")
-    n_train = _train_size(args.split, len(triplets))
+    n_train = train_size(args.split, len(triplets))
     has_test = args.split < 1.0
     if has_test and n_train == len(triplets):
         raise CliError(f"--split {args.split!r} leaves no triplet for the test set")
 
     probe_obj = TripletProblem(args.p, triplets, args.lam)
     L_hat, _ = estimate_smoothness(
-        probe_obj, _probe_pairs(args.p, args.dim, seed=args.seed_base + 1)
+        probe_obj, probe_pairs(args.p, args.dim, seed=args.seed_base + 1)
     )
-    sigma1 = max(float(args.init_scale) ** 2, 1.0)
+    try:
+        sigma1 = max(float(args.init_scale) ** 2, 1.0)
+    except OverflowError:
+        raise CliError(f"--init-scale {args.init_scale!r} is too large to square")
     _resolve_steps(args, L_hat, sigma1, n_train, "embed")
 
     trials = []
     for seed in _seeds(args):
-        train, test = _split_triplets(triplets, args.split, seed)
+        train, test = split_triplets(triplets, args.split, seed)
         obj = TripletProblem(args.p, train, args.lam)
         metric = (lambda X, t=test: test_error(X, t)) if has_test else None
         U0 = _checked(init_scheme3, args.p, args.dim, args.init_scale,
@@ -513,41 +475,15 @@ def cmd_embed(args):
 
 
 def cmd_gen_triplets(args):
-    if args.p < 3:
-        raise CliError("--p must be at least 3")
-    if args.count < 1:
-        raise CliError("--count must be at least 1")
-    if not (0.0 <= args.noise <= 1.0):
-        raise CliError("--noise must be in [0, 1]")
-    if args.dim < 1 or not 0 < args.scale < math.inf:
-        raise CliError("need --dim >= 1 and a finite --scale > 0")
-    rng = _checked(np.random.default_rng, args.seed)
-    points = rng.standard_normal((args.p, args.dim)) * args.scale
-
-    lines = []
-    emitted = 0
-    while emitted < args.count:
-        i, j, k = rng.integers(0, args.p, size=3)
-        if i == j or i == k or j == k:
-            continue
-        d2_ij = float(np.sum((points[i] - points[j]) ** 2))
-        d2_ik = float(np.sum((points[i] - points[k]) ** 2))
-        if d2_ij == d2_ik:
-            continue
-        if d2_ij > d2_ik:
-            j, k = k, j
-        if args.noise > 0.0 and rng.uniform() < args.noise:
-            j, k = k, j
-        lines.append(f"{i} {j} {k}")
-        emitted += 1
-
+    points, triplets = _checked(planted_triplets, args.p, args.dim, args.count,
+                                args.seed, noise=args.noise, scale=args.scale)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "triplets.txt"), "w", encoding="utf-8") as fh:
         fh.write(
             f"# planted triplets: p={args.p} dim={args.dim} count={args.count} "
             f"noise={repr(args.noise)} seed={args.seed} scale={repr(args.scale)}\n"
         )
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(f"{i} {j} {k}" for i, j, k in triplets) + "\n")
     _write_csv(
         os.path.join(args.out, "points.csv"),
         [f"x{d}" for d in range(args.dim)],
@@ -604,8 +540,7 @@ def _add_common(sub, algos):
     sub.add_argument("--seeds", type=int, default=1, help="number of trial seeds")
     sub.add_argument("--seed-base", type=int, default=0,
                      help="first trial seed; trial i uses seed-base + i")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="concurrent trials (FACTORED_SDP_THREADS overrides)")
+    sub.add_argument("--jobs", type=int, default=1, help="concurrent trials")
     sub.add_argument("--epochs", type=int, default=100)
     sub.add_argument("--eval-every", type=int, default=1,
                      help="record metrics every this many epochs")

@@ -3,8 +3,12 @@
 An objective is an average f(X) = (1/n) sum_i f_i(X) over the PSD cone,
 queried through per-sample value/gradient oracles plus full-batch versions.
 Two concrete families live here: noiseless matrix sensing and logistic
-triplet (ordinal-embedding) losses with trace regularization.
+triplet (ordinal-embedding) losses with trace regularization.  So do the
+rules that build their experiments: planted instances, the train/test
+split of a triplet set, the held-out test error and the smoothness probes.
 """
+
+import math
 
 import numpy as np
 
@@ -248,6 +252,74 @@ class TripletProblem(SampleObjective):
         return out
 
 
+def planted_triplets(p, dim, count, seed, noise=0.0, scale=1.0):
+    """Plant p points in ``dim`` dimensions and draw ``count`` triplets.
+
+    Points are i.i.d. standard normal times ``scale``.  Each triplet
+    (i, j, k) has pairwise distinct indices, is ordered so that
+    d2_ij < d2_ik (exact ties are redrawn) and is then flipped with
+    probability ``noise``.  Returns (points, triplets array); a parameter
+    out of range raises ValueError.
+    """
+    if p < 3:
+        raise ValueError("p must be at least 3")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if not (0.0 <= noise <= 1.0):
+        raise ValueError("noise must be in [0, 1]")
+    if dim < 1 or not 0 < scale < math.inf:
+        raise ValueError("need dim >= 1 and a finite scale > 0")
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((p, dim)) * scale
+    triplets = []
+    while len(triplets) < count:
+        i, j, k = rng.integers(0, p, size=3)
+        if i == j or i == k or j == k:
+            continue
+        d2_ij = float(np.sum((points[i] - points[j]) ** 2))
+        d2_ik = float(np.sum((points[i] - points[k]) ** 2))
+        if d2_ij == d2_ik:
+            continue
+        if d2_ij > d2_ik:
+            j, k = k, j
+        if noise > 0.0 and rng.uniform() < noise:
+            j, k = k, j
+        triplets.append((i, j, k))
+    return points, np.asarray(triplets, dtype=int)
+
+
+def train_size(split, total):
+    """Triplets in the train part of a ``split`` partition of ``total``."""
+    return min(max(int(round(split * total)), 1), total)
+
+
+def split_triplets(triplets, split, seed):
+    """Disjoint train/test partition with sizes within 1 of the ratio."""
+    perm = np.random.default_rng(seed).permutation(len(triplets))
+    n_train = train_size(split, len(perm))
+    return triplets[perm[:n_train]], triplets[perm[n_train:]]
+
+
+class EmptyTestSet(RuntimeError):
+    """test_error was asked to score an empty triplet set."""
+
+
+def test_error(X, triplets):
+    """Fraction of triplets (i, j, k) whose ordering d2_ij <= d2_ik fails.
+
+    Ties count as violations, so the all-equal-distances Gram matrix
+    (the identity) scores 1.0.
+    """
+    T = np.asarray(triplets, dtype=int)
+    if T.ndim != 2 or T.shape[1] != 3 or T.shape[0] == 0:
+        raise EmptyTestSet("need a nonempty (n, 3) triplet array")
+    X = np.asarray(X, dtype=float)
+    I, J, K = T[:, 0], T[:, 1], T[:, 2]
+    d2_ij = X[I, I] + X[J, J] - X[I, J] - X[J, I]
+    d2_ik = X[I, I] + X[K, K] - X[I, K] - X[K, I]
+    return float(np.mean(d2_ij >= d2_ik))
+
+
 def factored_gradient(obj, which, U):
     """grad f_i(U U^T) @ U, or grad f(U U^T) @ U when which is FULL.
 
@@ -259,6 +331,18 @@ def factored_gradient(obj, which, U):
     if which is FULL or (isinstance(which, str) and which == FULL):
         return obj.grad_full(X) @ U
     return obj.grad_sample(which, X) @ U
+
+
+def probe_pairs(p, r, seed, n_pairs=8):
+    """``n_pairs`` pairs of random rank-r p-by-p Gram matrices.
+
+    The probes ``estimate_smoothness`` reads its moduli from.
+    """
+    rng = np.random.default_rng(seed)
+    return [
+        (gram(rng.standard_normal((p, r))), gram(rng.standard_normal((p, r))))
+        for _ in range(n_pairs)
+    ]
 
 
 def estimate_smoothness(obj, pairs):

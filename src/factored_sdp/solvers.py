@@ -91,6 +91,15 @@ class RunRecord:
     final_X: np.ndarray | None = None
 
 
+def epochs_to(rows, threshold, field="error_X"):
+    """First recorded epoch whose ``field`` is at or below threshold, else inf."""
+    for row in rows:
+        value = getattr(row, field)
+        if value is not None and value <= threshold:
+            return row.epoch
+    return math.inf
+
+
 def epoch_cost(algorithm, n, m=None):
     """Sample gradients spent per epoch of the named algorithm."""
     if algorithm.startswith("svrg"):

@@ -128,6 +128,15 @@ def check_assumption2(Xstar, r, kappa, xi):
     )
 
 
+def region_gamma0(L, mu):
+    """gamma0 = 2(sqrt(2) - 1) / (3 kappa), with kappa = L / mu.
+
+    The region the constants are computed over is the ball
+    ||U - Ur||_F^2 <= gamma0 sigma_r(Xr).
+    """
+    return 2.0 * SQRT2M1 / (3.0 * (L / mu))
+
+
 def compute_constants(L, mu, Xstar, r, region_stats):
     """All convergence constants for the factored solver on this instance.
 
@@ -159,7 +168,7 @@ def compute_constants(L, mu, Xstar, r, region_stats):
     tau_Ur = math.sqrt(tau_Xr)
 
     kappa = L / mu
-    gamma0 = 2.0 * SQRT2M1 / (3.0 * kappa)
+    gamma0 = region_gamma0(L, mu)
     eta_bar = min(
         (1.0 - math.sqrt(gamma0)) ** 2
         / (grad_norm / (L * sigma_r) + (2.0 * math.sqrt(gamma0) + gamma0) * tau_Ur),

@@ -23,37 +23,36 @@ import time
 
 import numpy as np
 
-from factored_sdp.cli import (
-    INIT_SEED_OFFSET,
-    _probe_pairs,
-    _split_triplets,
-    main,
-)
-from factored_sdp.cli import test_error as triplet_test_error
+from factored_sdp.cli import INIT_SEED_OFFSET, main
 from factored_sdp.init import init_perturbed_optimum, init_scheme3
 from factored_sdp.linalg import gram, truncated_approx
 from factored_sdp.objective import (
     SensingProblem,
     TripletProblem,
     estimate_smoothness,
+    planted_triplets,
+    probe_pairs,
     sensing_generate,
+    split_triplets,
 )
+from factored_sdp.objective import test_error as triplet_test_error
 from factored_sdp.solvers import (
     DivergedError,
     SolverConfig,
+    epochs_to,
     run_fgd,
     run_sfgd,
     run_svrg,
 )
 from factored_sdp.stepsize import fixed, sbb
 from factored_sdp.theory import (
-    SQRT2M1,
     compute_constants,
     estimate_region_stats,
     lemma_dist_bounds,
     lemma_feasibility,
     lemma_spectral_bounds,
     lemma_trace_bound,
+    region_gamma0,
     theorem1_rate,
 )
 
@@ -84,23 +83,6 @@ def basis_sensing(p, r=2, seed=0):
     return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
 
 
-def planted_triplets(p, dim, count, seed):
-    """Points in dim dimensions plus count noiseless ordinal triplets."""
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((p, dim))
-    out = []
-    while len(out) < count:
-        i, j, k = rng.integers(0, p, size=3)
-        if i == j or i == k or j == k:
-            continue
-        dij = float(np.sum((pts[i] - pts[j]) ** 2))
-        dik = float(np.sum((pts[i] - pts[k]) ** 2))
-        if dij == dik:
-            continue
-        out.append((i, j, k) if dij < dik else (i, k, j))
-    return pts, np.asarray(out, dtype=int)
-
-
 def fd_gradient(fun, X, h=1e-5):
     """Central finite differences of a scalar function of a matrix."""
     G = np.zeros_like(X)
@@ -112,15 +94,6 @@ def fd_gradient(fun, X, h=1e-5):
             Xm[a, b] -= h
             G[a, b] = (fun(Xp) - fun(Xm)) / (2 * h)
     return G
-
-
-def epochs_to(rows, threshold, field="error_X"):
-    """First recorded epoch at or below threshold, inf if never reached."""
-    for row in rows:
-        value = getattr(row, field)
-        if value is not None and value <= threshold:
-            return row.epoch
-    return math.inf
 
 
 def affine_r2(xs, ys):
@@ -253,10 +226,8 @@ def test_criterion_02_exact_recovery():
     start = time.perf_counter()
     obj = sensing_generate(50, 3, 500, 0)
     _, Ur = truncated_approx(obj.Xstar, 3)
-    L, mu = estimate_smoothness(obj, _probe_pairs(50, 3, seed=1))
-    stats = estimate_region_stats(
-        obj, Ur, 2.0 * SQRT2M1 / (3.0 * (L / mu)), n_samples=64, seed=0
-    )
+    L, mu = estimate_smoothness(obj, probe_pairs(50, 3, seed=1))
+    stats = estimate_region_stats(obj, Ur, region_gamma0(L, mu), n_samples=64, seed=0)
     c = compute_constants(L, mu, obj.Xstar, 3, stats)
     radius = 0.5 * math.sqrt(c.gamma_u)
     assert radius**2 < c.gamma_u
@@ -282,10 +253,8 @@ def test_criterion_03_monotone_expected_decay():
     start = time.perf_counter()
     obj = sensing_generate(30, 2, 300, 0)
     _, Ur = truncated_approx(obj.Xstar, 2)
-    L, mu = estimate_smoothness(obj, _probe_pairs(30, 2, seed=1))
-    stats = estimate_region_stats(
-        obj, Ur, 2.0 * SQRT2M1 / (3.0 * (L / mu)), n_samples=64, seed=0
-    )
+    L, mu = estimate_smoothness(obj, probe_pairs(30, 2, seed=1))
+    stats = estimate_region_stats(obj, Ur, region_gamma0(L, mu), n_samples=64, seed=0)
     c = compute_constants(L, mu, obj.Xstar, 2, stats)
     radius = 0.5 * math.sqrt(c.gamma_u)
 
@@ -320,11 +289,9 @@ def test_criterion_04_rate_bound_dominates():
     start = time.perf_counter()
     obj = sensing_generate(40, 3, 400, 0)
     _, Ur = truncated_approx(obj.Xstar, 3)
-    L, mu = estimate_smoothness(obj, _probe_pairs(40, 3, seed=1))
+    L, mu = estimate_smoothness(obj, probe_pairs(40, 3, seed=1))
     assert L / mu <= 3.0, f"instance condition estimate {L / mu:.2f} above 3"
-    stats = estimate_region_stats(
-        obj, Ur, 2.0 * SQRT2M1 / (3.0 * (L / mu)), n_samples=64, seed=0
-    )
+    stats = estimate_region_stats(obj, Ur, region_gamma0(L, mu), n_samples=64, seed=0)
     c = compute_constants(L, mu, obj.Xstar, 3, stats)
 
     eta = 0.9 * c.eta_bar_max
@@ -369,7 +336,7 @@ def test_criterion_05_adaptive_step_bracket():
     """
     p, r = 6, 2
     obj = basis_sensing(p, r=r, seed=0)
-    L, mu = estimate_smoothness(obj, _probe_pairs(p, r, seed=1))
+    L, mu = estimate_smoothness(obj, probe_pairs(p, r, seed=1))
     np.testing.assert_allclose([L, mu], 1.0 / p**2, rtol=1e-12)
 
     m = 20 * p * p
@@ -413,7 +380,7 @@ def test_criterion_06_stabilizer_prevents_breakout():
     p, dim = 10, 2
     _, T = planted_triplets(p, dim, 60, 0)
     obj = TripletProblem(p, T, lam=0.0)
-    L, mu = estimate_smoothness(obj, _probe_pairs(p, dim, seed=1))
+    L, mu = estimate_smoothness(obj, probe_pairs(p, dim, seed=1))
     m = 6000
     breakout_level = 10.0 / (m * mu)
 
@@ -486,7 +453,7 @@ def test_criterion_07_matrix_inequality_suites():
     L = 1.0 / 36.0
     c = compute_constants(
         L, L, obj.Xstar, 2,
-        estimate_region_stats(obj, Ur, 2.0 * SQRT2M1 / 3.0, n_samples=100),
+        estimate_region_stats(obj, Ur, region_gamma0(L, L), n_samples=100),
     )
     sr2 = float(np.linalg.svd(Ur, compute_uv=False)[-1] ** 2)
     bad_feas = 0
@@ -609,7 +576,7 @@ def test_criterion_10_embedding_pipeline():
     p, dim, lam = 50, 2, 1e-2
     _, T = planted_triplets(p, dim, 4000, 0)
     L, _ = estimate_smoothness(
-        TripletProblem(p, T, lam), _probe_pairs(p, dim, seed=1)
+        TripletProblem(p, T, lam), probe_pairs(p, dim, seed=1)
     )
     threshold = 0.1
 
@@ -618,7 +585,7 @@ def test_criterion_10_embedding_pipeline():
     for algo, epochs in (("svrg-sbb", 40), ("sfgd", 60), ("fgd", 60)):
         cross, final = [], []
         for seed in range(10):
-            train, test = _split_triplets(T, 0.8, seed)
+            train, test = split_triplets(T, 0.8, seed)
             obj = TripletProblem(p, train, lam)
             metric = lambda X: triplet_test_error(X, test)
             U0 = init_scheme3(p, dim, 1.0, INIT_SEED_OFFSET + seed)

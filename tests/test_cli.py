@@ -13,17 +13,16 @@ import pytest
 from factored_sdp.cli import (
     ALGORITHMS,
     CliError,
-    EmptyTestSet,
     TripletFormatError,
     _default_steps,
     _parse_algos,
     _per_algo_values,
-    _split_triplets,
     build_parser,
     main,
     read_triplets,
 )
-from factored_sdp.cli import test_error as triplet_error
+from factored_sdp.objective import EmptyTestSet, planted_triplets, split_triplets
+from factored_sdp.objective import test_error as triplet_error
 
 
 def read_rows(path):
@@ -38,20 +37,8 @@ def file_bytes(path):
 
 def planted_instance(p=12, dim=2, n=300, seed=3):
     """Points, their Gram matrix, and triplets whose ordering is exact."""
-    rng = np.random.default_rng(seed)
-    points = rng.standard_normal((p, dim))
-    X = points @ points.T
-    triplets = []
-    while len(triplets) < n:
-        i, j, k = rng.integers(0, p, size=3)
-        if i == j or i == k or j == k:
-            continue
-        d2_ij = np.sum((points[i] - points[j]) ** 2)
-        d2_ik = np.sum((points[i] - points[k]) ** 2)
-        if d2_ij == d2_ik:
-            continue
-        triplets.append((i, j, k) if d2_ij < d2_ik else (i, k, j))
-    return points, X, np.asarray(triplets, dtype=int)
+    points, triplets = planted_triplets(p, dim, n, seed)
+    return points, points @ points.T, triplets
 
 
 class TestTestError:
@@ -176,7 +163,7 @@ class TestParseHelpers:
 
     def test_split_partitions_disjointly(self):
         T = np.arange(303).reshape(101, 3)
-        train, test = _split_triplets(T, 0.8, seed=4)
+        train, test = split_triplets(T, 0.8, seed=4)
         assert train.shape[0] + test.shape[0] == 101
         assert abs(train.shape[0] - 0.8 * 101) <= 1.0
         merged = np.vstack([train, test])
@@ -304,18 +291,6 @@ class TestSensingCommand:
         assert file_bytes(tmp_path / "serial" / "curves.csv") == \
             file_bytes(tmp_path / "parallel" / "curves.csv")
 
-    def test_thread_env_var_overrides_jobs(self, tmp_path, monkeypatch):
-        run_sensing(tmp_path / "plain")
-        monkeypatch.setenv("FACTORED_SDP_THREADS", "2")
-        run_sensing(tmp_path / "env")
-        assert file_bytes(tmp_path / "plain" / "curves.csv") == \
-            file_bytes(tmp_path / "env" / "curves.csv")
-
-    def test_bad_thread_env_var_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FACTORED_SDP_THREADS", "many")
-        assert run_sensing(tmp_path / "run") == 2
-        assert "FACTORED_SDP_THREADS" in capsys.readouterr().err
-
     def test_unknown_algorithm_exits_2(self, tmp_path, capsys):
         assert run_sensing(tmp_path / "run", algos="fgd,newton") == 2
         assert "unknown algorithm" in capsys.readouterr().err
@@ -341,6 +316,7 @@ class TestSensingCommand:
         ("eta", "nan"), ("eta", "inf"), ("eta0", "0"), ("t0", "-1"),
         ("t0", "nan"), ("init-radius", "nan"), ("threshold", "nan"),
         ("region-samples", "-1"), ("n", "0"), ("r", "0"), ("r", "9"),
+        ("jobs", "0"),
     ])
     def test_bad_flag_value_exits_2_before_output(self, tmp_path, capsys,
                                                   flag, value):
@@ -454,6 +430,14 @@ class TestEmbedCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: BB denominator is zero")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_init_scale_too_large_to_square_exits_2(self, triplet_file, tmp_path,
+                                                    capsys):
+        out = tmp_path / "run"
+        assert run_embed(triplet_file, out, init_scale="1e155") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --init-scale") and err.count("\n") == 1
         assert not out.exists()
 
     def test_negative_lambda_exits_2(self, triplet_file, tmp_path, capsys):

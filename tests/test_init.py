@@ -13,6 +13,7 @@ from factored_sdp.objective import (
     SampleObjective,
     SensingProblem,
     estimate_smoothness,
+    probe_pairs,
     sensing_generate,
 )
 
@@ -32,12 +33,7 @@ class ConstantObjective(SampleObjective):
 class TestScheme1:
     def test_warm_start_lands_near_optimum(self):
         prob = sensing_generate(8, 2, 80, seed=0)
-        rng = np.random.default_rng(1)
-        pairs = [
-            (gram(rng.standard_normal((8, 2))), gram(rng.standard_normal((8, 2))))
-            for _ in range(10)
-        ]
-        L_hat, _ = estimate_smoothness(prob, pairs)
+        L_hat, _ = estimate_smoothness(prob, probe_pairs(8, 2, seed=1, n_pairs=10))
         U0 = init_scheme1(prob, 2, warm_epochs=200, eta=0.5 / L_hat)
         err = np.linalg.norm(gram(U0) - prob.Xstar) / max(1, np.linalg.norm(prob.Xstar))
         assert err < 0.1

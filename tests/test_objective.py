@@ -10,6 +10,8 @@ from factored_sdp.objective import (
     TripletProblem,
     estimate_smoothness,
     factored_gradient,
+    planted_triplets,
+    probe_pairs,
     sensing_generate,
     ste_grad_sample,
     ste_loss,
@@ -225,6 +227,18 @@ class TestTripletProblem:
         assert np.linalg.norm(trip.grad_full(X) - mean) <= 1e-10
 
 
+class TestPlantedTriplets:
+    @pytest.mark.parametrize("kw", [
+        {"p": 2}, {"count": 0}, {"noise": 1.5}, {"noise": float("nan")},
+        {"dim": 0}, {"scale": 0.0}, {"scale": float("inf")}, {"seed": -1},
+    ])
+    def test_rejects_bad_parameters(self, kw):
+        """p < 3 would leave no distinct triple to draw, so it must raise."""
+        args = {"p": 5, "dim": 2, "count": 4, "seed": 0, **kw}
+        with pytest.raises(ValueError):
+            planted_triplets(**args)
+
+
 class TestFactoredGradient:
     def test_zero_gradient_gives_zero_factor(self):
         obj = LinearObjective(np.zeros((4, 4)))
@@ -267,23 +281,14 @@ class TestFactoredGradient:
 class TestEstimateSmoothness:
     def test_constant_curvature_on_basis_instance(self):
         prob = basis_sensing(3)
-        rng = np.random.default_rng(24)
-        pairs = [
-            (gram(rng.standard_normal((3, 2))), gram(rng.standard_normal((3, 2))))
-            for _ in range(10)
-        ]
+        pairs = probe_pairs(3, 2, seed=24, n_pairs=10)
         L_hat, mu_hat = estimate_smoothness(prob, pairs)
         assert L_hat == pytest.approx(1.0 / 9.0, rel=1e-9)
         assert mu_hat == pytest.approx(1.0 / 9.0, rel=1e-9)
 
     def test_linear_objective_has_zero_modulus(self):
         obj = LinearObjective(np.diag([1.0, 2.0, 3.0]))
-        rng = np.random.default_rng(25)
-        pairs = [
-            (gram(rng.standard_normal((3, 1))), gram(rng.standard_normal((3, 1))))
-            for _ in range(5)
-        ]
-        L_hat, mu_hat = estimate_smoothness(obj, pairs)
+        L_hat, mu_hat = estimate_smoothness(obj, probe_pairs(3, 1, seed=25, n_pairs=5))
         assert L_hat == 0.0
         assert mu_hat == 0.0
 
@@ -303,11 +308,7 @@ class TestEstimateSmoothness:
             def grad_full(self, X):
                 return 3.0 * prob.grad_full(X)
 
-        rng = np.random.default_rng(27)
-        pairs = [
-            (gram(rng.standard_normal((4, 2))), gram(rng.standard_normal((4, 2))))
-            for _ in range(6)
-        ]
+        pairs = probe_pairs(4, 2, seed=27, n_pairs=6)
         L1, m1 = estimate_smoothness(prob, pairs)
         L3, m3 = estimate_smoothness(Scaled(), pairs)
         assert L3 == pytest.approx(3.0 * L1, rel=1e-12)

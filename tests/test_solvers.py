@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import SampleObjective, sensing_generate
 from factored_sdp.solvers import (
     DivergedError,
+    Row,
     RunRecord,
     SolverConfig,
     epoch_cost,
+    epochs_to,
     run_fgd,
     run_projgd,
     run_sfgd,
@@ -362,6 +366,13 @@ class TestRowLayout:
                            eval_every=3)
         rec = run_fgd(prob, cfg, U0)
         assert [row.epoch for row in rec.rows] == [0, 3, 6, 9, 10]
+
+    def test_epochs_to_reads_the_named_field(self):
+        rows = [Row(epoch, 0.1, 1.0, error, None, metric, 0) for epoch, error, metric
+                in ((0, 1.0, 0.5), (1, None, 0.2), (2, 1e-3, 0.05))]
+        assert epochs_to(rows, 1e-2) == 2
+        assert epochs_to(rows, 0.2, field="metric") == 1
+        assert epochs_to(rows, 1e-9) == math.inf
 
     def test_last_row_is_final_state_with_zero_eta(self):
         prob = sensing_generate(4, 2, 8, seed=37)

@@ -20,6 +20,7 @@ from factored_sdp.theory import (
     lemma_feasibility,
     lemma_spectral_bounds,
     lemma_trace_bound,
+    region_gamma0,
     sbb_inner_count_bound,
     theorem1_rate,
 )
@@ -460,7 +461,7 @@ class TestLemmaFeasibility:
         L = 1.0 / p**2
         c = compute_constants(
             L, L, obj.Xstar, 2,
-            estimate_region_stats(obj, Ur, 2.0 * SQRT2M1 / 3.0, n_samples=100),
+            estimate_region_stats(obj, Ur, region_gamma0(L, L), n_samples=100),
         )
         rng = np.random.default_rng(6)
         sr2 = np.linalg.svd(Ur, compute_uv=False)[-1] ** 2
@@ -482,7 +483,7 @@ class TestLemmaFeasibility:
         obj = basis_sensing(p, r=2, seed=9)
         Ur = obj.Ustar
         L = 1.0 / p**2
-        gamma0 = 2.0 * SQRT2M1 / 3.0
+        gamma0 = region_gamma0(L, L)
         rng = np.random.default_rng(10)
         sr2 = np.linalg.svd(Ur, compute_uv=False)[-1] ** 2
         radius = math.sqrt(gamma0 * sr2)
