@@ -263,15 +263,23 @@ def _resolve_steps(args, L_hat, sigma1, n, family):
     """Resolve --eta/--eta0 to per-algorithm maps and fill --eps/--m/--t0.
 
     The defaults are ``_default_steps(L_hat, sigma1, n, family)`` and
-    ``m = t0 = n``.
+    ``m = t0 = n``.  The sensing stabilizer defaults to
+    ``eps = 1/(m * default svrg-fixed step)``: svrg-sbb's step, at most
+    ``1/(m eps)``, is then capped at the default svrg-fixed step.  The
+    embedding family keeps ``eps = 0.02 * L_hat``.
     """
     defaults = _default_steps(L_hat, sigma1, n, family)
     args.eta = {**defaults, **_per_algo_values(args.eta, args.algos, "--eta")}
     args.eta0 = {**defaults, **_per_algo_values(args.eta0, args.algos, "--eta0")}
-    if args.eps is None:
-        args.eps = 0.02 * L_hat
     if args.m is None:
         args.m = n
+    if args.m < 1:
+        raise CliError("--m must be at least 1")
+    if args.eps is None:
+        if family == "embed":
+            args.eps = 0.02 * L_hat
+        else:
+            args.eps = 1.0 / (args.m * defaults["svrg-fixed"])
     if args.t0 is None:
         args.t0 = float(n)
 
@@ -550,7 +558,9 @@ def _add_common(sub, algos):
                      help="initial/base step for sfgd and the adaptive "
                           "schedules; one value or a comma list")
     sub.add_argument("--eps", type=float, default=None,
-                     help="stabilizer for svrg-sbb (default 0.02 * measured L)")
+                     help="stabilizer for svrg-sbb (default: sensing "
+                          "1/(m * default svrg-fixed step), embed 0.02 * "
+                          "measured L)")
     sub.add_argument("--m", type=int, default=None,
                      help="inner-loop length (default: sample size)")
     sub.add_argument("--t0", type=float, default=None,

@@ -9,7 +9,7 @@ radius, which is how local-convergence experiments are seeded.
 
 import numpy as np
 
-from .linalg import gram, proj_psd, truncated_approx
+from .linalg import proj_psd, truncated_approx
 from .solvers import SolverConfig, run_projgd
 
 

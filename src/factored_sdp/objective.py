@@ -63,21 +63,22 @@ class SampleObjective:
         return sum(float(np.linalg.norm(self.grad_sample(i, X)) ** 2) for i in range(self.n)) / self.n
 
 
-def _inner_all(A, X):
-    """<A_i, X> for a stack of matrices A, one value per sample."""
-    return np.einsum("kij,ij->k", A, X)
-
-
 class SensingProblem(SampleObjective):
     """Noiseless matrix sensing: f_i(X) = (1/2)(b_i - <A_i, X>)^2.
 
     Measurement matrices are exactly symmetric; b_i = <A_i, X*> so the
     planted optimum interpolates every sample. Ground truth (X*, U*) is
     retained for error reporting.
+
+    The measurements are held once, as the C-contiguous (n, p, p) array
+    ``A``.  The full-batch oracles read it through ``_A2``, an (n, p^2)
+    view of the same memory, as two matrix-vector products: the residuals
+    ``A2 @ vec(X) - b`` and the gradient ``vec^-1(resid @ A2) / n``.  Each
+    is one streaming read of ``A``; no second copy of the operand is made.
     """
 
     def __init__(self, A, b, Xstar=None, Ustar=None):
-        A = np.asarray(A, dtype=float)
+        A = np.ascontiguousarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         if A.ndim != 3 or A.shape[1] != A.shape[2] or b.shape != (A.shape[0],):
             raise ValueError("A must be (n, p, p) and b (n,)")
@@ -87,6 +88,7 @@ class SensingProblem(SampleObjective):
         self.p = A.shape[1]
         self.Xstar = Xstar
         self.Ustar = Ustar
+        self._A2 = A.reshape(self.n, self.p * self.p)
         self._A_sqnorms = np.einsum("kij,kij->k", A, A)
 
     @property
@@ -99,18 +101,21 @@ class SensingProblem(SampleObjective):
     def grad_sample(self, i, X):
         return (np.vdot(self.A[i], X) - self.b[i]) * self.A[i]
 
+    def _residuals(self, X):
+        """<A_i, X> - b_i for every sample, as one gemv over the (n, p^2) view."""
+        return self._A2 @ np.ravel(X) - self.b
+
     def eval_full(self, X):
-        resid = _inner_all(self.A, X) - self.b
+        resid = self._residuals(X)
         return 0.5 * float(resid @ resid) / self.n
 
     def grad_full(self, X):
-        resid = _inner_all(self.A, X) - self.b
-        return np.einsum("k,kij->ij", resid, self.A) / self.n
+        return self.value_and_grad_full(X)[1]
 
     def value_and_grad_full(self, X):
-        resid = _inner_all(self.A, X) - self.b
-        f = 0.5 * float(resid @ resid) / self.n
-        return f, np.einsum("k,kij->ij", resid, self.A) / self.n
+        resid = self._residuals(X)
+        G = (resid @ self._A2).reshape(self.p, self.p) / self.n
+        return 0.5 * float(resid @ resid) / self.n, G
 
     def grad_sample_times_factor(self, i, X, U):
         AU = self.A[i] @ U
@@ -121,7 +126,7 @@ class SensingProblem(SampleObjective):
         return (inner - self.b[i]) * AU
 
     def mean_grad_sample_sqnorm(self, X):
-        resid = _inner_all(self.A, X) - self.b
+        resid = self._residuals(X)
         return float((resid**2) @ self._A_sqnorms) / self.n
 
 
@@ -139,7 +144,7 @@ def sensing_generate(p, r_star, n, seed):
     Xstar = gram(Ustar)
     G = rng.standard_normal((n, p, p))
     A = (G + np.transpose(G, (0, 2, 1))) / 2.0
-    b = _inner_all(A, Xstar)
+    b = np.einsum("kij,ij->k", A, Xstar)
     return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eig_sym, gram, procrustes_dist, proj_psd, symmetrize, tol_psd
+from .linalg import eig_sym, gram, procrustes_dist, symmetrize, tol_psd
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 

@@ -2,7 +2,6 @@
 
 import csv
 import json
-import math
 import os
 import subprocess
 import sys
@@ -309,6 +308,15 @@ class TestSensingCommand:
         assert int(last[2]) < 20
         summary = read_rows(out / "summary.csv")
         assert summary[1][0] == "fgd"
+
+    def test_default_svrg_sbb_converges(self, tmp_path):
+        """The default stabilizer caps svrg-sbb at the default svrg-fixed step."""
+        out = tmp_path / "run"
+        argv = ["sensing", "--p", "20", "--r", "2", "--epochs", "40",
+                "--seeds", "1", "--algos", "svrg-sbb", "--out", str(out)]
+        assert main(argv) == 0
+        summary = read_rows(out / "summary.csv")
+        assert summary[1][:4] == ["svrg-sbb", "3e-06", "1", "1"]
 
     @pytest.mark.parametrize("flag,value", [
         ("epochs", "0"), ("eval-every", "0"), ("m", "0"), ("seeds", "0"),

@@ -8,7 +8,7 @@ from factored_sdp.init import (
     init_scheme2,
     init_scheme3,
 )
-from factored_sdp.linalg import gram, symmetrize
+from factored_sdp.linalg import gram
 from factored_sdp.objective import (
     SampleObjective,
     SensingProblem,

@@ -127,6 +127,65 @@ class TestSensingGradients:
             assert gap >= -1e-12
 
 
+def rel_err(a, b):
+    return float(np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b))
+
+
+def x_layouts(p, seed):
+    """One nonsymmetric p-by-p matrix in C order, Fortran order and as a strided view."""
+    X = np.random.default_rng(seed).standard_normal((p, p))
+    wide = np.zeros((p, 2 * p))
+    wide[:, ::2] = X
+    return {"C": X, "F": np.asfortranarray(X), "strided": wide[:, ::2]}
+
+
+class TestSensingGemvOracle:
+    """The (n, p^2)-view full-batch oracles against the per-sample base loops.
+
+    Nonsymmetric A_i and X make a transposed flattening of X visible: with
+    symmetric A_i, <A_i, X^T> = <A_i, X> would hide it.
+    """
+
+    P = 7
+
+    def problem(self):
+        rng = np.random.default_rng(21)
+        A = rng.standard_normal((40, self.P, self.P))
+        return SensingProblem(A, rng.standard_normal(40))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_full_batch_oracles_match_sample_loops(self, layout):
+        prob = self.problem()
+        X = x_layouts(self.P, 22)[layout]
+        f_ref = SampleObjective.eval_full(prob, X)
+        G_ref = SampleObjective.grad_full(prob, X)
+        assert abs(prob.eval_full(X) - f_ref) <= 1e-12 * abs(f_ref)
+        assert rel_err(prob.grad_full(X), G_ref) <= 1e-12
+        f, G = prob.value_and_grad_full(X)
+        assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+        assert rel_err(G, G_ref) <= 1e-12
+        sq_ref = SampleObjective.mean_grad_sample_sqnorm(prob, X)
+        assert abs(prob.mean_grad_sample_sqnorm(X) - sq_ref) <= 1e-12 * sq_ref
+
+    def test_grad_full_is_symmetric(self):
+        prob = sensing_generate(30, 3, 200, seed=23)
+        U = np.random.default_rng(24).standard_normal((30, 3))
+        G = prob.grad_full(gram(U))
+        assert np.abs(G - G.T).max() <= 1e-15 * np.abs(G).max()
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_view_shares_the_one_operand(self, contiguous):
+        A = np.random.default_rng(25).standard_normal((12, self.P, self.P))
+        if not contiguous:
+            A = np.transpose(A, (0, 2, 1))
+        prob = SensingProblem(A, np.zeros(12))
+        assert prob.A.flags.c_contiguous
+        assert prob._A2.shape == (12, self.P * self.P)
+        assert np.shares_memory(prob.A, prob._A2)
+        np.testing.assert_array_equal(prob.A, A)
+        assert np.shares_memory(prob.A, A) == contiguous
+
+
 class TestSteLoss:
     def test_all_equal_distances(self):
         assert ste_loss((0, 1, 2), np.eye(4)) == pytest.approx(np.log(2.0))
