@@ -544,7 +544,8 @@ def _add_common(sub, algos):
     """Flags of the solver commands; ``algos`` is the --algos default."""
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--algos", default=algos,
-                     help=f"comma list from: {', '.join(ALGORITHMS)}")
+                     help=f"comma list from: {', '.join(ALGORITHMS)} "
+                          "(default: %(default)s)")
     sub.add_argument("--seeds", type=int, default=1, help="number of trial seeds")
     sub.add_argument("--seed-base", type=int, default=0,
                      help="first trial seed; trial i uses seed-base + i")
@@ -588,7 +589,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     sensing = subs.add_parser("sensing", help="synthetic matrix-sensing benchmark")
-    _add_common(sensing, "svrg-fixed,svrg-sbb0,svrg-sbb")
+    _add_common(sensing, "svrg-fixed,svrg-sbb")
     _add_instance(sensing)
     sensing.add_argument("--init-radius", type=float, default=None,
                          help="Frobenius radius of the perturbed-optimum init")

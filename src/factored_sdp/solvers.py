@@ -10,9 +10,14 @@ Four algorithms share the RunRecord trace format:
 * ``run_projgd``  projected gradient descent in X-space (baseline)
 
 The factored solvers step along ``grad_sample_times_factor``, which every
-SampleObjective provides.  Epoch accounting follows sample-gradient
-counts: FGD, SFGD, and ProjGD spend n sample gradients per epoch, SVRG
-spends n + m per outer iteration.  Metric evaluations are not counted.
+SampleObjective provides.  An objective that also has ``factor_steps``
+(TripletProblem does) runs each SVRG or SFGD inner loop itself: the
+solver draws the same samples and steps and hands over the whole epoch.
+The per-step loop here stays the reference; the two agree up to rounding
+(TripletProblem's docstring says how closely).  Epoch accounting follows
+sample-gradient counts: FGD, SFGD, and ProjGD spend n sample gradients
+per epoch, SVRG spends n + m per outer iteration.  Metric evaluations
+are not counted.
 """
 
 import math
@@ -195,6 +200,7 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     rng = np.random.default_rng(config.seed)
     rec = _Recorder(obj, config, "svrg", X_ref, U_ref, metric)
     gstf = obj.grad_sample_times_factor
+    steps = getattr(obj, "factor_steps", None)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
             Xt = gram(Utilde)
@@ -202,18 +208,22 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
             g_anchor = G @ Utilde
             eta = config.schedule.next_step(k, Xt, G)
             rec.row(k, eta, Utilde, Xt, f)
-            idx = rng.integers(0, obj.n, size=config.m)
-            U = Utilde.copy()
-            # The update is applied in place on fresh oracle outputs; the
-            # inner loop runs n+ times per epoch and per-step temporaries
-            # dominate its cost otherwise.
-            for i in idx.tolist():
-                current = gstf(i, None, U)
-                current -= gstf(i, Xt, Utilde)
-                current += g_anchor
-                current *= eta
-                U -= current
-            Utilde = U
+            idx = rng.integers(0, obj.n, size=config.m).tolist()
+            if steps is not None:
+                Utilde = steps(Utilde, idx, [eta] * config.m,
+                               anchor=(Utilde, Xt, g_anchor))
+            else:
+                U = Utilde.copy()
+                # The update is applied in place on fresh oracle outputs; the
+                # inner loop runs n+ times per epoch and per-step temporaries
+                # dominate its cost otherwise.
+                for i in idx:
+                    current = gstf(i, None, U)
+                    current -= gstf(i, Xt, Utilde)
+                    current += g_anchor
+                    current *= eta
+                    U -= current
+                Utilde = U
             rec.check(k + 1, Utilde)
         return rec.finish(Utilde)
 
@@ -250,17 +260,23 @@ def run_sfgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     rng = np.random.default_rng(config.seed)
     rec = _Recorder(obj, config, "sfgd", X_ref, U_ref, metric)
     gstf = obj.grad_sample_times_factor
+    steps = getattr(obj, "factor_steps", None)
     t = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
             rec.row(k, config.eta0 / (1.0 + t / t0), U)
-            idx = rng.integers(0, obj.n, size=obj.n)
-            for i in idx.tolist():
-                eta_t = config.eta0 / (1.0 + t / t0)
-                direction = gstf(i, None, U)
-                direction *= eta_t
-                U -= direction
-                t += 1
+            idx = rng.integers(0, obj.n, size=obj.n).tolist()
+            if steps is not None:
+                etas = [config.eta0 / (1.0 + s / t0) for s in range(t, t + obj.n)]
+                U = steps(U, idx, etas)
+                t += obj.n
+            else:
+                for i in idx:
+                    eta_t = config.eta0 / (1.0 + t / t0)
+                    direction = gstf(i, None, U)
+                    direction *= eta_t
+                    U -= direction
+                    t += 1
             rec.check(k + 1, U)
         return rec.finish(U)
 

@@ -22,6 +22,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from factored_sdp.cli import INIT_SEED_OFFSET, main
 from factored_sdp.init import init_perturbed_optimum, init_scheme3
@@ -114,6 +115,7 @@ def rel_err(approx, exact):
 # criterion 1: sensing benchmark
 
 
+@pytest.mark.slow
 def test_criterion_01_sensing_convergence_and_ordering():
     """Sensing benchmark: accuracy, epoch ordering, log-linear decay.
 
@@ -368,6 +370,7 @@ def test_criterion_05_adaptive_step_bracket():
 # criterion 6: the stabilizer prevents secant breakout
 
 
+@pytest.mark.slow
 def test_criterion_06_stabilizer_prevents_breakout():
     """Plain secant steps break out on saturated triplets; eps holds them.
 
@@ -565,6 +568,7 @@ def test_criterion_09_direction_unbiasedness():
 # criterion 10: embedding pipeline
 
 
+@pytest.mark.slow
 def test_criterion_10_embedding_pipeline():
     """Planted 2-D embedding: adaptive runs generalize first.
 
@@ -573,6 +577,7 @@ def test_criterion_10_embedding_pipeline():
     100 epochs and reach that threshold in no more epochs (median) than
     either the diminishing-step stochastic or full-gradient baselines.
     """
+    start = time.perf_counter()
     p, dim, lam = 50, 2, 1e-2
     _, T = planted_triplets(p, dim, 4000, 0)
     L, _ = estimate_smoothness(
@@ -616,8 +621,10 @@ def test_criterion_10_embedding_pipeline():
         f"{crossings['svrg-sbb']}"
     )
     med = {algo: float(np.median(c)) for algo, c in crossings.items()}
+    elapsed = time.perf_counter() - start
     assert med["svrg-sbb"] <= med["sfgd"], f"medians to {threshold}: {med}"
     assert med["svrg-sbb"] <= med["fgd"], f"medians to {threshold}: {med}"
+    assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds the 60s budget"
 
 
 # ---------------------------------------------------------------------------

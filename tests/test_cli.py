@@ -309,6 +309,18 @@ class TestSensingCommand:
         summary = read_rows(out / "summary.csv")
         assert summary[1][0] == "fgd"
 
+    def test_default_algorithms_converge(self, tmp_path):
+        """With only size flags given, every default algorithm converges.
+
+        svrg-sbb0 stays selectable but is not a default: its plain secant
+        step diverges by construction on these instances.
+        """
+        out = tmp_path / "run"
+        assert main(["sensing", "--p", "20", "--r", "2", "--out", str(out)]) == 0
+        summary = read_rows(out / "summary.csv")
+        assert [row[:4] for row in summary[1:]] == [
+            ["svrg-fixed", "3e-06", "1", "1"], ["svrg-sbb", "3e-06", "1", "1"]]
+
     def test_default_svrg_sbb_converges(self, tmp_path):
         """The default stabilizer caps svrg-sbb at the default svrg-fixed step."""
         out = tmp_path / "run"

@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from factored_sdp.cli import INIT_SEED_OFFSET
+from factored_sdp.init import init_scheme3
 from factored_sdp.linalg import gram, symmetrize
-from factored_sdp.objective import SampleObjective, sensing_generate
+from factored_sdp.objective import (
+    SampleObjective,
+    TripletProblem,
+    estimate_smoothness,
+    planted_triplets,
+    probe_pairs,
+    sensing_generate,
+    split_triplets,
+)
 from factored_sdp.solvers import (
     DivergedError,
     Row,
@@ -391,3 +401,142 @@ class TestRowLayout:
         cfg = svrg_config(epochs=40, m=120, schedule=fixed(0.002), r=2)
         rec = run_svrg(prob, cfg, U0, X_ref=prob.Xstar)
         assert rec.rows[-1].error_X < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the triplet inner-loop kernel against the per-step loop
+
+
+class ReferenceTriplets(TripletProblem):
+    """A TripletProblem without its kernel: the solvers then take the
+    per-step loop over ``grad_sample_times_factor``, the reference."""
+
+    factor_steps = None
+
+
+class CountingTriplets(TripletProblem):
+    """A TripletProblem that counts its per-sample oracle calls."""
+
+    calls = 0
+
+    def grad_sample_times_factor(self, i, X, U):
+        self.calls += 1
+        return super().grad_sample_times_factor(i, X, U)
+
+
+def kernel_and_reference(algo, p, triplets, lam, U0, **fields):
+    """The records of one run through the kernel and through the reference.
+
+    ``fields`` go to SolverConfig; a ``schedule`` is given as a factory,
+    since adaptive schedules keep state.  A diverged run's record is
+    returned as it stands.
+    """
+    records = []
+    for cls in (TripletProblem, ReferenceTriplets):
+        kw = dict(fields)
+        if "schedule" in kw:
+            kw["schedule"] = kw["schedule"]()
+        config = SolverConfig(algorithm=algo, r=U0.shape[1], seed=0, **kw)
+        run = run_sfgd if algo == "sfgd" else run_svrg
+        try:
+            records.append(run(cls(p, triplets, lam), config, U0))
+        except DivergedError as err:
+            records.append(err.record)
+    return records
+
+
+def rel_diff(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.fixture(scope="module")
+def criterion_10():
+    """Trial 0 of the acceptance embedding instance: p, train, lam, L, U0."""
+    p, dim, lam = 50, 2, 1e-2
+    _, T = planted_triplets(p, dim, 4000, 0)
+    L, _ = estimate_smoothness(TripletProblem(p, T, lam), probe_pairs(p, dim, seed=1))
+    train, _ = split_triplets(T, 0.8, 0)
+    return p, train, lam, L, init_scheme3(p, dim, 1.0, INIT_SEED_OFFSET)
+
+
+@pytest.fixture(scope="module")
+def small_triplets():
+    p = 12
+    _, T = planted_triplets(p, 2, 400, 0)
+    return p, T, init_scheme3(p, 2, 1.0, INIT_SEED_OFFSET)
+
+
+class TestTripletKernel:
+    """TripletProblem.factor_steps is the per-step loop up to rounding.
+
+    SFGD at eta0 = 2 is chaotic: per-step agreement near 1e-17 grows to
+    about 1e-5 relative after one 3200-step epoch and to O(1) after two,
+    so at that step the iterates are pinned over 200 steps only.
+    """
+
+    def test_solvers_call_the_kernel(self, small_triplets):
+        p, T, U0 = small_triplets
+        obj = CountingTriplets(p, T, 0.1)
+        run_svrg(obj, svrg_config(m=30), U0)
+        run_sfgd(obj, SolverConfig(algorithm="sfgd", r=2, epochs=2, seed=0,
+                                   eta0=0.1), U0)
+        assert obj.calls == 0
+
+    def test_svrg_epoch_at_criterion_10_steps(self, criterion_10):
+        p, train, lam, L, U0 = criterion_10
+        m = len(train)
+        kernel, ref = kernel_and_reference(
+            "svrg-sbb", p, train, lam, U0, epochs=1, m=m,
+            schedule=lambda: sbb(0.02 * L, m, eta0=1.0))
+        assert rel_diff(kernel.final_U, ref.final_U) <= 1e-10
+
+    def test_sfgd_epochs_at_a_small_step(self, criterion_10):
+        p, train, lam, _, U0 = criterion_10
+        kernel, ref = kernel_and_reference("sfgd", p, train, lam, U0, epochs=3,
+                                           eta0=0.05, t0=3200.0)
+        assert rel_diff(kernel.final_U, ref.final_U) <= 1e-10
+
+    def test_sfgd_200_steps_at_the_criterion_10_step(self, criterion_10):
+        p, train, lam, _, U0 = criterion_10
+        kernel, ref = kernel_and_reference("sfgd", p, train[:200], lam, U0,
+                                           epochs=1, eta0=2.0, t0=3200.0)
+        assert rel_diff(kernel.final_U, ref.final_U) <= 1e-10
+
+    @pytest.mark.parametrize("algo,lam,eta,m", [
+        ("svrg", 0.0, 0.1, 600),    # a = 1, the path criterion 06 takes
+        ("svrg", 0.5, 2.0, 200),    # eta lam = 1: a = 0
+        ("svrg", 0.5, 3.0, 200),    # eta lam > 1: a < 0
+        ("svrg", 0.5, 1.0, 3200),   # the running product 0.5^t underflows
+        ("sfgd", 0.0, 0.1, None),
+        # a = -0.5: the product, and the iterate with it, shrinks past 1e-100
+        ("sfgd", 0.5, 3.0, None),
+    ])
+    def test_edge_steps(self, small_triplets, algo, lam, eta, m):
+        p, T, U0 = small_triplets
+        if algo == "svrg":
+            fields = dict(epochs=2, m=m, schedule=lambda: fixed(eta))
+        else:
+            fields = dict(epochs=2, eta0=eta, t0=math.inf)
+        kernel, ref = kernel_and_reference(algo, p, T, lam, U0, **fields)
+        assert not ref.diverged
+        assert rel_diff(kernel.final_U, ref.final_U) <= 1e-10
+
+    @pytest.mark.parametrize("algo", ["svrg", "sfgd"])
+    @pytest.mark.parametrize("start", ["nan", "overflow"])
+    def test_non_finite_iterate_diverges_as_the_reference(self, small_triplets,
+                                                          algo, start):
+        p, T, U0 = small_triplets
+        U0 = U0.copy()
+        if start == "nan":
+            U0[3, 1], eta = math.nan, 0.1
+        else:
+            eta = 1e6
+        if algo == "svrg":
+            fields = dict(epochs=3, m=60, schedule=lambda: fixed(eta))
+        else:
+            fields = dict(epochs=3, eta0=eta, t0=math.inf)
+        kernel, ref = kernel_and_reference(algo, p, T, 1e-2, U0, **fields)
+        assert ref.diverged and kernel.diverged
+        assert kernel.diverged_epoch == ref.diverged_epoch
+        assert repr(kernel.rows[-1]) == repr(ref.rows[-1])
+        assert len(kernel.rows) == len(ref.rows)
