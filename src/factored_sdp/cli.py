@@ -16,8 +16,9 @@ and epochs-to-threshold in ``solvers``, so the CLI, the tests and the
 demos build the same instances.
 
 Exit codes: 0 success, 2 argument/input errors (every bad flag value,
-malformed triplet lines with their line number, an ``embed --split``
-below 1 that leaves no test triplet, and an adaptive step whose secant
+an init radius that overflows, a malformed triplet file or manifest
+(with the line number of a bad triplet line), an ``embed --split`` below
+1 that leaves no test triplet, and an adaptive step whose secant
 denominator is exactly zero), 3 solver divergence (partial CSVs are
 still written, with the divergence row marked by NaN metrics).
 """
@@ -89,32 +90,36 @@ def read_triplets(path, p=None):
 
     Returns (triplets array, p).  When ``p`` is None it is inferred as
     max index + 1.  Malformed lines raise TripletFormatError carrying
-    the 1-based line number.
+    the 1-based line number, and a file that is not UTF-8 one naming it.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise TripletFormatError(None, f"{path}: not a UTF-8 text file")
     triplets = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise TripletFormatError(
-                    line_no, f"expected three indices, got {len(parts)} fields"
-                )
-            try:
-                i, j, k = (int(part) for part in parts)
-            except ValueError:
-                raise TripletFormatError(line_no, f"non-integer index in {text!r}")
-            if min(i, j, k) < 0:
-                raise TripletFormatError(line_no, "negative index")
-            if p is not None and max(i, j, k) >= p:
-                raise TripletFormatError(
-                    line_no, f"index {max(i, j, k)} out of range for p={p}"
-                )
-            if i == j or i == k or j == k:
-                raise TripletFormatError(line_no, "indices must be pairwise distinct")
-            triplets.append((i, j, k))
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.split()
+        if len(parts) != 3:
+            raise TripletFormatError(
+                line_no, f"expected three indices, got {len(parts)} fields"
+            )
+        try:
+            i, j, k = (int(part) for part in parts)
+        except ValueError:
+            raise TripletFormatError(line_no, f"non-integer index in {text!r}")
+        if min(i, j, k) < 0:
+            raise TripletFormatError(line_no, "negative index")
+        if p is not None and max(i, j, k) >= p:
+            raise TripletFormatError(
+                line_no, f"index {max(i, j, k)} out of range for p={p}"
+            )
+        if i == j or i == k or j == k:
+            raise TripletFormatError(line_no, "indices must be pairwise distinct")
+        triplets.append((i, j, k))
     if not triplets:
         raise TripletFormatError(None, f"{path}: no triplets in file")
     T = np.asarray(triplets, dtype=int)
@@ -236,50 +241,42 @@ def _per_algo_values(text, algos, flag):
     return dict(zip(algos, values))
 
 
-def _default_steps(L_hat, sigma1, n, family="sensing"):
-    """Per-algorithm default step sizes from measured curvature and scale.
-
-    ``base`` is the classic stability ceiling 1/(L sigma_1) for factored
-    gradient steps, with sigma_1 the top eigenvalue of the reference (or
-    initial) Gram matrix.  For the sensing family, stochastic algorithms
-    shrink it by sqrt(n) because their per-sample directions are that much
-    larger than the averaged gradient.  Triplet losses sit much closer to
-    their stability edge (the Gram scale grows along the run), so the
-    embedding family uses smaller fractions, calibrated on planted
-    instances.  Defaults are starting points; benchmarks pass --eta/--eta0.
-    """
-    base = 1.0 / (L_hat * max(sigma1, 1e-12))
-    if family == "embed":
-        full, stochastic, adaptive = 0.03 * base, 0.0015 * base, 0.001 * base
-    else:
-        root_n = math.sqrt(n)
-        full = 0.25 * base
-        stochastic, adaptive = 0.25 * base / root_n, 0.1 * base / root_n
-    return {"fgd": full, "projgd": 0.5 / L_hat, "sfgd": stochastic,
-            "svrg-fixed": stochastic, "svrg-sbb0": adaptive, "svrg-sbb": adaptive}
-
-
 def _resolve_steps(args, L_hat, sigma1, n, family):
     """Resolve --eta/--eta0 to per-algorithm maps and fill --eps/--m/--t0.
 
-    The defaults are ``_default_steps(L_hat, sigma1, n, family)`` and
-    ``m = t0 = n``.  The sensing stabilizer defaults to
+    Default steps come from measured curvature and scale.  ``base`` is the
+    classic stability ceiling 1/(L sigma_1) for factored gradient steps,
+    with sigma_1 the top eigenvalue of the reference (or initial) Gram
+    matrix.  For sensing, stochastic algorithms shrink it by sqrt(n)
+    because their per-sample directions are that much larger than the
+    averaged gradient, and the stabilizer defaults to
     ``eps = 1/(m * default svrg-fixed step)``: svrg-sbb's step, at most
-    ``1/(m eps)``, is then capped at the default svrg-fixed step.  The
-    embedding family keeps ``eps = 0.02 * L_hat``.
+    ``1/(m eps)``, is then capped at the default svrg-fixed step.  Triplet
+    losses sit much closer to their stability edge (the Gram scale grows
+    along the run), so the ``embed`` family uses smaller fractions,
+    calibrated on planted instances, and ``eps = 0.02 * L_hat``.
+    ``m = t0 = n``.  Defaults are starting points; benchmarks pass
+    --eta/--eta0.
     """
-    defaults = _default_steps(L_hat, sigma1, n, family)
-    args.eta = {**defaults, **_per_algo_values(args.eta, args.algos, "--eta")}
-    args.eta0 = {**defaults, **_per_algo_values(args.eta0, args.algos, "--eta0")}
     if args.m is None:
         args.m = n
     if args.m < 1:
         raise CliError("--m must be at least 1")
+    base = 1.0 / (L_hat * max(sigma1, 1e-12))
+    if family == "embed":
+        full, stochastic, adaptive = 0.03 * base, 0.0015 * base, 0.001 * base
+        eps = 0.02 * L_hat
+    else:
+        root_n = math.sqrt(n)
+        full = 0.25 * base
+        stochastic, adaptive = 0.25 * base / root_n, 0.1 * base / root_n
+        eps = 1.0 / (args.m * stochastic)
+    defaults = {"fgd": full, "projgd": 0.5 / L_hat, "sfgd": stochastic,
+                "svrg-fixed": stochastic, "svrg-sbb0": adaptive, "svrg-sbb": adaptive}
+    args.eta = {**defaults, **_per_algo_values(args.eta, args.algos, "--eta")}
+    args.eta0 = {**defaults, **_per_algo_values(args.eta0, args.algos, "--eta0")}
     if args.eps is None:
-        if family == "embed":
-            args.eps = 0.02 * L_hat
-        else:
-            args.eps = 1.0 / (args.m * defaults["svrg-fixed"])
+        args.eps = eps
     if args.t0 is None:
         args.t0 = float(n)
 
@@ -521,9 +518,12 @@ def cmd_constants(args):
 
 
 def cmd_replay(args):
-    with open(args.manifest, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    argv = manifest.get("replay_argv")
+    try:
+        with open(args.manifest, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as err:  # not UTF-8, or not JSON
+        raise CliError(f"manifest {args.manifest!r} is not a JSON file: {err}")
+    argv = manifest.get("replay_argv") if isinstance(manifest, dict) else None
     if (
         not isinstance(argv, list)
         or not argv

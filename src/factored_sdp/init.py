@@ -58,11 +58,18 @@ def init_scheme3(p, r, scale, seed):
 
 
 def init_perturbed_optimum(U_ref, radius, seed):
-    """U_ref plus a Gaussian direction of exact Frobenius length ``radius``."""
+    """U_ref plus a Gaussian direction of exact Frobenius length ``radius``.
+
+    A result that is not finite (the radius overflows) raises ValueError.
+    """
     if not 0 <= radius < np.inf:
         raise ValueError("radius must be finite and nonnegative")
     if radius == 0:
         return np.array(U_ref, dtype=float, copy=True)
     rng = np.random.default_rng(seed)
     G = rng.standard_normal(np.shape(U_ref))
-    return np.asarray(U_ref, dtype=float) + radius * G / np.linalg.norm(G)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = np.asarray(U_ref, dtype=float) + radius * G / np.linalg.norm(G)
+    if not np.isfinite(U).all():
+        raise ValueError(f"radius {radius!r} overflows the initial factor")
+    return U

@@ -14,9 +14,6 @@ import numpy as np
 
 from .linalg import gram
 
-# Selector for the full-batch direction in factored_gradient.
-FULL = "full"
-
 
 class NoProbes(Exception):
     """All probe pairs were coincident; nothing to estimate from."""
@@ -52,7 +49,12 @@ class SampleObjective:
         return G / self.n
 
     def grad_sample_times_factor(self, i, X, U):
-        """grad f_i(X) @ U, with X = U U^T when X is None."""
+        """grad f_i(X) @ U, with X = U U^T when X is None.
+
+        This is the solver-facing direction: the factor of 2 in the
+        derivative of g(U) = f(U U^T) is absorbed by the update rules, so a
+        gradient check of g compares against twice this value.
+        """
         return self.grad_sample(i, gram(U) if X is None else X) @ U
 
     def value_and_grad_full(self, X):
@@ -90,10 +92,6 @@ class SensingProblem(SampleObjective):
         self.Ustar = Ustar
         self._A2 = A.reshape(self.n, self.p * self.p)
         self._A_sqnorms = np.einsum("kij,kij->k", A, A)
-
-    @property
-    def measurements(self):
-        return [(self.A[i], self.b[i]) for i in range(self.n)]
 
     def eval_sample(self, i, X):
         return 0.5 * float(self.b[i] - np.vdot(self.A[i], X)) ** 2
@@ -418,19 +416,6 @@ def test_error(X, triplets):
     d2_ij = X[I, I] + X[J, J] - X[I, J] - X[J, I]
     d2_ik = X[I, I] + X[K, K] - X[I, K] - X[K, I]
     return float(np.mean(d2_ij >= d2_ik))
-
-
-def factored_gradient(obj, which, U):
-    """grad f_i(U U^T) @ U, or grad f(U U^T) @ U when which is FULL.
-
-    This is the solver-facing direction (the paper-side factor of 2 in the
-    derivative of g(U) = f(U U^T) is absorbed by the update rules; gradient
-    checks of g itself should compare against twice this value).
-    """
-    X = gram(U)
-    if which is FULL or (isinstance(which, str) and which == FULL):
-        return obj.grad_full(X) @ U
-    return obj.grad_sample(which, X) @ U
 
 
 def probe_pairs(p, r, seed, n_pairs=8):

@@ -9,15 +9,15 @@ Four algorithms share the RunRecord trace format:
                   step (n sampled steps per epoch)
 * ``run_projgd``  projected gradient descent in X-space (baseline)
 
-The factored solvers step along ``grad_sample_times_factor``, which every
-SampleObjective provides.  An objective that also has ``factor_steps``
-(TripletProblem does) runs each SVRG or SFGD inner loop itself: the
-solver draws the same samples and steps and hands over the whole epoch.
-The per-step loop here stays the reference; the two agree up to rounding
-(TripletProblem's docstring says how closely).  Epoch accounting follows
-sample-gradient counts: FGD, SFGD, and ProjGD spend n sample gradients
-per epoch, SVRG spends n + m per outer iteration.  Metric evaluations
-are not counted.
+SVRG and SFGD share one inner loop, ``_inner_loop``: SFGD is the SVRG
+loop without an anchor and with a decaying step.  It steps along
+``grad_sample_times_factor``, which every SampleObjective provides.  An
+objective that also has ``factor_steps`` (TripletProblem does) runs the
+whole loop itself on the same samples and steps; the per-step loop stays
+the reference, and the two agree up to rounding (TripletProblem's
+docstring says how closely).  Epoch accounting follows sample-gradient
+counts: FGD, SFGD, and ProjGD spend n sample gradients per epoch, SVRG
+spends n + m per outer iteration.  Metric evaluations are not counted.
 """
 
 import math
@@ -87,8 +87,6 @@ class Row:
 class RunRecord:
     algorithm: str
     seed: int
-    n: int
-    m: int | None
     rows: list = field(default_factory=list)
     diverged: bool = False
     diverged_epoch: int | None = None
@@ -134,11 +132,10 @@ class _Recorder:
     """
 
     def __init__(self, obj, config, kind, X_ref, U_ref, metric):
-        m = config.m if kind == "svrg" else None
-        self.obj, self.cost = obj, epoch_cost(kind, obj.n, m)
+        self.obj, self.cost = obj, epoch_cost(kind, obj.n, config.m)
         self.epochs, self.eval_every = config.epochs, config.eval_every
         self.X_ref, self.U_ref, self.metric = X_ref, U_ref, metric
-        self.record = RunRecord(config.algorithm, config.seed, obj.n, m)
+        self.record = RunRecord(config.algorithm, config.seed)
 
     def row(self, k, eta, U, X=None, f=None):
         """Record epoch k if due (every eval_every epochs, and the last).
@@ -184,6 +181,31 @@ class _Recorder:
         return self.record
 
 
+def _inner_loop(obj, U, idx, etas, anchor=None):
+    """Step ``U <- U - etas[t] * d_t`` for sample ``i = idx[t]``; return the factor.
+
+    d_t is ``grad f_i(U U^T) @ U``, the SFGD direction, or with ``anchor =
+    (Ut, Xt, g)`` the SVRG direction ``grad f_i(U U^T) @ U - grad f_i(Xt) @ Ut
+    + g``.  An objective with ``factor_steps`` runs the whole loop itself.
+    The update is applied in place on fresh oracle outputs; the loop runs n+
+    times per epoch and per-step temporaries dominate its cost otherwise.
+    """
+    steps = getattr(obj, "factor_steps", None)
+    if steps is not None:
+        return steps(U, idx, etas, anchor=anchor)
+    gstf = obj.grad_sample_times_factor
+    Ut, Xt, g = anchor if anchor is not None else (None, None, None)
+    U = U.copy()
+    for i, eta in zip(idx, etas):
+        d = gstf(i, None, U)
+        if anchor is not None:
+            d -= gstf(i, Xt, Ut)
+            d += g
+        d *= eta
+        U -= d
+    return U
+
+
 def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     """Variance-reduced solver on the factor, Option-I outer update.
 
@@ -199,31 +221,15 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     Utilde = _check_factor(obj, config, U0)
     rng = np.random.default_rng(config.seed)
     rec = _Recorder(obj, config, "svrg", X_ref, U_ref, metric)
-    gstf = obj.grad_sample_times_factor
-    steps = getattr(obj, "factor_steps", None)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
             Xt = gram(Utilde)
             f, G = obj.value_and_grad_full(Xt)
-            g_anchor = G @ Utilde
             eta = config.schedule.next_step(k, Xt, G)
             rec.row(k, eta, Utilde, Xt, f)
             idx = rng.integers(0, obj.n, size=config.m).tolist()
-            if steps is not None:
-                Utilde = steps(Utilde, idx, [eta] * config.m,
-                               anchor=(Utilde, Xt, g_anchor))
-            else:
-                U = Utilde.copy()
-                # The update is applied in place on fresh oracle outputs; the
-                # inner loop runs n+ times per epoch and per-step temporaries
-                # dominate its cost otherwise.
-                for i in idx:
-                    current = gstf(i, None, U)
-                    current -= gstf(i, Xt, Utilde)
-                    current += g_anchor
-                    current *= eta
-                    U -= current
-                Utilde = U
+            Utilde = _inner_loop(obj, Utilde, idx, [eta] * config.m,
+                                 anchor=(Utilde, Xt, G @ Utilde))
             rec.check(k + 1, Utilde)
         return rec.finish(Utilde)
 
@@ -259,24 +265,13 @@ def run_sfgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     U = _check_factor(obj, config, U0)
     rng = np.random.default_rng(config.seed)
     rec = _Recorder(obj, config, "sfgd", X_ref, U_ref, metric)
-    gstf = obj.grad_sample_times_factor
-    steps = getattr(obj, "factor_steps", None)
-    t = 0
+    n = obj.n
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
-            rec.row(k, config.eta0 / (1.0 + t / t0), U)
-            idx = rng.integers(0, obj.n, size=obj.n).tolist()
-            if steps is not None:
-                etas = [config.eta0 / (1.0 + s / t0) for s in range(t, t + obj.n)]
-                U = steps(U, idx, etas)
-                t += obj.n
-            else:
-                for i in idx:
-                    eta_t = config.eta0 / (1.0 + t / t0)
-                    direction = gstf(i, None, U)
-                    direction *= eta_t
-                    U -= direction
-                    t += 1
+            etas = [config.eta0 / (1.0 + t / t0) for t in range(k * n, (k + 1) * n)]
+            rec.row(k, etas[0], U)
+            idx = rng.integers(0, n, size=n).tolist()
+            U = _inner_loop(obj, U, idx, etas)
             rec.check(k + 1, U)
         return rec.finish(U)
 

@@ -3,8 +3,7 @@
 Three flavors: a fixed step, the Barzilai-Borwein step computed from
 successive outer iterates, and the stabilized variant that adds
 ``eps * ||dX||_F^2`` to the BB denominator so vanishing curvature cannot
-blow the step up.  Plain BB is the ``eps = 0`` special case and shares
-the code path, so the two are bit-identical on identical inputs.
+blow the step up.  Plain BB is the ``eps = 0`` special case.
 """
 
 import math
@@ -22,7 +21,7 @@ class StallError(RuntimeError):
 class StepSchedule:
     """Mutable step-size state machine owned by a single solver run.
 
-    Build instances through :func:`fixed`, :func:`bb`, or :func:`sbb`.
+    Build instances through :func:`fixed` or :func:`sbb`.
     The adaptive schedules keep the previous outer iterate and its full
     gradient; the first call returns ``eta0`` and only primes that state.
     """
@@ -45,9 +44,7 @@ class StepSchedule:
             self.eta0 = 1e-3 if eta0 is None else float(eta0)
             if not 0 < self.eta0 < math.inf:
                 raise ValueError("eta0 must be finite and positive")
-            self._prev_X = None
-            self._prev_g = None
-            self._prev_eta = None
+            self._prev_X = self._prev_g = self._prev_eta = None
 
     def next_step(self, k, X, g):
         """Return the step size for outer iteration ``k``.
@@ -110,19 +107,8 @@ def fixed(eta):
     return StepSchedule(FIXED, eta=eta)
 
 
-def bb(m, eta0=None, L_hat=None):
-    """Barzilai-Borwein schedule, identical to ``sbb(0.0, ...)``."""
-    return sbb(0.0, m, eta0=eta0, L_hat=L_hat)
-
-
-def sbb(eps, m, eta0=None, L_hat=None):
-    """Stabilized BB schedule.
-
-    When ``eta0`` is not given it defaults to ``0.01 / L_hat`` if a
-    smoothness estimate is supplied, else ``1e-3``.
-    """
-    if eta0 is None and L_hat is not None:
-        eta0 = 0.01 / L_hat
+def sbb(eps, m, eta0=None):
+    """Stabilized BB schedule; ``eps = 0`` is plain BB, ``eta0`` defaults to 1e-3."""
     return StepSchedule(SBB, eps=eps, m=m, eta0=eta0)
 
 

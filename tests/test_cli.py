@@ -1,10 +1,12 @@
 """Command-line harness tests: file formats, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from factored_sdp.cli import (
     ALGORITHMS,
     CliError,
     TripletFormatError,
-    _default_steps,
     _parse_algos,
     _per_algo_values,
+    _resolve_steps,
     build_parser,
     main,
     read_triplets,
@@ -129,6 +131,20 @@ class TestReadTriplets:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"0 1 2\n\xff\xfe 1 2\n")
+        with pytest.raises(TripletFormatError, match="not a UTF-8"):
+            read_triplets(str(path))
+        out = tmp_path / "o"
+        rc = main(["embed", "--triplets", str(path), "--out", str(out),
+                   "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert not out.exists()
+
 
 class TestParseHelpers:
     def test_parse_algos_passthrough(self):
@@ -155,7 +171,10 @@ class TestParseHelpers:
             _per_algo_values("big", ["fgd"], "--eta")
 
     def test_default_steps_cover_all_algorithms(self):
-        steps = _default_steps(2.0, 10.0, 100)
+        args = argparse.Namespace(algos=list(ALGORITHMS), eta=None, eta0=None,
+                                  m=None, eps=None, t0=None)
+        _resolve_steps(args, 2.0, 10.0, 100, "sensing")
+        steps = args.eta
         assert set(steps) == set(ALGORITHMS)
         assert steps["sfgd"] < steps["fgd"]
         assert steps["svrg-fixed"] == steps["sfgd"]
@@ -348,6 +367,16 @@ class TestSensingCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_init_radius_exits_2(self, tmp_path, capsys):
+        # the range check passes 1e308, but the perturbed init overflows
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_sensing(out, init_radius="1e308", seeds=1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: radius") and err.count("\n") == 1
         assert not out.exists()
 
     def test_t0_inf_is_valid(self, tmp_path):
@@ -595,3 +624,19 @@ class TestReplayValidation:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("content", [
+        b"not json {",                                     # JSONDecodeError
+        b'["sensing", "--p", "8"]',                        # a list, not an object
+        b'{"replay_argv": ["sensing", "\xff"]}',          # not UTF-8
+    ], ids=["not-json", "json-list", "not-utf8"])
+    def test_malformed_manifest_exits_2_with_one_line(self, tmp_path, capsys,
+                                                      content):
+        bad = tmp_path / "run.json"
+        bad.write_bytes(content)
+        out = tmp_path / "o"
+        rc = main(["replay", str(bad), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest") and err.count("\n") == 1
+        assert not out.exists()

@@ -142,3 +142,9 @@ class TestPerturbedOptimum:
         for bad in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 init_perturbed_optimum(np.eye(3), bad, 0)
+
+    def test_rejects_radius_that_overflows(self):
+        # finite, so the range check passes, but radius * G overflows
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="overflows"):
+                init_perturbed_optimum(np.zeros((10, 3)), 1e308, 0)

@@ -3,13 +3,11 @@ import pytest
 
 from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
-    FULL,
     NoProbes,
     SampleObjective,
     SensingProblem,
     TripletProblem,
     estimate_smoothness,
-    factored_gradient,
     planted_triplets,
     probe_pairs,
     sensing_generate,
@@ -85,7 +83,7 @@ class TestSensingGenerate:
 
     def test_measurements_symmetric(self):
         prob = sensing_generate(5, 2, 10, seed=3)
-        for A_i, _ in prob.measurements:
+        for A_i in prob.A:
             assert np.array_equal(A_i, A_i.T)
 
 
@@ -302,13 +300,15 @@ class TestFactoredGradient:
     def test_zero_gradient_gives_zero_factor(self):
         obj = LinearObjective(np.zeros((4, 4)))
         U = np.random.default_rng(17).standard_normal((4, 2))
-        np.testing.assert_array_equal(factored_gradient(obj, FULL, U), np.zeros((4, 2)))
+        np.testing.assert_array_equal(obj.grad_full(gram(U)) @ U, np.zeros((4, 2)))
+        np.testing.assert_array_equal(obj.grad_sample_times_factor(0, None, U),
+                                      np.zeros((4, 2)))
 
     def test_factor_two_against_finite_differences(self):
         prob = sensing_generate(4, 2, 10, seed=18)
         rng = np.random.default_rng(19)
         U = rng.standard_normal((4, 2))
-        analytic = 2.0 * factored_gradient(prob, FULL, U)
+        analytic = 2.0 * (prob.grad_full(gram(U)) @ U)
         fd = fd_gradient(lambda V: prob.eval_full(gram(V)), U)
         assert np.abs(analytic - fd).max() <= 1e-6
 
@@ -320,7 +320,7 @@ class TestFactoredGradient:
         X = gram(U)
         for obj in (prob, trip):
             for i in range(obj.n):
-                direct = factored_gradient(obj, i, U)
+                direct = obj.grad_sample(i, X) @ U
                 via_x = obj.grad_sample_times_factor(i, X, U)
                 via_u = obj.grad_sample_times_factor(i, None, U)
                 assert np.linalg.norm(direct - via_x) <= 1e-12
@@ -332,8 +332,9 @@ class TestFactoredGradient:
         rng = np.random.default_rng(23)
         for obj, p in ((prob, 5), (trip, 6)):
             U = rng.standard_normal((p, 2))
-            mean = sum(factored_gradient(obj, i, U) for i in range(obj.n)) / obj.n
-            full = factored_gradient(obj, FULL, U)
+            mean = sum(obj.grad_sample_times_factor(i, None, U)
+                       for i in range(obj.n)) / obj.n
+            full = obj.grad_full(gram(U)) @ U
             assert np.linalg.norm(mean - full) <= 1e-10
 
 

@@ -27,7 +27,7 @@ from factored_sdp.solvers import (
     run_sfgd,
     run_svrg,
 )
-from factored_sdp.stepsize import StallError, bb, fixed, sbb
+from factored_sdp.stepsize import StallError, fixed, sbb
 
 
 class ConstantObjective(SampleObjective):
@@ -235,7 +235,7 @@ class TestSvrg:
     def test_stall_propagates(self):
         obj = LinearObjective(np.diag([1.0, 2.0, 3.0]))
         U0 = np.random.default_rng(11).standard_normal((3, 2))
-        cfg = svrg_config(epochs=3, schedule=bb(5, eta0=1e-3))
+        cfg = svrg_config(epochs=3, schedule=sbb(0.0, 5, eta0=1e-3))
         with pytest.raises(StallError):
             run_svrg(obj, cfg, U0)
 
@@ -339,6 +339,42 @@ class TestSfgd:
         etas = [row.eta for row in rec.rows[:3]]
         np.testing.assert_allclose(etas, [0.1, 0.05, 0.1 / 3.0], rtol=1e-12)
         assert rec.rows[-1].eta == 0.0
+
+
+class TestSensingInnerLoop:
+    """The per-step SVRG and SFGD updates, pinned bit for bit on sensing.
+
+    Each reference is the update rule written out, on the solver's own
+    ``rng.integers`` draws; a reordered sum or product changes the bits.
+    """
+
+    def test_svrg_epoch_is_the_update_rule(self):
+        prob = sensing_generate(5, 2, 20, seed=40)
+        U0 = np.random.default_rng(41).standard_normal((5, 2))
+        eta, m, seed = 0.003, 30, 9
+        rec = run_svrg(prob, svrg_config(epochs=1, m=m, seed=seed,
+                                         schedule=fixed(eta)), U0)
+        gstf = prob.grad_sample_times_factor
+        Ut, Xt = U0.copy(), gram(U0)
+        g = prob.value_and_grad_full(Xt)[1] @ Ut
+        U = Ut.copy()
+        for i in np.random.default_rng(seed).integers(0, prob.n, size=m).tolist():
+            U = U - eta * (gstf(i, None, U) - gstf(i, Xt, Ut) + g)
+        assert np.array_equal(rec.final_U, U)
+
+    def test_two_sfgd_epochs_are_the_update_rule(self):
+        prob = sensing_generate(5, 2, 20, seed=42)
+        U0 = np.random.default_rng(43).standard_normal((5, 2))
+        eta0, t0, seed = 0.004, 7.0, 11
+        rec = run_sfgd(prob, SolverConfig(algorithm="sfgd", r=2, epochs=2, seed=seed,
+                                          eta0=eta0, t0=t0), U0)
+        rng = np.random.default_rng(seed)
+        U, t = U0.copy(), 0
+        for _ in range(2):
+            for i in rng.integers(0, prob.n, size=prob.n).tolist():
+                U = U - eta0 / (1.0 + t / t0) * prob.grad_sample_times_factor(i, None, U)
+                t += 1
+        assert np.array_equal(rec.final_U, U)
 
 
 class TestProjGd:

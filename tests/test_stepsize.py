@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from factored_sdp.linalg import symmetrize
-from factored_sdp.stepsize import StallError, bb, fixed, sbb, sbb_upper_bound
+from factored_sdp.stepsize import StallError, fixed, sbb, sbb_upper_bound
 
 
 def rand_sym(rng, p):
@@ -42,8 +42,7 @@ class TestAdaptive:
     def test_eta0_defaults(self):
         rng = np.random.default_rng(2)
         X, g = rand_sym(rng, 3), rand_sym(rng, 3)
-        assert bb(10).next_step(0, X, g) == 1e-3
-        assert sbb(0.1, 10, L_hat=0.5).next_step(0, X, g) == pytest.approx(0.02)
+        assert sbb(0.0, 10).next_step(0, X, g) == 1e-3
 
     def test_proportional_secant(self):
         # dg = c * dX collapses the formula to 1 / (m * (c + eps))
@@ -68,14 +67,6 @@ class TestAdaptive:
             eta = sched.next_step(k, X, quad_grad(X))
             assert 1.0 / (m * (4.0 + eps)) - 1e-15 <= eta
             assert eta <= 1.0 / (m * (1.0 + eps)) + 1e-15
-
-    def test_bb_is_sbb_zero_bitwise(self):
-        rng = np.random.default_rng(5)
-        inputs = [(rand_sym(rng, 4), rand_sym(rng, 4)) for _ in range(8)]
-        a = bb(7, eta0=0.01)
-        b = sbb(0.0, 7, eta0=0.01)
-        for k, (X, g) in enumerate(inputs):
-            assert a.next_step(k, X, g) == b.next_step(k, X, g)
 
     def test_monotone_in_eps(self):
         rng = np.random.default_rng(6)
@@ -102,7 +93,7 @@ class TestAdaptive:
         rng = np.random.default_rng(8)
         X0, X1 = rand_sym(rng, 3), rand_sym(rng, 3)
         g = rand_sym(rng, 3)
-        plain = bb(5, eta0=1.0)
+        plain = sbb(0.0, 5, eta0=1.0)
         plain.next_step(0, X0, g)
         with pytest.raises(StallError):
             plain.next_step(1, X1, g.copy())
