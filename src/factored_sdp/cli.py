@@ -9,11 +9,15 @@ constants of a sensing instance), and ``replay`` (re-run a saved
 (step sizes, inner-loop lengths, ranks) are resolved to explicit flag
 values before the manifest is written, and output bytes never depend on
 --jobs or the output path.  The manifest lists every option of the
-subcommand's parser except --out and --jobs, in parser order.  The rules
-that build an experiment (planted triplets, the train/test split, the
-held-out test error, the smoothness probe pairs) live in ``objective``,
-and epochs-to-threshold in ``solvers``, so the CLI, the tests and the
-demos build the same instances.
+subcommand's parser except --out and --jobs, in parser order; for the
+solver commands it also carries a ``timing`` block (the job count, the
+pool used and each trial's seconds) that replay ignores.  With --jobs
+above 1 the (algorithm, seed) trials run in forked worker processes that
+share the operand copy-on-write; where the platform cannot fork they run
+serially.  The rules that build an experiment (planted triplets, the
+train/test split, the held-out test error, the smoothness probe pairs)
+live in ``objective``, and epochs-to-threshold in ``solvers``, so the
+CLI, the tests and the demos build the same instances.
 
 Exit codes: 0 success, 2 argument/input errors (every bad flag value,
 an init radius that overflows, a malformed triplet file or manifest
@@ -30,7 +34,7 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
 
 import numpy as np
 
@@ -113,6 +117,8 @@ def read_triplets(path, p=None):
             raise TripletFormatError(line_no, f"non-integer index in {text!r}")
         if min(i, j, k) < 0:
             raise TripletFormatError(line_no, "negative index")
+        if max(i, j, k) > np.iinfo(np.int_).max:
+            raise TripletFormatError(line_no, f"index {max(i, j, k)} is too large")
         if p is not None and max(i, j, k) >= p:
             raise TripletFormatError(
                 line_no, f"index {max(i, j, k)} out of range for p={p}"
@@ -146,12 +152,13 @@ def _write_csv(path, header, rows):
             writer.writerow([_cell(v) for v in row])
 
 
-def _write_manifest(args):
+def _write_manifest(args, timing=None):
     """Write run.json, whose replay_argv repeats every option of ``args.parser``.
 
     Options but --out/--jobs follow parser order with the value the command
     resolved onto ``args``; one still unset (None) is left out.  Floats are
     written by ``repr``, per-algorithm maps as comma lists in --algos order.
+    ``timing``, when given, is stored under its own key.
     """
     argv = [args.command]
     for action in args.parser._actions:
@@ -164,6 +171,8 @@ def _write_manifest(args):
             value = ",".join(value)
         argv += [action.option_strings[0], _cell(value)]
     manifest = {"command": args.command, "replay_argv": argv}
+    if timing is not None:
+        manifest["timing"] = timing
     with open(os.path.join(args.out, "run.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
         fh.write("\n")
@@ -196,13 +205,60 @@ def _resolve_jobs(jobs):
     return jobs
 
 
+# The trial closures of the open worker pool, by index.  They hold the
+# objective and, under an outside tracer, wrapped callables, so they cannot
+# be pickled: a forked worker inherits this list, and the operand with it,
+# copy-on-write.  The executor forks every worker at the first submit,
+# before it starts its own threads.
+_FORKED_TRIALS = []
+
+
+def _timed(trial):
+    """The trial's record and its seconds."""
+    start = time.perf_counter()
+    record = trial()
+    return record, time.perf_counter() - start
+
+
+def _forked_trial(index):
+    return _timed(_FORKED_TRIALS[index])
+
+
 def _run_parallel(trials, jobs):
-    """Run the trial closures, preserving the input order of results."""
-    if jobs == 1 or len(trials) <= 1:
-        return [trial() for trial in trials]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(trial) for trial in trials]
-        return [f.result() for f in futures]
+    """Run the trial closures; return their records in input order and the timing.
+
+    With more than one job and more than one trial they run in forked worker
+    processes, else (or where the platform cannot fork) serially.  A
+    worker's StallError is raised here.  ``timing`` is the run.json block:
+    ``jobs``, the ``pool`` used and each trial's ``solver_s``.
+    """
+    # Imported here, so that importing this module for its helpers alone
+    # loads no process-pool machinery.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if jobs == 1 or len(trials) <= 1 or \
+            "fork" not in multiprocessing.get_all_start_methods():
+        pool, results = "serial", [_timed(trial) for trial in trials]
+    else:
+        pool = "fork"
+        _FORKED_TRIALS[:] = trials
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(trials)),
+                    mp_context=multiprocessing.get_context("fork")) as executor:
+                futures = [executor.submit(_forked_trial, i) for i in range(len(trials))]
+                try:
+                    results = [f.result() for f in futures]
+                except BaseException:
+                    executor.shutdown(cancel_futures=True)
+                    raise
+        finally:
+            _FORKED_TRIALS.clear()
+    timing = {"jobs": jobs, "pool": pool, "trials": [
+        {"algorithm": rec.algorithm, "seed": rec.seed, "solver_s": seconds}
+        for rec, seconds in results]}
+    return [rec for rec, _ in results], timing
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +385,8 @@ def _trial(args, algo, seed, obj, U0, X_ref=None, U_ref=None, metric=None):
     return run
 
 
-def _write_run(args, records, columns, summary_header, summary, ylabel, logscale):
+def _write_run(args, records, timing, columns, summary_header, summary, ylabel,
+               logscale):
     """Write curves.csv, summary.csv, plot.gp and run.json; return the exit code.
 
     ``columns`` maps the curves.csv columns between ``f`` and ``sample_grads``
@@ -345,7 +402,7 @@ def _write_run(args, records, columns, summary_header, summary, ylabel, logscale
                curves)
     _write_csv(os.path.join(args.out, "summary.csv"), summary_header, summary)
     _write_plot_script(args.out, args.algos, ylabel, logscale)
-    _write_manifest(args)
+    _write_manifest(args, timing)
     return 3 if any(r.diverged for r in records) else 0
 
 
@@ -397,7 +454,7 @@ def cmd_sensing(args):
                X_ref=obj.Xstar, U_ref=U_ref)
         for algo in args.algos for seed in _seeds(args)
     ]
-    records = _run_parallel(trials, _resolve_jobs(args.jobs))
+    records, timing = _run_parallel(trials, _resolve_jobs(args.jobs))
 
     summary = []
     for algo in sorted(args.algos):
@@ -411,7 +468,7 @@ def cmd_sensing(args):
             _median(reached), _median(finals),
         ])
     code = _write_run(
-        args, records, {"error_X": "error_X", "error_U": "error_U"},
+        args, records, timing, {"error_X": "error_X", "error_U": "error_U"},
         ["algorithm", "threshold", "seeds_reached", "seeds_total",
          "median_epochs_to_threshold", "median_final_error_X"],
         summary, "relative error ||X - X*||_F", True)
@@ -461,7 +518,7 @@ def cmd_embed(args):
                       INIT_SEED_OFFSET + seed)
         trials += [_trial(args, algo, seed, obj, U0, metric=metric)
                    for algo in args.algos]
-    records = _run_parallel(trials, _resolve_jobs(args.jobs))
+    records, timing = _run_parallel(trials, _resolve_jobs(args.jobs))
 
     columns = {"test_error": "metric"} if has_test else {}
     summary = sorted(
@@ -470,7 +527,7 @@ def cmd_embed(args):
          for rec in records),
         key=lambda r: (r[0], r[1]))
     return _write_run(
-        args, records, columns,
+        args, records, timing, columns,
         ["algorithm", "seed", "final_f", *("final_" + c for c in columns)],
         summary, "test error" if has_test else "training loss", False)
 
@@ -549,7 +606,7 @@ def _add_common(sub, algos):
     sub.add_argument("--seeds", type=int, default=1, help="number of trial seeds")
     sub.add_argument("--seed-base", type=int, default=0,
                      help="first trial seed; trial i uses seed-base + i")
-    sub.add_argument("--jobs", type=int, default=1, help="concurrent trials")
+    sub.add_argument("--jobs", type=int, default=1, help="concurrent trial processes")
     sub.add_argument("--epochs", type=int, default=100)
     sub.add_argument("--eval-every", type=int, default=1,
                      help="record metrics every this many epochs")

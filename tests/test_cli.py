@@ -36,6 +36,16 @@ def file_bytes(path):
         return fh.read()
 
 
+def data_files(root):
+    """Every output file of a run directory but its run.json, by name."""
+    return {path.name: path.read_bytes() for path in sorted(root.iterdir())
+            if path.name != "run.json"}
+
+
+def read_manifest(root):
+    return json.loads(file_bytes(root / "run.json"))
+
+
 def planted_instance(p=12, dim=2, n=300, seed=3):
     """Points, their Gram matrix, and triplets whose ordering is exact."""
     points, triplets = planted_triplets(p, dim, n, seed)
@@ -123,6 +133,17 @@ class TestReadTriplets:
             read_triplets(path)
         assert path in str(info.value)
         assert "line 0" not in str(info.value)
+
+    def test_index_too_large_for_an_array_reports_line(self, tmp_path, capsys):
+        path = self.write(tmp_path, "0 1 2\n0 1 100000000000000000000\n")
+        with pytest.raises(TripletFormatError, match="line 2.*too large"):
+            read_triplets(path)
+        out = tmp_path / "o"
+        rc = main(["embed", "--triplets", path, "--out", str(out), "--epochs", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_malformed_file_exits_2_via_cli(self, tmp_path, capsys):
         path = self.write(tmp_path, "0 1 2\n0 1 2 3\n")
@@ -278,11 +299,17 @@ class TestSensingCommand:
         assert [int(r[2]) for r in rows] == [0, 2, 4, 6]
 
     def test_reruns_are_byte_identical(self, tmp_path):
+        """Everything but run.json's measured trial seconds repeats exactly."""
         run_sensing(tmp_path / "a")
         run_sensing(tmp_path / "b")
         for name in self.OUTPUTS:
-            assert file_bytes(tmp_path / "a" / name) == \
-                file_bytes(tmp_path / "b" / name)
+            if name != "run.json":
+                assert file_bytes(tmp_path / "a" / name) == \
+                    file_bytes(tmp_path / "b" / name)
+        a, b = read_manifest(tmp_path / "a"), read_manifest(tmp_path / "b")
+        for trial in a["timing"]["trials"] + b["timing"]["trials"]:
+            trial.pop("solver_s")
+        assert a == b
 
     def test_replay_reproduces_bytes(self, tmp_path):
         out = tmp_path / "orig"
@@ -306,8 +333,7 @@ class TestSensingCommand:
     def test_jobs_do_not_change_bytes(self, tmp_path):
         run_sensing(tmp_path / "serial")
         run_sensing(tmp_path / "parallel", jobs=3)
-        assert file_bytes(tmp_path / "serial" / "curves.csv") == \
-            file_bytes(tmp_path / "parallel" / "curves.csv")
+        assert data_files(tmp_path / "serial") == data_files(tmp_path / "parallel")
 
     def test_unknown_algorithm_exits_2(self, tmp_path, capsys):
         assert run_sensing(tmp_path / "run", algos="fgd,newton") == 2
@@ -444,6 +470,11 @@ class TestEmbedCommand:
         for name in ("curves.csv", "summary.csv"):
             assert file_bytes(out / name) == file_bytes(rep / name)
 
+    def test_jobs_do_not_change_bytes(self, triplet_file, tmp_path):
+        assert run_embed(triplet_file, tmp_path / "serial") == 0
+        assert run_embed(triplet_file, tmp_path / "parallel", jobs=2) == 0
+        assert data_files(tmp_path / "serial") == data_files(tmp_path / "parallel")
+
     def test_index_beyond_p_exits_2(self, triplet_file, tmp_path, capsys):
         rc = run_embed(triplet_file, tmp_path / "run", p="5")
         assert rc == 2
@@ -495,6 +526,82 @@ class TestEmbedCommand:
                    "--epochs", "1"])
         assert rc == 2
         capsys.readouterr()
+
+
+class TestTrialPool:
+    """--jobs above 1 runs the trials in forked worker processes."""
+
+    @staticmethod
+    def log_fgd_pids(monkeypatch, path):
+        """Patch ``cli.run_fgd`` to append the calling process id to ``path``."""
+        import factored_sdp.cli as cli
+
+        original = cli.run_fgd
+
+        def logged(*args, **kwargs):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cli, "run_fgd", logged)
+
+    def test_jobs_run_trials_in_other_processes(self, tmp_path, monkeypatch):
+        pids = tmp_path / "pids.txt"
+        self.log_fgd_pids(monkeypatch, pids)
+        assert run_sensing(tmp_path / "run", algos="fgd", jobs=2) == 0
+        seen = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
+        assert len(seen) == 2 and os.getpid() not in seen
+        assert read_manifest(tmp_path / "run")["timing"]["pool"] == "fork"
+
+    def test_without_fork_the_trials_run_serially(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        pids = tmp_path / "pids.txt"
+        self.log_fgd_pids(monkeypatch, pids)
+        assert run_sensing(tmp_path / "run", algos="fgd", jobs=2) == 0
+        seen = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
+        assert seen == [os.getpid()] * 2
+        assert read_manifest(tmp_path / "run")["timing"]["pool"] == "serial"
+
+    def test_worker_stall_exits_2_with_one_line(self, tmp_path, capfd):
+        data = tmp_path / "data"
+        assert main(["gen-triplets", "--out", str(data), "--p", "20",
+                     "--count", "600", "--noise", "0.1", "--seed", "3"]) == 0
+        capfd.readouterr()
+        out = tmp_path / "run"
+        rc = main(["embed", "--triplets", str(data / "triplets.txt"),
+                   "--out", str(out), "--dim", "2", "--epochs", "3",
+                   "--algos", "svrg-sbb0,fgd", "--init-scale", "1e3",
+                   "--seeds", "2", "--jobs", "2"])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: BB denominator is zero")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_worker_divergence_exits_3_with_the_serial_bytes(self, tmp_path):
+        flags = dict(algos="fgd,svrg-fixed", eta="1e6,1e-3", epochs=10)
+        assert run_sensing(tmp_path / "serial", **flags) == 3
+        assert run_sensing(tmp_path / "parallel", jobs=2, **flags) == 3
+        assert data_files(tmp_path / "serial") == data_files(tmp_path / "parallel")
+        body = read_rows(tmp_path / "parallel" / "curves.csv")[1:]
+        assert any(row[0] == "fgd" and row[4] == "nan" for row in body)
+        assert all(row[4] != "nan" for row in body if row[0] == "svrg-fixed")
+
+    def test_timing_lists_each_trial_and_leaves_replay_argv(self, tmp_path):
+        assert run_sensing(tmp_path / "serial") == 0
+        assert run_sensing(tmp_path / "parallel", jobs=2) == 0
+        serial = read_manifest(tmp_path / "serial")
+        parallel = read_manifest(tmp_path / "parallel")
+        assert serial["replay_argv"] == parallel["replay_argv"]
+        assert "--jobs" not in parallel["replay_argv"]
+        for run, jobs, pool in ((serial, 1, "serial"), (parallel, 2, "fork")):
+            timing = run["timing"]
+            assert (timing["jobs"], timing["pool"]) == (jobs, pool)
+            assert [(t["algorithm"], t["seed"]) for t in timing["trials"]] == [
+                ("fgd", 0), ("fgd", 1), ("svrg-fixed", 0), ("svrg-fixed", 1)]
+            assert all(t["solver_s"] > 0 for t in timing["trials"])
 
 
 class TestConstantsCommand:
