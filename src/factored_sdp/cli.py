@@ -20,11 +20,12 @@ live in ``objective``, and epochs-to-threshold in ``solvers``, so the
 CLI, the tests and the demos build the same instances.
 
 Exit codes: 0 success, 2 argument/input errors (every bad flag value,
-an init radius that overflows, a malformed triplet file or manifest
-(with the line number of a bad triplet line), an ``embed --split`` below
-1 that leaves no test triplet, and an adaptive step whose secant
-denominator is exactly zero), 3 solver divergence (partial CSVs are
-still written, with the divergence row marked by NaN metrics).
+an ``--r`` above ``--r-star``, an init radius that overflows, a
+malformed triplet file or manifest (with the line number of a bad
+triplet line), an ``embed --split`` below 1 that leaves no test triplet,
+and an adaptive step whose secant denominator is exactly zero), 3 solver
+divergence (partial CSVs are still written, with the divergence row
+marked by NaN metrics).
 """
 
 import argparse
@@ -417,7 +418,8 @@ def _median(values):
 def _sensing_setup(args):
     """The sensing instance, its rank-r reference factor, L_hat and constants.
 
-    Fills the --r-star and --n defaults and rejects ranks outside [1, p].
+    Fills the --r-star and --n defaults and rejects ranks outside [1, p] and
+    a solver rank above the planted one, before the instance is drawn.
     """
     if args.r_star is None:
         args.r_star = args.r
@@ -425,6 +427,9 @@ def _sensing_setup(args):
         args.n = 10 * args.p
     if not (1 <= args.r <= args.p and 1 <= args.r_star <= args.p):
         raise CliError("need 1 <= r <= p and 1 <= r_star <= p")
+    if args.r > args.r_star:
+        raise CliError(f"--r {args.r} above --r-star {args.r_star}: a solver rank above "
+                       "the planted rank is unsupported until ROADMAP direction 3(a)")
     obj = _checked(sensing_generate, args.p, args.r_star, args.n, args.instance_seed)
     _, U_ref = truncated_approx(obj.Xstar, args.r)
     L_hat, mu_hat = estimate_smoothness(

@@ -64,6 +64,17 @@ class SampleObjective:
         """(1/n) sum_i ||grad f_i(X)||_F^2 (used for variance statistics)."""
         return sum(float(np.linalg.norm(self.grad_sample(i, X)) ** 2) for i in range(self.n)) / self.n
 
+    def grad_full_many(self, Xs):
+        """``grad_full`` at each of S points, stacked as an (S, p, p) array."""
+        return np.stack([self.grad_full(X) for X in Xs])
+
+    def grad_moments_many(self, Xs):
+        """``grad_full_many(Xs)`` and ``mean_grad_sample_sqnorm`` at each point.
+
+        Returns the (S, p, p) gradient stack and the (S,) second moments.
+        """
+        return self.grad_full_many(Xs), np.array([self.mean_grad_sample_sqnorm(X) for X in Xs])
+
 
 class SensingProblem(SampleObjective):
     """Noiseless matrix sensing: f_i(X) = (1/2)(b_i - <A_i, X>)^2.
@@ -77,6 +88,13 @@ class SensingProblem(SampleObjective):
     view of the same memory, as two matrix-vector products: the residuals
     ``A2 @ vec(X) - b`` and the gradient ``vec^-1(resid @ A2) / n``.  Each
     is one streaming read of ``A``; no second copy of the operand is made.
+
+    The set-up oracles ``grad_full_many`` and ``grad_moments_many`` take S
+    points at once, as an (S, p, p) stack read as (S, p^2).  The residual
+    block ``R = Xs @ A2^T - b`` and the gradient stack ``R @ A2 / n`` are
+    then two matrix-matrix products, which read ``A`` once for all S
+    points; the per-sample second moments come from the same ``R``.  The
+    solvers keep the per-point oracles above.
     """
 
     def __init__(self, A, b, Xstar=None, Ustar=None):
@@ -123,9 +141,27 @@ class SensingProblem(SampleObjective):
             inner = float(np.vdot(self.A[i], X))
         return (inner - self.b[i]) * AU
 
-    def mean_grad_sample_sqnorm(self, X):
-        resid = self._residuals(X)
-        return float((resid**2) @ self._A_sqnorms) / self.n
+    def _residuals_many(self, Xs):
+        """The (S, n) residual block of S points, as one gemm over the (n, p^2) view."""
+        R = np.reshape(Xs, (len(Xs), self.p * self.p)) @ self._A2.T
+        R -= self.b
+        return R
+
+    def _grads_from(self, R):
+        G = R @ self._A2
+        G /= self.n
+        return G.reshape(len(R), self.p, self.p)
+
+    def grad_full_many(self, Xs):
+        return self._grads_from(self._residuals_many(Xs))
+
+    def grad_moments_many(self, Xs):
+        R = self._residuals_many(Xs)
+        return self._grads_from(R), (R**2) @ self._A_sqnorms / self.n
+
+
+# Bytes of the transposed copy ``sensing_generate`` symmetrizes one block with.
+SYMMETRIZE_BLOCK_BYTES = 1 << 20
 
 
 def sensing_generate(p, r_star, n, seed):
@@ -134,14 +170,22 @@ def sensing_generate(p, r_star, n, seed):
     U* has i.i.d. standard normal entries, X* = U* U*^T, each A_i is a
     standard normal matrix symmetrized as (A + A^T)/2, and b_i = <A_i, X*>
     exactly (no noise). Deterministic for a fixed seed.
+
+    The draws are symmetrized in place, a block of about
+    ``SYMMETRIZE_BLOCK_BYTES`` at a time, so the instance never holds a
+    second (n, p, p) array; the result is bit-identical to (A + A^T)/2.
     """
     if r_star > p or n < 1:
         raise ValueError("need r_star <= p and n >= 1")
     rng = np.random.default_rng(seed)
     Ustar = rng.standard_normal((p, r_star))
     Xstar = gram(Ustar)
-    G = rng.standard_normal((n, p, p))
-    A = (G + np.transpose(G, (0, 2, 1))) / 2.0
+    A = rng.standard_normal((n, p, p))
+    step = max(1, SYMMETRIZE_BLOCK_BYTES // A[0].nbytes)
+    for start in range(0, n, step):
+        blk = A[start:start + step]
+        blk += blk.transpose(0, 2, 1).copy()
+        blk *= 0.5
     b = np.einsum("kij,ij->k", A, Xstar)
     return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
 
@@ -217,6 +261,11 @@ class TripletProblem(SampleObjective):
         self._J = T[:, 1]
         self._K = T[:, 2]
         self._triplet_rows = T.tolist()
+        # flat cells (K,K), (J,J), (I,J), (J,I), (I,K), (K,I) of every
+        # triplet, in that order: grad_full's one scatter-add target
+        I, J, K = self._I, self._J, self._K
+        self._cells = np.concatenate([K * p + K, J * p + J, I * p + J,
+                                      J * p + I, I * p + K, K * p + I])
 
     def _margins(self, X):
         I, J, K = self._I, self._J, self._K
@@ -235,14 +284,10 @@ class TripletProblem(SampleObjective):
     def grad_full(self, X):
         z = self._margins(X)
         w = -1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
-        I, J, K = self._I, self._J, self._K
-        G = np.zeros((self.p, self.p))
-        np.add.at(G, (K, K), w)
-        np.add.at(G, (J, J), -w)
-        np.add.at(G, (I, J), w)
-        np.add.at(G, (J, I), w)
-        np.add.at(G, (I, K), -w)
-        np.add.at(G, (K, I), -w)
+        # one scatter-add over the six cells of every triplet, summed per
+        # cell in the order of _cells
+        G = np.bincount(self._cells, np.concatenate([w, -w, w, w, -w, -w]),
+                        minlength=self.p * self.p).reshape(self.p, self.p)
         # mirror entries accumulate in different orders; make symmetry exact
         G = (G + G.T) / 2.0
         G /= self.n
@@ -436,22 +481,28 @@ def estimate_smoothness(obj, pairs):
     L_hat is the max of ||grad f(X) - grad f(Y)||_F / ||X - Y||_F over the
     pairs; mu_hat is the min of <grad f(X) - grad f(Y), X - Y> / ||X - Y||_F^2,
     meaningful as a restricted-curvature estimate when the probes are rank-r.
-    Coincident pairs (||X - Y||_F < 1e-14) are skipped.
+    Coincident pairs (||X - Y||_F < 1e-14) are dropped first; the gradients
+    at the 2K points of the K pairs kept come from one
+    ``obj.grad_full_many`` call on the stack [X_1, Y_1, ..., X_K, Y_K].
 
     Raises
     ------
     NoProbes
-        if every pair was skipped.
+        if every pair was dropped.
     """
-    l_vals, mu_vals = [], []
+    kept = []
     for X, Y in pairs:
         D = X - Y
         nd = float(np.linalg.norm(D))
         if nd < 1e-14:
             continue
-        Gd = obj.grad_full(X) - obj.grad_full(Y)
+        kept.append((X, Y, D, nd))
+    if not kept:
+        raise NoProbes("all probe pairs coincident")
+    grads = obj.grad_full_many([M for X, Y, _, _ in kept for M in (X, Y)])
+    l_vals, mu_vals = [], []
+    for k, (_, _, D, nd) in enumerate(kept):
+        Gd = grads[2 * k] - grads[2 * k + 1]
         l_vals.append(float(np.linalg.norm(Gd)) / nd)
         mu_vals.append(float(np.vdot(Gd, D)) / nd**2)
-    if not l_vals:
-        raise NoProbes("all probe pairs coincident")
     return max(l_vals), min(mu_vals)

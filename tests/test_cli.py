@@ -395,6 +395,16 @@ class TestSensingCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_rank_above_planted_rank_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["sensing", "--p", "5", "--r", "5", "--r-star", "1",
+                   "--epochs", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --r 5 above --r-star 1") and err.count("\n") == 1
+        assert "unsupported" in err
+        assert not out.exists()
+
     def test_overflowing_init_radius_exits_2(self, tmp_path, capsys):
         # the range check passes 1e308, but the perturbed init overflows
         out = tmp_path / "run"
@@ -620,6 +630,25 @@ class TestConstantsCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: need 1 <= r")
         assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["2", "3"])
+    def test_rank_above_planted_rank_exits_2(self, tmp_path, capsys, r):
+        out = tmp_path / "run"
+        rc = main(["constants", "--p", "5", "--r", r, "--r-star", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --r {r} above --r-star 1") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_grad_norm_at_optimum_reads_zero(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["constants", "--p", "12", "--r", "2", "--region-samples", "4",
+                   "--out", str(out)])
+        assert rc == 0
+        assert "round-off floor" in capsys.readouterr().out
+        rows = dict(read_rows(out / "constants.csv")[1:])
+        assert rows["grad_norm_at_Xr"] == "0.0"
 
     def test_optional_outputs_and_replay(self, tmp_path, capsys):
         out = tmp_path / "orig"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
+    SYMMETRIZE_BLOCK_BYTES,
     NoProbes,
     SampleObjective,
     SensingProblem,
@@ -86,6 +89,30 @@ class TestSensingGenerate:
         for A_i in prob.A:
             assert np.array_equal(A_i, A_i.T)
 
+    def test_in_place_blocks_equal_whole_array_symmetrization(self):
+        """A is bitwise (G + G^T)/2 of the same draws, across a partial last block."""
+        p, r, n, seed = 60, 4, 100, 11
+        step = SYMMETRIZE_BLOCK_BYTES // (8 * p * p)
+        assert 1 < step < n and n % step != 0
+        rng = np.random.default_rng(seed)
+        Ustar = rng.standard_normal((p, r))
+        G = rng.standard_normal((n, p, p))
+        A = (G + np.transpose(G, (0, 2, 1))) / 2.0
+        prob = sensing_generate(p, r, n, seed)
+        assert np.array_equal(prob.Ustar, Ustar)
+        assert np.array_equal(prob.A, A)
+        assert np.array_equal(prob.b, np.einsum("kij,ij->k", A, gram(Ustar)))
+
+    def test_holds_one_operand_while_generating(self):
+        """Peak allocation stays near one (n, p, p) array, not two."""
+        tracemalloc.start()
+        try:
+            prob = sensing_generate(60, 4, 600, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * prob.A.nbytes
+
 
 class TestSensingGradients:
     def test_identity_measurement(self):
@@ -162,14 +189,61 @@ class TestSensingGemvOracle:
         f, G = prob.value_and_grad_full(X)
         assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
         assert rel_err(G, G_ref) <= 1e-12
-        sq_ref = SampleObjective.mean_grad_sample_sqnorm(prob, X)
-        assert abs(prob.mean_grad_sample_sqnorm(X) - sq_ref) <= 1e-12 * sq_ref
 
     def test_grad_full_is_symmetric(self):
         prob = sensing_generate(30, 3, 200, seed=23)
         U = np.random.default_rng(24).standard_normal((30, 3))
         G = prob.grad_full(gram(U))
         assert np.abs(G - G.T).max() <= 1e-15 * np.abs(G).max()
+
+    @staticmethod
+    def stacks(p, seed, S=5):
+        """One (S, p, p) stack of nonsymmetric matrices in C order, Fortran order,
+        as a strided view, and as a list of matrices."""
+        Xs = np.random.default_rng(seed).standard_normal((S, p, p))
+        wide = np.zeros((2 * S, p, 2 * p))
+        wide[::2, :, ::2] = Xs
+        return {"C": Xs, "F": np.asfortranarray(Xs), "strided": wide[::2, :, ::2],
+                "list": list(Xs)}
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "list"])
+    def test_batched_oracles_match_per_matrix(self, layout):
+        prob = self.problem()
+        Xs = self.stacks(self.P, 26)[layout]
+        G = prob.grad_full_many(Xs)
+        G2, moments = prob.grad_moments_many(Xs)
+        assert G.shape == G2.shape == (len(Xs), self.P, self.P)
+        assert moments.shape == (len(Xs),)
+        for s, X in enumerate(Xs):
+            G_ref = prob.grad_full(X)
+            assert rel_err(G[s], G_ref) <= 1e-12
+            assert rel_err(G2[s], G_ref) <= 1e-12
+            sq_ref = prob.mean_grad_sample_sqnorm(X)
+            assert abs(moments[s] - sq_ref) <= 1e-12 * sq_ref
+
+    def test_base_class_loops_over_the_per_matrix_oracles(self):
+        prob = self.problem()
+        Xs = self.stacks(self.P, 27)["strided"]
+        G = SampleObjective.grad_full_many(prob, Xs)
+        G2, moments = SampleObjective.grad_moments_many(prob, Xs)
+        assert np.array_equal(G2, prob.grad_full_many(Xs))
+        for s, X in enumerate(Xs):
+            assert np.array_equal(G[s], prob.grad_full(X))
+            assert moments[s] == prob.mean_grad_sample_sqnorm(X)
+
+    def test_override_of_grad_full_alone_reaches_the_batched_oracle(self):
+        prob = self.problem()
+
+        class Scaled(SampleObjective):
+            n, p = prob.n, prob.p
+
+            def grad_full(self, X):
+                return 3.0 * prob.grad_full(X)
+
+        Xs = self.stacks(self.P, 28)["C"]
+        G = Scaled().grad_full_many(Xs)
+        for s, X in enumerate(Xs):
+            assert np.array_equal(G[s], 3.0 * prob.grad_full(X))
 
     @pytest.mark.parametrize("contiguous", [True, False])
     def test_view_shares_the_one_operand(self, contiguous):
@@ -283,6 +357,37 @@ class TestTripletProblem:
         mean = sum(trip.grad_sample(i, X) for i in range(trip.n)) / trip.n
         assert np.linalg.norm(trip.grad_full(X) - mean) <= 1e-10
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-2])
+    def test_full_gradient_equals_add_at_scatters_bitwise(self, lam):
+        """The one bincount sums each cell in the order of six add.at scatters."""
+        _, T = planted_triplets(50, 2, 3200, seed=0)
+        trip = TripletProblem(50, T, lam)
+        X = gram(np.random.default_rng(17).standard_normal((50, 2)))
+        z = trip._margins(X)
+        w = -1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
+        I, J, K = T[:, 0], T[:, 1], T[:, 2]
+        G = np.zeros((50, 50))
+        np.add.at(G, (K, K), w)
+        np.add.at(G, (J, J), -w)
+        np.add.at(G, (I, J), w)
+        np.add.at(G, (J, I), w)
+        np.add.at(G, (I, K), -w)
+        np.add.at(G, (K, I), -w)
+        G = (G + G.T) / 2.0
+        G /= trip.n
+        if lam:
+            G += lam * np.eye(50)
+        assert np.array_equal(trip.grad_full(X), G)
+
+    def test_batched_gradient_stacks_grad_full(self):
+        _, T = planted_triplets(12, 2, 200, seed=1)
+        trip = TripletProblem(12, T, 1e-2)
+        rng = np.random.default_rng(18)
+        Xs = [gram(rng.standard_normal((12, 2))) for _ in range(3)]
+        G = trip.grad_full_many(Xs)
+        for s, X in enumerate(Xs):
+            assert np.array_equal(G[s], trip.grad_full(X))
+
 
 class TestPlantedTriplets:
     @pytest.mark.parametrize("kw", [
@@ -373,6 +478,23 @@ class TestEstimateSmoothness:
         L3, m3 = estimate_smoothness(Scaled(), pairs)
         assert L3 == pytest.approx(3.0 * L1, rel=1e-12)
         assert m3 == pytest.approx(3.0 * m1, rel=1e-12)
+
+    def test_coincident_pairs_are_dropped_before_the_batched_call(self):
+        prob = sensing_generate(4, 2, 12, seed=29)
+        pairs = probe_pairs(4, 2, seed=30, n_pairs=3)
+        X = pairs[0][0]
+        seen = []
+
+        class Counting(SensingProblem):
+            def grad_full_many(self, Xs):
+                seen.append(len(Xs))
+                return super().grad_full_many(Xs)
+
+        counting = Counting(prob.A, prob.b)
+        L, mu = estimate_smoothness(counting, [(X, X.copy()), *pairs])
+        assert seen == [6]
+        L_ref, mu_ref = estimate_smoothness(prob, pairs)
+        assert (L, mu) == (L_ref, mu_ref)
 
     def test_all_pairs_coincident(self):
         prob = sensing_generate(3, 1, 5, seed=28)

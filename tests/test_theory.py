@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from factored_sdp.linalg import gram, symmetrize
-from factored_sdp.objective import SensingProblem
+from factored_sdp import theory
+from factored_sdp.linalg import gram, symmetrize, truncated_approx
+from factored_sdp.objective import SensingProblem, sensing_generate
 from factored_sdp.stepsize import StepSchedule
 from factored_sdp.theory import (
     CONSTANT_FIELDS,
+    GRAD_NORM_ROUNDOFF_ULPS,
+    REGION_CHUNK_BYTES,
     REGION_KEYS,
     HypothesisError,
     NotApplicable,
@@ -16,6 +20,7 @@ from factored_sdp.theory import (
     constants_report_text,
     constants_rows,
     estimate_region_stats,
+    grad_norm_floor,
     lemma_dist_bounds,
     lemma_feasibility,
     lemma_spectral_bounds,
@@ -548,6 +553,60 @@ class TestEstimateRegionStats:
         with pytest.raises(ValueError):
             estimate_region_stats(obj, obj.Ustar, 0.2, n_samples=-1)
 
+    @staticmethod
+    def per_matrix_stats(obj, Ur, gamma0, n_samples, seed):
+        """The per-matrix loop: one grad_full and one second moment per sample."""
+        p, r = Ur.shape
+        radius = math.sqrt(gamma0 * float(np.linalg.svd(Ur, compute_uv=False)[-1] ** 2))
+        rng = np.random.default_rng(seed)
+        grad_norm_at_Xr = float(np.linalg.norm(obj.grad_full(gram(Ur))))
+        calB, B0, B1 = 0.0, -math.inf, 0.0
+        for s in range(n_samples + 1):
+            if s == 0:
+                U = Ur
+            else:
+                G = rng.standard_normal((p, r))
+                G *= radius * rng.uniform() ** (1.0 / (p * r)) / np.linalg.norm(G)
+                U = Ur + G
+            X = gram(U)
+            calB = max(calB, float(np.linalg.norm(X)))
+            full_sq = float(np.linalg.norm(obj.grad_full(X))) ** 2
+            B0 = max(B0, obj.mean_grad_sample_sqnorm(X) - full_sq)
+            B1 = max(B1, full_sq)
+        return {"calB": calB, "B0": max(B0, 0.0), "B1": B1,
+                "grad_norm_at_Xr": grad_norm_at_Xr}
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 25])
+    def test_batched_chunks_match_the_per_matrix_loop(self, monkeypatch, n_samples):
+        """Same draws, same suprema; 25 samples span several 4-sample chunks.
+
+        The rank-2 center of a rank-3 optimum has a gradient well above
+        round-off, so grad_norm_at_Xr is compared relatively too.
+        """
+        obj = sensing_generate(8, 3, 60, seed=12)
+        _, Ur = truncated_approx(obj.Xstar, 2)
+        monkeypatch.setattr(theory, "REGION_CHUNK_BYTES", 4 * 16 * (8 * 8 + 60))
+        got = estimate_region_stats(obj, Ur, 0.15, n_samples=n_samples, seed=13)
+        ref = self.per_matrix_stats(obj, Ur, 0.15, n_samples, seed=13)
+        assert got["calB"] == ref["calB"]
+        for key in ("B0", "B1", "grad_norm_at_Xr"):
+            assert ref[key] > 0.0
+            assert abs(got[key] - ref[key]) <= 1e-12 * ref[key], key
+        assert got["B1"] >= got["grad_norm_at_Xr"] ** 2
+
+    def test_memory_stays_within_the_chunk_budget(self):
+        """2001 samples at p = 30 would need about 38 MB in one stack."""
+        obj = sensing_generate(30, 2, 300, seed=0)
+        _, Ur = truncated_approx(obj.Xstar, 2)
+        assert 2001 * 16 * (30 * 30 + 300) > 4 * REGION_CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            estimate_region_stats(obj, Ur, 0.1, n_samples=2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * REGION_CHUNK_BYTES
+
 
 class TestReporting:
     def test_rows_cover_all_fields(self):
@@ -562,6 +621,32 @@ class TestReporting:
         text = constants_report_text(rank2_constants())
         assert "under-estimates" in text
         assert "eta_max" in text
+
+    def test_grad_norm_below_the_roundoff_floor_reads_zero(self):
+        c = rank2_constants()
+        floor = GRAD_NORM_ROUNDOFF_ULPS * np.finfo(float).eps * c.L * c.Xr_norm
+        assert grad_norm_floor(c) == floor
+        for measured, shown in [(0.5 * floor, 0.0), (2.0 * floor, 2.0 * floor)]:
+            stats = dict(REGION, grad_norm_at_Xr=measured)
+            c = compute_constants(2.0, 1.0, np.diag([4.0, 1.0, 0.0, 0.0]), 2, stats)
+            assert c.grad_norm_at_Xr == measured
+            assert dict(constants_rows(c))["grad_norm_at_Xr"] == shown
+            text = constants_report_text(c)
+            assert ("round-off floor" in text) == (shown == 0.0)
+
+    def test_grad_norm_row_is_the_same_on_both_paths(self):
+        """At a planted optimum the per-matrix and batched round-off both read 0."""
+        obj = sensing_generate(12, 2, 120, seed=0)
+        _, Ur = truncated_approx(obj.Xstar, 2)
+        rows = []
+        for stats in (
+            TestEstimateRegionStats.per_matrix_stats(obj, Ur, 0.15, 4, seed=0),
+            estimate_region_stats(obj, Ur, 0.15, n_samples=4, seed=0),
+        ):
+            assert 0.0 < stats["grad_norm_at_Xr"]
+            c = compute_constants(1.5, 0.8, obj.Xstar, 2, stats)
+            rows.append(dict(constants_rows(c))["grad_norm_at_Xr"])
+        assert rows == [0.0, 0.0]
 
     def test_report_text_flags_violations(self):
         c = compute_constants(1.0, 1.0, np.eye(5), 4, REGION)
