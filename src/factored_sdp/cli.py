@@ -200,12 +200,6 @@ def _write_plot_script(out_dir, algos, ylabel, logscale):
         fh.write("\n".join(lines) + "\n")
 
 
-def _resolve_jobs(jobs):
-    if jobs < 1:
-        raise CliError("--jobs must be at least 1")
-    return jobs
-
-
 # The trial closures of the open worker pool, by index.  They hold the
 # objective and, under an outside tracer, wrapped callables, so they cannot
 # be pickled: a forked worker inherits this list, and the operand with it,
@@ -298,8 +292,22 @@ def _per_algo_values(text, algos, flag):
     return dict(zip(algos, values))
 
 
+def _at_least(*checks):
+    """CliError naming the first ``(flag, value, least)`` below least; None passes."""
+    for flag, value, least in checks:
+        if value is not None and value < least:
+            raise CliError(f"{flag} must be at least {least}")
+
+
+def _check_counts(args):
+    """Reject the count flags of the solver commands before any set-up work."""
+    _at_least(("--epochs", args.epochs, 1), ("--eval-every", args.eval_every, 1),
+              ("--seeds", args.seeds, 1), ("--seed-base", args.seed_base, 0),
+              ("--jobs", args.jobs, 1), ("--m", args.m, 1))
+
+
 def _resolve_steps(args, L_hat, sigma1, n, family):
-    """Resolve --eta/--eta0 to per-algorithm maps and fill --eps/--m/--t0.
+    """Resolve --eta to a per-algorithm step map and fill --eps/--m/--t0.
 
     Default steps come from measured curvature and scale.  ``base`` is the
     classic stability ceiling 1/(L sigma_1) for factored gradient steps,
@@ -312,13 +320,13 @@ def _resolve_steps(args, L_hat, sigma1, n, family):
     losses sit much closer to their stability edge (the Gram scale grows
     along the run), so the ``embed`` family uses smaller fractions,
     calibrated on planted instances, and ``eps = 0.02 * L_hat``.
-    ``m = t0 = n``.  Defaults are starting points; benchmarks pass
-    --eta/--eta0.
+    ``m = t0 = n``.  Each algorithm reads one step from the map: the
+    fixed step of fgd, projgd and svrg-fixed, the initial step of sfgd,
+    svrg-sbb0 and svrg-sbb.  Defaults are starting points; benchmarks pass
+    --eta.
     """
     if args.m is None:
         args.m = n
-    if args.m < 1:
-        raise CliError("--m must be at least 1")
     base = 1.0 / (L_hat * max(sigma1, 1e-12))
     if family == "embed":
         full, stochastic, adaptive = 0.03 * base, 0.0015 * base, 0.001 * base
@@ -331,7 +339,6 @@ def _resolve_steps(args, L_hat, sigma1, n, family):
     defaults = {"fgd": full, "projgd": 0.5 / L_hat, "sfgd": stochastic,
                 "svrg-fixed": stochastic, "svrg-sbb0": adaptive, "svrg-sbb": adaptive}
     args.eta = {**defaults, **_per_algo_values(args.eta, args.algos, "--eta")}
-    args.eta0 = {**defaults, **_per_algo_values(args.eta0, args.algos, "--eta0")}
     if args.eps is None:
         args.eps = eps
     if args.t0 is None:
@@ -344,12 +351,6 @@ def _checked(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ValueError as err:
         raise CliError(str(err))
-
-
-def _seeds(args):
-    if args.seeds < 1 or args.seed_base < 0:
-        raise CliError("need --seeds >= 1 and --seed-base >= 0")
-    return range(args.seed_base, args.seed_base + args.seeds)
 
 
 def _trial(args, algo, seed, obj, U0, X_ref=None, U_ref=None, metric=None):
@@ -366,10 +367,10 @@ def _trial(args, algo, seed, obj, U0, X_ref=None, U_ref=None, metric=None):
         else:
             eps = 0.0 if algo == "svrg-sbb0" else args.eps
             schedule = _checked(StepSchedule, "sbb", eps=eps, m=args.m,
-                                eta0=args.eta0[algo])
+                                eta0=args.eta[algo])
         fields.update(m=args.m, schedule=schedule)
     elif algo == "sfgd":
-        fields.update(eta0=args.eta0[algo], t0=args.t0)
+        fields.update(eta0=args.eta[algo], t0=args.t0)
     else:
         fields.update(eta=args.eta[algo])
     config = _checked(SolverConfig, **fields)
@@ -430,6 +431,7 @@ def _sensing_setup(args):
     if args.r > args.r_star:
         raise CliError(f"--r {args.r} above --r-star {args.r_star}: a solver rank above "
                        "the planted rank is unsupported until ROADMAP direction 3(a)")
+    _at_least(("--instance-seed", args.instance_seed, 0))
     obj = _checked(sensing_generate, args.p, args.r_star, args.n, args.instance_seed)
     _, U_ref = truncated_approx(obj.Xstar, args.r)
     L_hat, mu_hat = estimate_smoothness(
@@ -441,6 +443,7 @@ def _sensing_setup(args):
 
 def cmd_sensing(args):
     args.algos = _parse_algos(args.algos)
+    _check_counts(args)
     if not args.threshold >= 0:
         raise CliError("--threshold must be >= 0")
     obj, U_ref, L_hat, constants = _sensing_setup(args)
@@ -457,9 +460,10 @@ def cmd_sensing(args):
                _checked(init_perturbed_optimum, U_ref, args.init_radius,
                         INIT_SEED_OFFSET + seed),
                X_ref=obj.Xstar, U_ref=U_ref)
-        for algo in args.algos for seed in _seeds(args)
+        for algo in args.algos
+        for seed in range(args.seed_base, args.seed_base + args.seeds)
     ]
-    records, timing = _run_parallel(trials, _resolve_jobs(args.jobs))
+    records, timing = _run_parallel(trials, args.jobs)
 
     summary = []
     for algo in sorted(args.algos):
@@ -488,6 +492,7 @@ def cmd_sensing(args):
 
 def cmd_embed(args):
     args.algos = _parse_algos(args.algos)
+    _check_counts(args)
     if not (0.0 < args.split <= 1.0):
         raise CliError("--split must be in (0, 1]")
     if args.dim is None:
@@ -515,7 +520,7 @@ def cmd_embed(args):
     _resolve_steps(args, L_hat, sigma1, n_train, "embed")
 
     trials = []
-    for seed in _seeds(args):
+    for seed in range(args.seed_base, args.seed_base + args.seeds):
         train, test = split_triplets(triplets, args.split, seed)
         obj = TripletProblem(args.p, train, args.lam)
         metric = (lambda X, t=test: test_error(X, t)) if has_test else None
@@ -523,7 +528,7 @@ def cmd_embed(args):
                       INIT_SEED_OFFSET + seed)
         trials += [_trial(args, algo, seed, obj, U0, metric=metric)
                    for algo in args.algos]
-    records, timing = _run_parallel(trials, _resolve_jobs(args.jobs))
+    records, timing = _run_parallel(trials, args.jobs)
 
     columns = {"test_error": "metric"} if has_test else {}
     summary = sorted(
@@ -542,6 +547,7 @@ def cmd_embed(args):
 
 
 def cmd_gen_triplets(args):
+    _at_least(("--seed", args.seed, 0))
     points, triplets = _checked(planted_triplets, args.p, args.dim, args.count,
                                 args.seed, noise=args.noise, scale=args.scale)
     os.makedirs(args.out, exist_ok=True)
@@ -616,10 +622,10 @@ def _add_common(sub, algos):
     sub.add_argument("--eval-every", type=int, default=1,
                      help="record metrics every this many epochs")
     sub.add_argument("--eta", default=None,
-                     help="fixed step; one value or a comma list per --algos")
-    sub.add_argument("--eta0", default=None,
-                     help="initial/base step for sfgd and the adaptive "
-                          "schedules; one value or a comma list")
+                     help="step: the fixed step of fgd, projgd and svrg-fixed, "
+                          "the initial step of sfgd, svrg-sbb0 and svrg-sbb; "
+                          "one value or a comma list per --algos (default: "
+                          "from the measured curvature)")
     sub.add_argument("--eps", type=float, default=None,
                      help="stabilizer for svrg-sbb (default: sensing "
                           "1/(m * default svrg-fixed step), embed 0.02 * "
@@ -628,7 +634,7 @@ def _add_common(sub, algos):
                      help="inner-loop length (default: sample size)")
     sub.add_argument("--t0", type=float, default=None,
                      help="sfgd decay horizon (default: sample size; inf "
-                          "freezes the step at eta0)")
+                          "freezes the step at its --eta)")
 
 
 def _add_instance(sub):

@@ -60,20 +60,19 @@ class SampleObjective:
     def value_and_grad_full(self, X):
         return self.eval_full(X), self.grad_full(X)
 
-    def mean_grad_sample_sqnorm(self, X):
-        """(1/n) sum_i ||grad f_i(X)||_F^2 (used for variance statistics)."""
-        return sum(float(np.linalg.norm(self.grad_sample(i, X)) ** 2) for i in range(self.n)) / self.n
-
     def grad_full_many(self, Xs):
         """``grad_full`` at each of S points, stacked as an (S, p, p) array."""
         return np.stack([self.grad_full(X) for X in Xs])
 
     def grad_moments_many(self, Xs):
-        """``grad_full_many(Xs)`` and ``mean_grad_sample_sqnorm`` at each point.
+        """``grad_full_many(Xs)`` and the second moments at each point.
 
-        Returns the (S, p, p) gradient stack and the (S,) second moments.
+        Returns the (S, p, p) gradient stack and the (S,) values
+        (1/n) sum_i ||grad f_i(X_s)||_F^2 (used for variance statistics).
         """
-        return self.grad_full_many(Xs), np.array([self.mean_grad_sample_sqnorm(X) for X in Xs])
+        moments = [sum(float(np.linalg.norm(self.grad_sample(i, X)) ** 2)
+                       for i in range(self.n)) / self.n for X in Xs]
+        return self.grad_full_many(Xs), np.array(moments)
 
 
 class SensingProblem(SampleObjective):
@@ -84,17 +83,14 @@ class SensingProblem(SampleObjective):
     retained for error reporting.
 
     The measurements are held once, as the C-contiguous (n, p, p) array
-    ``A``.  The full-batch oracles read it through ``_A2``, an (n, p^2)
-    view of the same memory, as two matrix-vector products: the residuals
-    ``A2 @ vec(X) - b`` and the gradient ``vec^-1(resid @ A2) / n``.  Each
-    is one streaming read of ``A``; no second copy of the operand is made.
-
-    The set-up oracles ``grad_full_many`` and ``grad_moments_many`` take S
-    points at once, as an (S, p, p) stack read as (S, p^2).  The residual
-    block ``R = Xs @ A2^T - b`` and the gradient stack ``R @ A2 / n`` are
-    then two matrix-matrix products, which read ``A`` once for all S
-    points; the per-sample second moments come from the same ``R``.  The
-    solvers keep the per-point oracles above.
+    ``A``, and read through ``_A2``, an (n, p^2) view of the same memory;
+    no second copy of the operand is made.  Every full-batch oracle reads
+    S points, an (S, p, p) stack read as (S, p^2), through one residual
+    block ``R = Xs @ A2^T - b`` of shape (S, n); a single point is the
+    block at S = 1.  The gradients are ``R @ A2 / n`` and the per-sample
+    second moments come from the same ``R``.  Each of the two products
+    reads ``A`` once for all S points: at S = 1 numpy runs them as
+    matrix-vector products, above it as matrix-matrix products.
     """
 
     def __init__(self, A, b, Xstar=None, Ustar=None):
@@ -117,22 +113,6 @@ class SensingProblem(SampleObjective):
     def grad_sample(self, i, X):
         return (np.vdot(self.A[i], X) - self.b[i]) * self.A[i]
 
-    def _residuals(self, X):
-        """<A_i, X> - b_i for every sample, as one gemv over the (n, p^2) view."""
-        return self._A2 @ np.ravel(X) - self.b
-
-    def eval_full(self, X):
-        resid = self._residuals(X)
-        return 0.5 * float(resid @ resid) / self.n
-
-    def grad_full(self, X):
-        return self.value_and_grad_full(X)[1]
-
-    def value_and_grad_full(self, X):
-        resid = self._residuals(X)
-        G = (resid @ self._A2).reshape(self.p, self.p) / self.n
-        return 0.5 * float(resid @ resid) / self.n, G
-
     def grad_sample_times_factor(self, i, X, U):
         AU = self.A[i] @ U
         if X is None:
@@ -141,23 +121,35 @@ class SensingProblem(SampleObjective):
             inner = float(np.vdot(self.A[i], X))
         return (inner - self.b[i]) * AU
 
-    def _residuals_many(self, Xs):
-        """The (S, n) residual block of S points, as one gemm over the (n, p^2) view."""
-        R = np.reshape(Xs, (len(Xs), self.p * self.p)) @ self._A2.T
+    def _residuals(self, Xs):
+        """The (S, n) residual block <A_i, X_s> - b_i of one point (S = 1) or a stack."""
+        R = np.reshape(Xs, (-1, self.p * self.p)) @ self._A2.T
         R -= self.b
         return R
 
-    def _grads_from(self, R):
+    def _grads(self, R):
+        """The (S, p, p) gradient stack of the residual block R."""
         G = R @ self._A2
         G /= self.n
         return G.reshape(len(R), self.p, self.p)
 
+    def eval_full(self, X):
+        resid = self._residuals(X)[0]
+        return 0.5 * float(resid @ resid) / self.n
+
+    def grad_full(self, X):
+        return self._grads(self._residuals(X))[0]
+
+    def value_and_grad_full(self, X):
+        R = self._residuals(X)
+        return 0.5 * float(R[0] @ R[0]) / self.n, self._grads(R)[0]
+
     def grad_full_many(self, Xs):
-        return self._grads_from(self._residuals_many(Xs))
+        return self._grads(self._residuals(Xs))
 
     def grad_moments_many(self, Xs):
-        R = self._residuals_many(Xs)
-        return self._grads_from(R), (R**2) @ self._A_sqnorms / self.n
+        R = self._residuals(Xs)
+        return self._grads(R), (R**2) @ self._A_sqnorms / self.n
 
 
 # Bytes of the transposed copy ``sensing_generate`` symmetrizes one block with.
@@ -190,45 +182,32 @@ def sensing_generate(p, r_star, n, seed):
     return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
 
 
-def ste_loss(c, X):
-    """Logistic triplet loss -log sigma(d2_ik - d2_ij) for one triplet.
+def _margin(X, i, j, k):
+    """d2_ik - d2_ij for triplet (i, j, k), read off the Gram matrix X.
 
-    Squared distances are read off the Gram matrix as
-    d2_ab = X_aa + X_bb - X_ab - X_ba (the symmetric form, identical to
-    X_aa + X_bb - 2 X_ab on symmetric X). Computed through logaddexp so
-    the value stays finite for any finite X.
+    Index arrays i, j, k give the margins of all their triplets at once.
+
+    Squared distances are d2_ab = X_aa + X_bb - X_ab - X_ba (the symmetric
+    form, identical to X_aa + X_bb - 2 X_ab on symmetric X).
     """
-    i, j, k = c
-    z = X[k, k] - X[j, j] - X[i, k] - X[k, i] + X[i, j] + X[j, i]
-    return float(np.logaddexp(0.0, -z))
+    return X[k, k] - X[j, j] - X[i, k] - X[k, i] + X[i, j] + X[j, i]
 
 
-def ste_grad_sample(c, X, lam):
-    """Analytic gradient of ste_loss(c, X) + lam * tr(X).
-
-    Symmetric; the loss part touches only rows/columns {i, j, k}.
-    """
-    i, j, k = c
-    p = X.shape[0]
-    z = X[k, k] - X[j, j] - X[i, k] - X[k, i] + X[i, j] + X[j, i]
-    # d/dz of logaddexp(0, -z) is sigma(z) - 1 = -1/(1 + e^z), overflow-safe
-    w = -np.exp(-z) / (1.0 + np.exp(-z)) if z >= 0 else -1.0 / (1.0 + np.exp(z))
-    G = np.zeros((p, p))
-    G[k, k] = w
-    G[j, j] = -w
-    G[i, j] = G[j, i] = w
-    G[i, k] = G[k, i] = -w
-    if lam:
-        G += lam * np.eye(p)
-    return G
+def _logistic_weight(z):
+    """d/dz of logaddexp(0, -z), that is sigma(z) - 1 = -1/(1 + e^z), overflow-safe."""
+    return -np.exp(-z) / (1.0 + np.exp(-z)) if z >= 0 else -1.0 / (1.0 + np.exp(z))
 
 
 class TripletProblem(SampleObjective):
     """Ordinal embedding objective f(X) = (1/|C|) sum_c l_c(X) + lam tr(X).
 
     X is the Gram matrix of the embedded points. Each sample is one triplet
-    constraint (i, j, k) meaning d2_ij <= d2_ik; the trace term is folded
-    into every f_i so that f = (1/n) sum_i f_i exactly.
+    constraint (i, j, k) meaning d2_ij <= d2_ik, with the logistic loss
+    l_c(X) = -log sigma(d2_ik - d2_ij), computed through logaddexp so that
+    it stays finite for any finite X.  The trace term is folded into every
+    f_i so that f = (1/n) sum_i f_i exactly.  Every oracle reads its
+    margins d2_ik - d2_ij through ``_margin``, the full-batch ones for all
+    triplets at once, and the per-sample ones share one logistic weight.
 
     ``factor_steps`` runs a whole SVRG or SFGD inner loop with lazy dense
     updates, which the solvers use in place of their per-step loop.  It
@@ -267,22 +246,29 @@ class TripletProblem(SampleObjective):
         self._cells = np.concatenate([K * p + K, J * p + J, I * p + J,
                                       J * p + I, I * p + K, K * p + I])
 
-    def _margins(self, X):
-        I, J, K = self._I, self._J, self._K
-        return X[K, K] - X[J, J] - X[I, K] - X[K, I] + X[I, J] + X[J, I]
-
     def eval_sample(self, i, X):
-        return ste_loss(self.triplets[i], X) + self.lam * float(np.trace(X))
+        z = _margin(X, *self._triplet_rows[i])
+        return float(np.logaddexp(0.0, -z)) + self.lam * float(np.trace(X))
 
     def grad_sample(self, i, X):
-        return ste_grad_sample(self.triplets[i], X, self.lam)
+        """Symmetric; the loss part touches only rows/columns {i, j, k}."""
+        ti, tj, tk = self._triplet_rows[i]
+        w = _logistic_weight(_margin(X, ti, tj, tk))
+        G = np.zeros((self.p, self.p))
+        G[tk, tk] = w
+        G[tj, tj] = -w
+        G[ti, tj] = G[tj, ti] = w
+        G[ti, tk] = G[tk, ti] = -w
+        if self.lam:
+            G += self.lam * np.eye(self.p)
+        return G
 
     def eval_full(self, X):
-        z = self._margins(X)
+        z = _margin(X, self._I, self._J, self._K)
         return float(np.mean(np.logaddexp(0.0, -z))) + self.lam * float(np.trace(X))
 
     def grad_full(self, X):
-        z = self._margins(X)
+        z = _margin(X, self._I, self._J, self._K)
         w = -1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
         # one scatter-add over the six cells of every triplet, summed per
         # cell in the order of _cells
@@ -296,14 +282,14 @@ class TripletProblem(SampleObjective):
         return G
 
     def grad_sample_times_factor(self, i, X, U):
-        ti, tj, tk = self.triplets[i]
+        ti, tj, tk = self._triplet_rows[i]
         if X is None:
             dik = U[ti] - U[tk]
             dij = U[ti] - U[tj]
             z = float(dik @ dik) - float(dij @ dij)
         else:
-            z = X[tk, tk] - X[tj, tj] - X[ti, tk] - X[tk, ti] + X[ti, tj] + X[tj, ti]
-        w = -np.exp(-z) / (1.0 + np.exp(-z)) if z >= 0 else -1.0 / (1.0 + np.exp(z))
+            z = _margin(X, ti, tj, tk)
+        w = _logistic_weight(z)
         out = self.lam * U if self.lam else np.zeros_like(U)
         out[ti] += w * (U[tj] - U[tk])
         out[tj] += w * (U[ti] - U[tj])
@@ -347,7 +333,7 @@ class TripletProblem(SampleObjective):
             tilde = Ut.tolist()
             c = (lam * Ut - g).tolist()
             with np.errstate(over="ignore", invalid="ignore"):
-                z = self._margins(Xt)
+                z = _margin(Xt, self._I, self._J, self._K)
                 e = np.exp(-np.abs(z))
                 w_anchor = np.where(z >= 0, -e / (1.0 + e), -1.0 / (1.0 + e)).tolist()
         P, R = 1.0, 0.0

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from factored_sdp import cli
 from factored_sdp.cli import (
     ALGORITHMS,
     CliError,
@@ -192,7 +193,7 @@ class TestParseHelpers:
             _per_algo_values("big", ["fgd"], "--eta")
 
     def test_default_steps_cover_all_algorithms(self):
-        args = argparse.Namespace(algos=list(ALGORITHMS), eta=None, eta0=None,
+        args = argparse.Namespace(algos=list(ALGORITHMS), eta=None,
                                   m=None, eps=None, t0=None)
         _resolve_steps(args, 2.0, 10.0, 100, "sensing")
         steps = args.eta
@@ -378,10 +379,10 @@ class TestSensingCommand:
     @pytest.mark.parametrize("flag,value", [
         ("epochs", "0"), ("eval-every", "0"), ("m", "0"), ("seeds", "0"),
         ("seed-base", "-1"), ("eps", "-1"), ("eps", "nan"), ("eta", "-1"),
-        ("eta", "nan"), ("eta", "inf"), ("eta0", "0"), ("t0", "-1"),
+        ("eta", "nan"), ("eta", "inf"), ("eta", "0"), ("t0", "-1"),
         ("t0", "nan"), ("init-radius", "nan"), ("threshold", "nan"),
         ("region-samples", "-1"), ("n", "0"), ("r", "0"), ("r", "9"),
-        ("jobs", "0"),
+        ("jobs", "0"), ("instance-seed", "-1"),
     ])
     def test_bad_flag_value_exits_2_before_output(self, tmp_path, capsys,
                                                   flag, value):
@@ -394,6 +395,28 @@ class TestSensingCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,least", [
+        ("epochs", "0", 1), ("seeds", "0", 1), ("seed-base", "-1", 0),
+        ("jobs", "0", 1), ("eval-every", "0", 1), ("m", "0", 1),
+    ])
+    def test_count_flag_exits_2_before_the_instance_is_built(
+            self, monkeypatch, tmp_path, capsys, flag, value, least):
+        def no_instance(*args, **kwargs):
+            raise AssertionError("sensing_generate was called")
+
+        monkeypatch.setattr(cli, "sensing_generate", no_instance)
+        out = tmp_path / "run"
+        assert run_sensing(out, **{flag: value}) == 2
+        assert capsys.readouterr().err == f"error: --{flag} must be at least {least}\n"
+        assert not out.exists()
+
+    def test_eta_is_the_initial_step_of_sfgd_and_svrg_sbb(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_sensing(out, algos="sfgd,svrg-sbb", eta="1e-4", seeds=1) == 0
+        first = {row[0]: row[3] for row in read_rows(out / "curves.csv")[1:]
+                 if row[2] == "0"}
+        assert first == {"sfgd": "0.0001", "svrg-sbb": "0.0001"}
 
     def test_rank_above_planted_rank_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -439,6 +462,18 @@ def triplet_file(tmp_path):
     main(["gen-triplets", "--out", str(out), "--p", "12", "--count", "300",
           "--seed", "0"])
     return out / "triplets.txt"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sensing", "--p", "8", "--r", "2", "--instance-seed", "-1"],
+    ["constants", "--p", "8", "--r", "2", "--instance-seed", "-1"],
+    ["gen-triplets", "--p", "8", "--count", "20", "--seed", "-1"],
+])
+def test_negative_seed_error_names_the_flag(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {argv[-2]} must be at least 0\n"
+    assert not out.exists()
 
 
 class TestEmbedCommand:
@@ -544,8 +579,6 @@ class TestTrialPool:
     @staticmethod
     def log_fgd_pids(monkeypatch, path):
         """Patch ``cli.run_fgd`` to append the calling process id to ``path``."""
-        import factored_sdp.cli as cli
-
         original = cli.run_fgd
 
         def logged(*args, **kwargs):
@@ -715,8 +748,6 @@ class TestTracedNames:
     the CLI must look them up on each call rather than bind them once."""
 
     def test_patched_names_are_called(self, tmp_path, monkeypatch, capsys):
-        import factored_sdp.cli as cli
-
         calls = {}
 
         def counting(name):

@@ -14,8 +14,6 @@ from factored_sdp.objective import (
     planted_triplets,
     probe_pairs,
     sensing_generate,
-    ste_grad_sample,
-    ste_loss,
 )
 
 
@@ -164,6 +162,11 @@ def x_layouts(p, seed):
     return {"C": X, "F": np.asfortranarray(X), "strided": wide[:, ::2]}
 
 
+def sample_moment(obj, X):
+    """(1/n) sum_i ||grad f_i(X)||_F^2 as a loop over the per-sample gradients."""
+    return sum(float(np.linalg.norm(obj.grad_sample(i, X)) ** 2) for i in range(obj.n)) / obj.n
+
+
 class TestSensingGemvOracle:
     """The (n, p^2)-view full-batch oracles against the per-sample base loops.
 
@@ -218,7 +221,7 @@ class TestSensingGemvOracle:
             G_ref = prob.grad_full(X)
             assert rel_err(G[s], G_ref) <= 1e-12
             assert rel_err(G2[s], G_ref) <= 1e-12
-            sq_ref = prob.mean_grad_sample_sqnorm(X)
+            sq_ref = sample_moment(prob, X)
             assert abs(moments[s] - sq_ref) <= 1e-12 * sq_ref
 
     def test_base_class_loops_over_the_per_matrix_oracles(self):
@@ -229,7 +232,7 @@ class TestSensingGemvOracle:
         assert np.array_equal(G2, prob.grad_full_many(Xs))
         for s, X in enumerate(Xs):
             assert np.array_equal(G[s], prob.grad_full(X))
-            assert moments[s] == prob.mean_grad_sample_sqnorm(X)
+            assert moments[s] == sample_moment(prob, X)
 
     def test_override_of_grad_full_alone_reaches_the_batched_oracle(self):
         prob = self.problem()
@@ -258,21 +261,26 @@ class TestSensingGemvOracle:
         assert np.shares_memory(prob.A, A) == contiguous
 
 
+def one_triplet(c, p, lam=0.0):
+    """The objective of the single triplet c over p points."""
+    return TripletProblem(p, [c], lam)
+
+
 class TestSteLoss:
     def test_all_equal_distances(self):
-        assert ste_loss((0, 1, 2), np.eye(4)) == pytest.approx(np.log(2.0))
+        assert one_triplet((0, 1, 2), 4).eval_sample(0, np.eye(4)) == pytest.approx(np.log(2.0))
 
     def test_strongly_satisfied_triplet(self):
         # points on a line: d2_ij = 0, d2_ik = 20, so the loss is -log sigma(20)
         coords = np.array([[0.0], [0.0], [np.sqrt(20.0)]])
         X = coords @ coords.T
-        assert ste_loss((0, 1, 2), X) == pytest.approx(np.log1p(np.exp(-20.0)), rel=1e-12)
+        assert one_triplet((0, 1, 2), 3).eval_sample(0, X) == pytest.approx(np.log1p(np.exp(-20.0)), rel=1e-12)
 
     def test_nonnegative_and_log2_iff_tie(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             X = symmetrize(rng.standard_normal((5, 5)))
-            val = ste_loss((0, 1, 2), X)
+            val = one_triplet((0, 1, 2), 5).eval_sample(0, X)
             assert val >= 0.0
             d2ij = X[0, 0] + X[1, 1] - X[0, 1] - X[1, 0]
             d2ik = X[0, 0] + X[2, 2] - X[0, 2] - X[2, 0]
@@ -284,8 +292,9 @@ class TestSteLoss:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         X = symmetrize(rng.standard_normal((5, 5)))
-        G = ste_grad_sample((0, 2, 4), X, lam=0.0)
-        G_fd = fd_gradient(lambda Y: ste_loss((0, 2, 4), Y), X)
+        prob = one_triplet((0, 2, 4), 5)
+        G = prob.grad_sample(0, X)
+        G_fd = fd_gradient(lambda Y: prob.eval_sample(0, Y), X)
         assert np.abs(G - G_fd).max() <= 1e-6
 
 
@@ -293,7 +302,7 @@ class TestSteGradSample:
     def test_sparsity_pattern_at_identity(self):
         p = 6
         i, j, k = 1, 3, 5
-        G = ste_grad_sample((i, j, k), np.eye(p), lam=0.0)
+        G = one_triplet((i, j, k), p).grad_sample(0, np.eye(p))
         # sigma(0) - 1 = -1/2 weights
         assert G[k, k] == pytest.approx(-0.5)
         assert G[j, j] == pytest.approx(0.5)
@@ -311,14 +320,15 @@ class TestSteGradSample:
         coords = np.zeros((4, 1))
         coords[3, 0] = 40.0
         X = coords @ coords.T
-        G = ste_grad_sample((0, 1, 3), X, lam=0.1)
+        G = one_triplet((0, 1, 3), 4, lam=0.1).grad_sample(0, X)
         np.testing.assert_allclose(G, 0.1 * np.eye(4), atol=1e-40)
 
     def test_matches_finite_differences_with_lambda(self):
         rng = np.random.default_rng(12)
         X = symmetrize(rng.standard_normal((5, 5)))
-        G = ste_grad_sample((1, 0, 3), X, lam=0.05)
-        G_fd = fd_gradient(lambda Y: ste_loss((1, 0, 3), Y) + 0.05 * np.trace(Y), X)
+        prob = one_triplet((1, 0, 3), 5, lam=0.05)
+        G = prob.grad_sample(0, X)
+        G_fd = fd_gradient(lambda Y: prob.eval_sample(0, Y), X)
         assert np.abs(G - G_fd).max() <= 1e-6
 
     def test_exact_symmetry_both_families(self):
@@ -363,9 +373,9 @@ class TestTripletProblem:
         _, T = planted_triplets(50, 2, 3200, seed=0)
         trip = TripletProblem(50, T, lam)
         X = gram(np.random.default_rng(17).standard_normal((50, 2)))
-        z = trip._margins(X)
-        w = -1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
         I, J, K = T[:, 0], T[:, 1], T[:, 2]
+        z = X[K, K] - X[J, J] - X[I, K] - X[K, I] + X[I, J] + X[J, I]
+        w = -1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
         G = np.zeros((50, 50))
         np.add.at(G, (K, K), w)
         np.add.at(G, (J, J), -w)

@@ -6,7 +6,7 @@ import pytest
 
 from factored_sdp import theory
 from factored_sdp.linalg import gram, symmetrize, truncated_approx
-from factored_sdp.objective import SensingProblem, sensing_generate
+from factored_sdp.objective import SampleObjective, SensingProblem, sensing_generate
 from factored_sdp.stepsize import StepSchedule
 from factored_sdp.theory import (
     CONSTANT_FIELDS,
@@ -571,7 +571,8 @@ class TestEstimateRegionStats:
             X = gram(U)
             calB = max(calB, float(np.linalg.norm(X)))
             full_sq = float(np.linalg.norm(obj.grad_full(X))) ** 2
-            B0 = max(B0, obj.mean_grad_sample_sqnorm(X) - full_sq)
+            second = SampleObjective.grad_moments_many(obj, [X])[1][0]
+            B0 = max(B0, second - full_sq)
             B1 = max(B1, full_sq)
         return {"calB": calB, "B0": max(B0, 0.0), "B1": B1,
                 "grad_norm_at_Xr": grad_norm_at_Xr}
