@@ -19,13 +19,12 @@ train/test split, the held-out test error, the smoothness probe pairs)
 live in ``objective``, and epochs-to-threshold in ``solvers``, so the
 CLI, the tests and the demos build the same instances.
 
-Exit codes: 0 success, 2 argument/input errors (every bad flag value,
-an ``--r`` above ``--r-star``, an init radius that overflows, a
-malformed triplet file or manifest (with the line number of a bad
-triplet line), an ``embed --split`` below 1 that leaves no test triplet,
-and an adaptive step whose secant denominator is exactly zero), 3 solver
-divergence (partial CSVs are still written, with the divergence row
-marked by NaN metrics).
+Exit codes: 0 success; 3 solver divergence (partial CSVs are still written,
+the divergence row marked by NaN metrics); 2 bad input, with one ``error:``
+line: a usage error or flag range (``argument --flag: ...``, from the parser,
+also when replaying), a check between flags (before any instance is drawn), a
+malformed triplet file or manifest, an ``embed --split`` leaving no test
+triplet, an overflowing init radius, or a secant denominator of exactly zero.
 """
 
 import argparse
@@ -80,6 +79,13 @@ INIT_SEED_OFFSET = 1_000_003
 
 class CliError(ValueError):
     """Bad flag combination or input content; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise CliError; subparsers inherit it."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 class TripletFormatError(CliError):
@@ -263,51 +269,38 @@ def _run_parallel(trials, jobs):
 def _parse_algos(text):
     algos = [a.strip() for a in text.split(",") if a.strip()]
     if not algos:
-        raise CliError("--algos needs at least one algorithm")
+        raise argparse.ArgumentTypeError("needs at least one algorithm")
     for a in algos:
         if a not in ALGORITHMS:
-            raise CliError(
+            raise argparse.ArgumentTypeError(
                 f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}"
             )
     if len(set(algos)) != len(algos):
-        raise CliError("--algos contains duplicates")
+        raise argparse.ArgumentTypeError("contains duplicates")
     return algos
 
 
 def _per_algo_values(text, algos, flag):
-    """One float broadcast to all algorithms, or a comma list matching --algos."""
+    """A finite float above 0 broadcast to all algorithms, or a comma list of them."""
     if text is None:
         return {}
     parts = text.split(",")
     try:
         values = [float(part) for part in parts]
     except ValueError:
-        raise CliError(f"{flag} values must be numbers, got {text!r}")
+        raise CliError(f"argument {flag}: values must be numbers, got {text!r}")
+    if not all(0 < value < math.inf for value in values):
+        raise CliError(f"argument {flag}: must be finite and above 0")
     if len(values) == 1:
         values = values * len(algos)
     if len(values) != len(algos):
-        raise CliError(
-            f"{flag} needs one value or {len(algos)} comma-separated values"
-        )
+        raise CliError(f"argument {flag}: needs one value or {len(algos)} "
+                       "comma-separated values")
     return dict(zip(algos, values))
 
 
-def _at_least(*checks):
-    """CliError naming the first ``(flag, value, least)`` below least; None passes."""
-    for flag, value, least in checks:
-        if value is not None and value < least:
-            raise CliError(f"{flag} must be at least {least}")
-
-
-def _check_counts(args):
-    """Reject the count flags of the solver commands before any set-up work."""
-    _at_least(("--epochs", args.epochs, 1), ("--eval-every", args.eval_every, 1),
-              ("--seeds", args.seeds, 1), ("--seed-base", args.seed_base, 0),
-              ("--jobs", args.jobs, 1), ("--m", args.m, 1))
-
-
 def _resolve_steps(args, L_hat, sigma1, n, family):
-    """Resolve --eta to a per-algorithm step map and fill --eps/--m/--t0.
+    """Merge the default steps into the --eta map and fill --eps/--m/--t0.
 
     Default steps come from measured curvature and scale.  ``base`` is the
     classic stability ceiling 1/(L sigma_1) for factored gradient steps,
@@ -338,7 +331,7 @@ def _resolve_steps(args, L_hat, sigma1, n, family):
         eps = 1.0 / (args.m * stochastic)
     defaults = {"fgd": full, "projgd": 0.5 / L_hat, "sfgd": stochastic,
                 "svrg-fixed": stochastic, "svrg-sbb0": adaptive, "svrg-sbb": adaptive}
-    args.eta = {**defaults, **_per_algo_values(args.eta, args.algos, "--eta")}
+    args.eta = {**defaults, **args.eta}
     if args.eps is None:
         args.eps = eps
     if args.t0 is None:
@@ -356,8 +349,8 @@ def _checked(fn, *args, **kwargs):
 def _trial(args, algo, seed, obj, U0, X_ref=None, U_ref=None, metric=None):
     """The (algorithm, seed) trial as a closure returning its record.
 
-    Config and schedule are built now, so a flag outside their range is a
-    CliError before any trial runs.  A diverged run returns its marked record.
+    Config and schedule are built now, so a derived default outside their
+    range is a CliError before any trial runs.  A diverged run returns its marked record.
     """
     fields = dict(algorithm=algo, r=U0.shape[1], epochs=args.epochs, seed=seed,
                   eval_every=args.eval_every)
@@ -431,21 +424,17 @@ def _sensing_setup(args):
     if args.r > args.r_star:
         raise CliError(f"--r {args.r} above --r-star {args.r_star}: a solver rank above "
                        "the planted rank is unsupported until ROADMAP direction 3(a)")
-    _at_least(("--instance-seed", args.instance_seed, 0))
-    obj = _checked(sensing_generate, args.p, args.r_star, args.n, args.instance_seed)
+    obj = sensing_generate(args.p, args.r_star, args.n, args.instance_seed)
     _, U_ref = truncated_approx(obj.Xstar, args.r)
     L_hat, mu_hat = estimate_smoothness(
         obj, probe_pairs(obj.p, args.r, seed=args.instance_seed + 1))
-    stats = _checked(estimate_region_stats, obj, U_ref, region_gamma0(L_hat, mu_hat),
-                     n_samples=args.region_samples, seed=args.instance_seed)
+    stats = estimate_region_stats(obj, U_ref, region_gamma0(L_hat, mu_hat),
+                                  n_samples=args.region_samples, seed=args.instance_seed)
     return obj, U_ref, L_hat, compute_constants(L_hat, mu_hat, obj.Xstar, args.r, stats)
 
 
 def cmd_sensing(args):
-    args.algos = _parse_algos(args.algos)
-    _check_counts(args)
-    if not args.threshold >= 0:
-        raise CliError("--threshold must be >= 0")
+    args.eta = _per_algo_values(args.eta, args.algos, "--eta")
     obj, U_ref, L_hat, constants = _sensing_setup(args)
     sigma1 = float(np.linalg.eigvalsh(obj.Xstar).max())
     _resolve_steps(args, L_hat, sigma1, obj.n, "sensing")
@@ -491,19 +480,13 @@ def cmd_sensing(args):
 
 
 def cmd_embed(args):
-    args.algos = _parse_algos(args.algos)
-    _check_counts(args)
-    if not (0.0 < args.split <= 1.0):
-        raise CliError("--split must be in (0, 1]")
-    if args.dim is None:
-        args.dim = args.r if args.r is not None else 2
-    args.r = None  # folded into --dim, so the manifest records --dim alone
-    if args.dim < 1:
-        raise CliError("--dim must be at least 1")
+    args.eta = _per_algo_values(args.eta, args.algos, "--eta")
+    try:
+        sigma1 = max(float(args.init_scale) ** 2, 1.0)
+    except OverflowError:
+        raise CliError(f"--init-scale {args.init_scale!r} is too large to square")
     triplets, args.p = read_triplets(args.triplets, args.p)
     args.triplets = os.path.abspath(args.triplets)
-    if not 0 <= args.lam < math.inf:
-        raise CliError("--lambda must be finite and nonnegative")
     n_train = train_size(args.split, len(triplets))
     has_test = args.split < 1.0
     if has_test and n_train == len(triplets):
@@ -513,10 +496,6 @@ def cmd_embed(args):
     L_hat, _ = estimate_smoothness(
         probe_obj, probe_pairs(args.p, args.dim, seed=args.seed_base + 1)
     )
-    try:
-        sigma1 = max(float(args.init_scale) ** 2, 1.0)
-    except OverflowError:
-        raise CliError(f"--init-scale {args.init_scale!r} is too large to square")
     _resolve_steps(args, L_hat, sigma1, n_train, "embed")
 
     trials = []
@@ -524,8 +503,7 @@ def cmd_embed(args):
         train, test = split_triplets(triplets, args.split, seed)
         obj = TripletProblem(args.p, train, args.lam)
         metric = (lambda X, t=test: test_error(X, t)) if has_test else None
-        U0 = _checked(init_scheme3, args.p, args.dim, args.init_scale,
-                      INIT_SEED_OFFSET + seed)
+        U0 = init_scheme3(args.p, args.dim, args.init_scale, INIT_SEED_OFFSET + seed)
         trials += [_trial(args, algo, seed, obj, U0, metric=metric)
                    for algo in args.algos]
     records, timing = _run_parallel(trials, args.jobs)
@@ -547,9 +525,8 @@ def cmd_embed(args):
 
 
 def cmd_gen_triplets(args):
-    _at_least(("--seed", args.seed, 0))
-    points, triplets = _checked(planted_triplets, args.p, args.dim, args.count,
-                                args.seed, noise=args.noise, scale=args.scale)
+    points, triplets = planted_triplets(args.p, args.dim, args.count, args.seed,
+                                        noise=args.noise, scale=args.scale)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "triplets.txt"), "w", encoding="utf-8") as fh:
         fh.write(
@@ -596,44 +573,67 @@ def cmd_replay(args):
         not isinstance(argv, list)
         or not argv
         or not all(isinstance(a, str) for a in argv)
-        or argv[0] not in ("sensing", "embed", "gen-triplets", "constants")
+        or argv[0] == "replay"
     ):
         raise CliError(f"manifest {args.manifest!r} has no usable replay_argv")
-    if argv[0] in ("constants", "gen-triplets"):
-        return main(argv + ["--out", args.out])
-    return main(argv + ["--out", args.out, "--jobs", str(args.jobs)])
+    replayed = build_parser().parse_args(argv + ["--out", args.out])
+    replayed.jobs = args.jobs  # read by sensing and embed only
+    return replayed.func(replayed)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+def _ranged(kind, ok, rule):
+    """An argparse ``type=``: ``kind(text)``, rejected as "must be <rule>" unless ``ok``.
+
+    Every ``ok`` is a comparison that NaN fails.  argparse reports a ValueError as
+    "invalid <name> value", so ``parse`` takes the name of ``kind``.
+    """
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_COUNT = _ranged(int, lambda v: v >= 1, "at least 1")
+_NONNEG_INT = _ranged(int, lambda v: v >= 0, "at least 0")
+_FINITE_NONNEG = _ranged(float, lambda v: 0 <= v < math.inf, "finite and at least 0")
+_FINITE_POSITIVE = _ranged(float, lambda v: 0 < v < math.inf, "finite and above 0")
+_NONNEG = _ranged(float, lambda v: v >= 0, "at least 0")
+
+
 def _add_common(sub, algos):
     """Flags of the solver commands; ``algos`` is the --algos default."""
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--algos", default=algos,
+    sub.add_argument("--algos", type=_parse_algos, default=algos,
                      help=f"comma list from: {', '.join(ALGORITHMS)} "
                           "(default: %(default)s)")
-    sub.add_argument("--seeds", type=int, default=1, help="number of trial seeds")
-    sub.add_argument("--seed-base", type=int, default=0,
+    sub.add_argument("--seeds", type=_COUNT, default=1, help="number of trial seeds")
+    sub.add_argument("--seed-base", type=_NONNEG_INT, default=0,
                      help="first trial seed; trial i uses seed-base + i")
-    sub.add_argument("--jobs", type=int, default=1, help="concurrent trial processes")
-    sub.add_argument("--epochs", type=int, default=100)
-    sub.add_argument("--eval-every", type=int, default=1,
+    sub.add_argument("--jobs", type=_COUNT, default=1, help="concurrent trial processes")
+    sub.add_argument("--epochs", type=_COUNT, default=100)
+    sub.add_argument("--eval-every", type=_COUNT, default=1,
                      help="record metrics every this many epochs")
     sub.add_argument("--eta", default=None,
                      help="step: the fixed step of fgd, projgd and svrg-fixed, "
                           "the initial step of sfgd, svrg-sbb0 and svrg-sbb; "
                           "one value or a comma list per --algos (default: "
                           "from the measured curvature)")
-    sub.add_argument("--eps", type=float, default=None,
+    sub.add_argument("--eps", type=_FINITE_NONNEG, default=None,
                      help="stabilizer for svrg-sbb (default: sensing "
                           "1/(m * default svrg-fixed step), embed 0.02 * "
                           "measured L)")
-    sub.add_argument("--m", type=int, default=None,
+    sub.add_argument("--m", type=_COUNT, default=None,
                      help="inner-loop length (default: sample size)")
-    sub.add_argument("--t0", type=float, default=None,
-                     help="sfgd decay horizon (default: sample size; inf "
+    sub.add_argument("--t0", type=_ranged(float, lambda v: v > 0, "above 0"),
+                     default=None, help="sfgd decay horizon (default: sample size; inf "
                           "freezes the step at its --eta)")
 
 
@@ -643,14 +643,14 @@ def _add_instance(sub):
     sub.add_argument("--r", type=int, default=5, help="solver rank")
     sub.add_argument("--r-star", type=int, default=None,
                      help="planted rank (default: same as --r)")
-    sub.add_argument("--n", type=int, default=None,
+    sub.add_argument("--n", type=_COUNT, default=None,
                      help="number of measurements (default 10p)")
-    sub.add_argument("--instance-seed", type=int, default=0)
-    sub.add_argument("--region-samples", type=int, default=64)
+    sub.add_argument("--instance-seed", type=_NONNEG_INT, default=0)
+    sub.add_argument("--region-samples", type=_NONNEG_INT, default=64)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="factored-sdp",
         description="Low-rank factored solvers for stochastic semidefinite programs.",
     )
@@ -659,9 +659,9 @@ def build_parser():
     sensing = subs.add_parser("sensing", help="synthetic matrix-sensing benchmark")
     _add_common(sensing, "svrg-fixed,svrg-sbb")
     _add_instance(sensing)
-    sensing.add_argument("--init-radius", type=float, default=None,
+    sensing.add_argument("--init-radius", type=_FINITE_NONNEG, default=None,
                          help="Frobenius radius of the perturbed-optimum init")
-    sensing.add_argument("--threshold", type=float, default=3e-6,
+    sensing.add_argument("--threshold", type=_NONNEG, default=3e-6,
                          help="error_X level for the epochs-to-threshold summary")
     sensing.set_defaults(func=cmd_sensing, parser=sensing)
 
@@ -670,25 +670,25 @@ def build_parser():
     embed.add_argument("--triplets", required=True, help="triplet file path")
     embed.add_argument("--p", type=int, default=None,
                        help="number of points (default: max index + 1)")
-    embed.add_argument("--dim", type=int, default=None, help="embedding dimension")
-    embed.add_argument("--r", type=int, default=None,
-                       help="alias for --dim (default 2)")
-    embed.add_argument("--lambda", dest="lam", type=float, default=1e-2,
+    embed.add_argument("--dim", "--r", type=_COUNT, default=2,
+                       help="embedding dimension (default 2); --r is the same as --dim")
+    embed.add_argument("--lambda", dest="lam", type=_FINITE_NONNEG, default=1e-2,
                        help="trace regularization weight")
-    embed.add_argument("--split", type=float, default=0.8,
-                       help="train fraction; 1.0 disables the test columns")
-    embed.add_argument("--init-scale", type=float, default=1.0)
+    embed.add_argument("--split", type=_ranged(float, lambda v: 0 < v <= 1, "in (0, 1]"),
+                       default=0.8, help="train fraction; 1.0 disables the test columns")
+    embed.add_argument("--init-scale", type=_FINITE_POSITIVE, default=1.0)
     embed.set_defaults(func=cmd_embed, parser=embed)
 
     gen = subs.add_parser("gen-triplets", help="plant a synthetic triplet dataset")
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--p", type=int, default=50, help="number of points")
-    gen.add_argument("--dim", type=int, default=2)
-    gen.add_argument("--count", type=int, default=4000)
-    gen.add_argument("--noise", type=float, default=0.0,
-                     help="probability a triplet is emitted flipped")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--scale", type=float, default=1.0)
+    gen.add_argument("--p", type=_ranged(int, lambda v: v >= 3, "at least 3"), default=50,
+                     help="number of points")
+    gen.add_argument("--dim", type=_COUNT, default=2)
+    gen.add_argument("--count", type=_COUNT, default=4000)
+    gen.add_argument("--noise", type=_ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+                     default=0.0, help="probability a triplet is emitted flipped")
+    gen.add_argument("--seed", type=_NONNEG_INT, default=0)
+    gen.add_argument("--scale", type=_FINITE_POSITIVE, default=1.0)
     gen.set_defaults(func=cmd_gen_triplets, parser=gen)
 
     consts = subs.add_parser("constants",
@@ -701,15 +701,14 @@ def build_parser():
     replay = subs.add_parser("replay", help="re-run a saved run.json manifest")
     replay.add_argument("manifest", help="path to a run.json")
     replay.add_argument("--out", required=True, help="fresh output directory")
-    replay.add_argument("--jobs", type=int, default=1)
+    replay.add_argument("--jobs", type=_COUNT, default=1)
     replay.set_defaults(func=cmd_replay)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, OSError, StallError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -173,11 +173,11 @@ class TestParseHelpers:
         assert _parse_algos("fgd,svrg-sbb") == ["fgd", "svrg-sbb"]
 
     def test_parse_algos_unknown(self):
-        with pytest.raises(CliError, match="unknown algorithm"):
+        with pytest.raises(argparse.ArgumentTypeError, match="unknown algorithm"):
             _parse_algos("fgd,newton")
 
     def test_parse_algos_duplicate(self):
-        with pytest.raises(CliError, match="duplicates"):
+        with pytest.raises(argparse.ArgumentTypeError, match="duplicates"):
             _parse_algos("fgd,fgd")
 
     def test_per_algo_broadcast(self):
@@ -193,7 +193,7 @@ class TestParseHelpers:
             _per_algo_values("big", ["fgd"], "--eta")
 
     def test_default_steps_cover_all_algorithms(self):
-        args = argparse.Namespace(algos=list(ALGORITHMS), eta=None,
+        args = argparse.Namespace(algos=list(ALGORITHMS), eta={},
                                   m=None, eps=None, t0=None)
         _resolve_steps(args, 2.0, 10.0, 100, "sensing")
         steps = args.eta
@@ -386,14 +386,37 @@ class TestSensingCommand:
     ])
     def test_bad_flag_value_exits_2_before_output(self, tmp_path, capsys,
                                                   flag, value):
+        self.exits_2_before_output(tmp_path, capsys, ",".join(ALGORITHMS), flag, value)
+
+    @pytest.mark.parametrize("algos,flag,value", [
+        ("fgd", "eps", "-1"), ("fgd", "t0", "nan"), ("svrg-sbb0", "eps", "nan"),
+    ])
+    def test_flag_no_chosen_algorithm_reads_exits_2_before_output(
+            self, tmp_path, capsys, algos, flag, value):
+        """A flag value is rejected whichever algorithms are chosen."""
+        self.exits_2_before_output(tmp_path, capsys, algos, flag, value)
+
+    @staticmethod
+    def exits_2_before_output(tmp_path, capsys, algos, flag, value):
         out = tmp_path / "run"
-        flags = {"algos": ",".join(ALGORITHMS), "epochs": 1, "seeds": 1,
-                 "region_samples": 2}
+        flags = {"algos": algos, "epochs": 1, "seeds": 1, "region_samples": 2}
         flags[flag.replace("-", "_")] = value
         rc = run_sensing(out, **flags)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @staticmethod
+    def exits_2_before_the_instance(monkeypatch, tmp_path, capsys, overrides, message):
+        """``run_sensing(**overrides)`` exits 2 with ``message`` and never draws."""
+        def no_instance(*args, **kwargs):
+            raise AssertionError("sensing_generate was called")
+
+        monkeypatch.setattr(cli, "sensing_generate", no_instance)
+        out = tmp_path / "run"
+        assert run_sensing(out, **overrides) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,least", [
@@ -402,14 +425,26 @@ class TestSensingCommand:
     ])
     def test_count_flag_exits_2_before_the_instance_is_built(
             self, monkeypatch, tmp_path, capsys, flag, value, least):
-        def no_instance(*args, **kwargs):
-            raise AssertionError("sensing_generate was called")
+        self.exits_2_before_the_instance(
+            monkeypatch, tmp_path, capsys, {flag: value},
+            f"argument --{flag}: must be at least {least}")
 
-        monkeypatch.setattr(cli, "sensing_generate", no_instance)
-        out = tmp_path / "run"
-        assert run_sensing(out, **{flag: value}) == 2
-        assert capsys.readouterr().err == f"error: --{flag} must be at least {least}\n"
-        assert not out.exists()
+    @pytest.mark.parametrize("flag,value,rule", [
+        ("eps", "-1", "must be finite and at least 0"),
+        ("eps", "nan", "must be finite and at least 0"),
+        ("t0", "-1", "must be above 0"),
+        ("t0", "nan", "must be above 0"),
+        ("init-radius", "nan", "must be finite and at least 0"),
+        ("region-samples", "-1", "must be at least 0"),
+        ("threshold", "nan", "must be at least 0"),
+        ("eta", "nan", "must be finite and above 0"),
+        ("eta", "0.1,0.2,0.3", "needs one value or 2 comma-separated values"),
+    ])
+    def test_value_flag_exits_2_before_the_instance_is_built(
+            self, monkeypatch, tmp_path, capsys, flag, value, rule):
+        self.exits_2_before_the_instance(
+            monkeypatch, tmp_path, capsys, {flag.replace("-", "_"): value},
+            f"argument --{flag}: {rule}")
 
     def test_eta_is_the_initial_step_of_sfgd_and_svrg_sbb(self, tmp_path):
         out = tmp_path / "run"
@@ -441,10 +476,10 @@ class TestSensingCommand:
     def test_t0_inf_is_valid(self, tmp_path):
         assert run_sensing(tmp_path / "run", algos="sfgd", t0="inf", seeds=1) == 0
 
-    def test_missing_required_flag_exits_2(self):
-        with pytest.raises(SystemExit) as info:
-            main(["sensing"])
-        assert info.value.code == 2
+    def test_missing_required_flag_exits_2(self, capsys):
+        assert main(["sensing"]) == 2
+        assert capsys.readouterr().err == \
+            "error: the following arguments are required: --out\n"
 
 
 def run_embed(triplet_path, out, **overrides):
@@ -472,7 +507,7 @@ def triplet_file(tmp_path):
 def test_negative_seed_error_names_the_flag(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {argv[-2]} must be at least 0\n"
+    assert capsys.readouterr().err == f"error: argument {argv[-2]}: must be at least 0\n"
     assert not out.exists()
 
 
@@ -564,6 +599,17 @@ class TestEmbedCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --init-scale") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_r_is_the_same_flag_as_dim(self, triplet_file, tmp_path):
+        """--r and --dim write the same bytes and a replay_argv with --dim alone."""
+        for flag in ("--r", "--dim"):
+            assert main(["embed", "--triplets", str(triplet_file), "--epochs", "2",
+                         "--out", str(tmp_path / flag), flag, "3"]) == 0
+        assert data_files(tmp_path / "--r") == data_files(tmp_path / "--dim")
+        argv = read_manifest(tmp_path / "--r")["replay_argv"]
+        assert argv == read_manifest(tmp_path / "--dim")["replay_argv"]
+        assert "--r" not in argv and argv.count("--dim") == 1
+        assert argv[argv.index("--dim") + 1] == "3"
 
     def test_negative_lambda_exits_2(self, triplet_file, tmp_path, capsys):
         rc = main(["embed", "--triplets", str(triplet_file),
@@ -722,7 +768,6 @@ class TestManifest:
                     for action in build_parser().parse_args(argv).parser._actions
                     if action.dest not in ("help", "out", "jobs")]
         if command == "embed":
-            declared.remove("--r")
             assert "--r" not in flags
             assert replay[replay.index("--dim") + 1] == "2"
             assert replay[replay.index("--algos") + 1] == "fgd,svrg-sbb"
@@ -768,6 +813,37 @@ class TestTracedNames:
                      "--region-samples", "2"]) == 0
         capsys.readouterr()
         assert calls["compute_constants"] == 2
+
+
+class TestParserErrors:
+    """argparse's usage errors are one ``error:`` line and exit 2, like every CliError."""
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["sensing", "--epochs", "1", "--eta0", "0.1"],
+         "unrecognized arguments: --eta0 0.1"),
+        (["sensing", "--p", "x"], "argument --p: invalid int value: 'x'"),
+    ], ids=["no-command", "unknown-flag", "non-numeric"])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run"
+        if argv:
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad,message", [
+        (["--eta0", "0.1"], "unrecognized arguments: --eta0 0.1"),
+        (["--p", "x"], "argument --p: invalid int value: 'x'"),
+    ], ids=["eta0", "non-numeric-p"])
+    def test_replayed_usage_error_is_one_line(self, tmp_path, capsys, bad, message):
+        manifest = tmp_path / "run.json"
+        argv = ["sensing", "--r", "2", "--epochs", "1", *bad]
+        manifest.write_text(json.dumps({"replay_argv": argv}), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["replay", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestReplayValidation:
