@@ -481,10 +481,7 @@ def cmd_sensing(args):
 
 def cmd_embed(args):
     args.eta = _per_algo_values(args.eta, args.algos, "--eta")
-    try:
-        sigma1 = max(float(args.init_scale) ** 2, 1.0)
-    except OverflowError:
-        raise CliError(f"--init-scale {args.init_scale!r} is too large to square")
+    sigma1 = max(args.init_scale ** 2, 1.0)
     triplets, args.p = read_triplets(args.triplets, args.p)
     args.triplets = os.path.abspath(args.triplets)
     n_train = train_size(args.split, len(triplets))
@@ -676,7 +673,9 @@ def build_parser():
                        help="trace regularization weight")
     embed.add_argument("--split", type=_ranged(float, lambda v: 0 < v <= 1, "in (0, 1]"),
                        default=0.8, help="train fraction; 1.0 disables the test columns")
-    embed.add_argument("--init-scale", type=_FINITE_POSITIVE, default=1.0)
+    embed.add_argument("--init-scale", type=_ranged(
+        float, lambda v: 0 < v and v * v < math.inf, "above 0 with a finite square"),
+        default=1.0)
     embed.set_defaults(func=cmd_embed, parser=embed)
 
     gen = subs.add_parser("gen-triplets", help="plant a synthetic triplet dataset")

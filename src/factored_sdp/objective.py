@@ -48,14 +48,14 @@ class SampleObjective:
             G += self.grad_sample(i, X)
         return G / self.n
 
-    def grad_sample_times_factor(self, i, X, U):
-        """grad f_i(X) @ U, with X = U U^T when X is None.
+    def grad_sample_times_factor(self, i, U):
+        """grad f_i(U U^T) @ U.
 
         This is the solver-facing direction: the factor of 2 in the
         derivative of g(U) = f(U U^T) is absorbed by the update rules, so a
         gradient check of g compares against twice this value.
         """
-        return self.grad_sample(i, gram(U) if X is None else X) @ U
+        return self.grad_sample(i, gram(U)) @ U
 
     def value_and_grad_full(self, X):
         return self.eval_full(X), self.grad_full(X)
@@ -113,13 +113,9 @@ class SensingProblem(SampleObjective):
     def grad_sample(self, i, X):
         return (np.vdot(self.A[i], X) - self.b[i]) * self.A[i]
 
-    def grad_sample_times_factor(self, i, X, U):
+    def grad_sample_times_factor(self, i, U):
         AU = self.A[i] @ U
-        if X is None:
-            inner = float(np.vdot(U, AU))
-        else:
-            inner = float(np.vdot(self.A[i], X))
-        return (inner - self.b[i]) * AU
+        return (float(np.vdot(U, AU)) - self.b[i]) * AU
 
     def _residuals(self, Xs):
         """The (S, n) residual block <A_i, X_s> - b_i of one point (S = 1) or a stack."""
@@ -205,9 +201,9 @@ class TripletProblem(SampleObjective):
     constraint (i, j, k) meaning d2_ij <= d2_ik, with the logistic loss
     l_c(X) = -log sigma(d2_ik - d2_ij), computed through logaddexp so that
     it stays finite for any finite X.  The trace term is folded into every
-    f_i so that f = (1/n) sum_i f_i exactly.  Every oracle reads its
+    f_i so that f = (1/n) sum_i f_i exactly.  The oracles of X read their
     margins d2_ik - d2_ij through ``_margin``, the full-batch ones for all
-    triplets at once, and the per-sample ones share one logistic weight.
+    triplets at once; the factor oracles read them off the rows of U.
 
     ``factor_steps`` runs a whole SVRG or SFGD inner loop with lazy dense
     updates, which the solvers use in place of their per-step loop.  It
@@ -281,15 +277,11 @@ class TripletProblem(SampleObjective):
             G += self.lam * np.eye(self.p)
         return G
 
-    def grad_sample_times_factor(self, i, X, U):
+    def grad_sample_times_factor(self, i, U):
         ti, tj, tk = self._triplet_rows[i]
-        if X is None:
-            dik = U[ti] - U[tk]
-            dij = U[ti] - U[tj]
-            z = float(dik @ dik) - float(dij @ dij)
-        else:
-            z = _margin(X, ti, tj, tk)
-        w = _logistic_weight(z)
+        dik = U[ti] - U[tk]
+        dij = U[ti] - U[tj]
+        w = _logistic_weight(float(dik @ dik) - float(dij @ dij))
         out = self.lam * U if self.lam else np.zeros_like(U)
         out[ti] += w * (U[tj] - U[tk])
         out[tj] += w * (U[ti] - U[tj])
@@ -302,10 +294,11 @@ class TripletProblem(SampleObjective):
         U is a (p, r) array, ``idx`` and ``etas`` equally long lists of
         sample indices and steps; step t is ``U <- U - etas[t] * d_t`` for
         sample ``i = idx[t]``.  Without ``anchor``, d_t is the SFGD
-        direction ``grad f_i(U U^T) @ U``.  With ``anchor = (Ut, Xt, g)``,
-        a snapshot factor, its Gram matrix and the full direction
-        ``grad f(Xt) @ Ut``, d_t is the SVRG direction
-        ``grad f_i(U U^T) @ U - grad f_i(Xt) @ Ut + g``.
+        direction ``grad f_i(U U^T) @ U``.  With ``anchor = (Ut, g)``, a
+        snapshot factor and the full direction ``grad f(Ut Ut^T) @ Ut``,
+        d_t is the SVRG direction
+        ``grad f_i(U U^T) @ U - grad f_i(Ut Ut^T) @ Ut + g``; the anchor's
+        margins are read off the rows of Ut, so no p-by-p matrix is formed.
 
         The result equals the per-step loop over ``grad_sample_times_factor``
         up to rounding, at a fraction of its cost.  A step's loss part moves
@@ -329,11 +322,13 @@ class TripletProblem(SampleObjective):
         if anchor is None:
             c = None
         else:
-            Ut, Xt, g = anchor
+            Ut, g = anchor
             tilde = Ut.tolist()
             c = (lam * Ut - g).tolist()
             with np.errstate(over="ignore", invalid="ignore"):
-                z = _margin(Xt, self._I, self._J, self._K)
+                dik = Ut[self._I] - Ut[self._K]
+                dij = Ut[self._I] - Ut[self._J]
+                z = np.einsum("tr,tr->t", dik, dik) - np.einsum("tr,tr->t", dij, dij)
                 e = np.exp(-np.abs(z))
                 w_anchor = np.where(z >= 0, -e / (1.0 + e), -1.0 / (1.0 + e)).tolist()
         P, R = 1.0, 0.0
@@ -359,7 +354,7 @@ class TripletProblem(SampleObjective):
                 rows[j] = [a * y - ew * (x - y) for x, y in zip(ui, uj)]
                 rows[k] = [a * v - ew * (v - x) for x, v in zip(ui, uk)]
             else:
-                # the anchor's loss part, grad f_i(Xt) @ Ut, on the same rows
+                # the anchor's loss part, grad f_i(Ut Ut^T) @ Ut, on the same rows
                 ti, tj, tk = tilde[i], tilde[j], tilde[k]
                 ea = eta * w_anchor[s]
                 rows[i] = [a * x + eta * ci - ew * (y - v) + ea * (sj - sk)

@@ -185,21 +185,23 @@ def _inner_loop(obj, U, idx, etas, anchor=None):
     """Step ``U <- U - etas[t] * d_t`` for sample ``i = idx[t]``; return the factor.
 
     d_t is ``grad f_i(U U^T) @ U``, the SFGD direction, or with ``anchor =
-    (Ut, Xt, g)`` the SVRG direction ``grad f_i(U U^T) @ U - grad f_i(Xt) @ Ut
-    + g``.  An objective with ``factor_steps`` runs the whole loop itself.
-    The update is applied in place on fresh oracle outputs; the loop runs n+
-    times per epoch and per-step temporaries dominate its cost otherwise.
+    (Ut, g)``, a snapshot and ``g = grad f(Ut Ut^T) @ Ut``, the SVRG direction
+    ``grad f_i(U U^T) @ U - grad f_i(Ut Ut^T) @ Ut + g``, whose sample terms
+    cancel exactly at U = Ut.  An objective with ``factor_steps`` runs the
+    whole loop itself.  The update is applied in place on fresh oracle outputs;
+    the loop runs n+ times per epoch and per-step temporaries dominate its
+    cost otherwise.
     """
     steps = getattr(obj, "factor_steps", None)
     if steps is not None:
         return steps(U, idx, etas, anchor=anchor)
     gstf = obj.grad_sample_times_factor
-    Ut, Xt, g = anchor if anchor is not None else (None, None, None)
+    Ut, g = anchor if anchor is not None else (None, None)
     U = U.copy()
     for i, eta in zip(idx, etas):
-        d = gstf(i, None, U)
+        d = gstf(i, U)
         if anchor is not None:
-            d -= gstf(i, Xt, Ut)
+            d -= gstf(i, Ut)
             d += g
         d *= eta
         U -= d
@@ -229,7 +231,7 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
             rec.row(k, eta, Utilde, Xt, f)
             idx = rng.integers(0, obj.n, size=config.m).tolist()
             Utilde = _inner_loop(obj, Utilde, idx, [eta] * config.m,
-                                 anchor=(Utilde, Xt, G @ Utilde))
+                                 anchor=(Utilde, G @ Utilde))
             rec.check(k + 1, Utilde)
         return rec.finish(Utilde)
 

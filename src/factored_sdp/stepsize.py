@@ -117,7 +117,7 @@ def sbb_upper_bound(eps, m):
 
     With ``eps = 0`` the step is unbounded and ``math.inf`` is returned.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     if int(m) < 1:
         raise ValueError("m must be a positive integer")

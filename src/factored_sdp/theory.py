@@ -115,17 +115,20 @@ class ConvergenceConstants:
             )
 
 
+def _assumption2(lhs, sigma_r, kappa, xi):
+    """The rank-r approximation-error condition: tail norm ``lhs`` against sigma_r."""
+    rhs = SQRT2M1 / math.sqrt(3.0) * math.sqrt(xi) / kappa * sigma_r
+    return AssumptionReport(
+        holds_approx_error=lhs < rhs, lhs=lhs, rhs=rhs, margin=rhs - lhs
+    )
+
+
 def check_assumption2(Xstar, r, kappa, xi):
     """Evaluate the rank-r approximation-error condition from the spectrum."""
     w = eig_sym(symmetrize(np.asarray(Xstar, dtype=float))).eigenvalues
     if r < 1 or r > len(w):
         raise ValueError("r out of range")
-    sigma_r = float(w[r - 1])
-    lhs = float(np.sqrt(np.sum(w[r:] ** 2)))
-    rhs = SQRT2M1 / math.sqrt(3.0) * math.sqrt(xi) / kappa * sigma_r
-    return AssumptionReport(
-        holds_approx_error=lhs < rhs, lhs=lhs, rhs=rhs, margin=rhs - lhs
-    )
+    return _assumption2(float(np.sqrt(np.sum(w[r:] ** 2))), float(w[r - 1]), kappa, xi)
 
 
 def region_gamma0(L, mu):
@@ -223,7 +226,6 @@ def compute_constants(L, mu, Xstar, r, region_stats):
         min(L * gamma_u / (2.0 * B2 * xi), eta_max) if not violated else nan
     )
 
-    assumption2 = check_assumption2(Xstar, r, kappa, xi)
     return ConvergenceConstants(
         L=float(L), mu=float(mu), kappa=kappa, r=int(r),
         sigma_r_Xr=sigma_r, sigma_1_Xr=sigma_1, tau_Ur=tau_Ur, tau_Xr=tau_Xr,
@@ -236,7 +238,8 @@ def compute_constants(L, mu, Xstar, r, region_stats):
         theta=theta, theta_alt=theta_alt, theta_forms_agree=agree,
         zeta1=zeta1, zeta1_a=zeta1_a, zeta1_b=zeta1_b, zeta2=zeta2,
         eta_max=eta_max, eta_bar_max=eta_bar_max,
-        assumption2=assumption2, violated=tuple(violated),
+        assumption2=_assumption2(approx_err, sigma_r, kappa, xi),
+        violated=tuple(violated),
     )
 
 
@@ -311,10 +314,15 @@ def theorem1_rate(constants, eta_k, m, k, init_err):
     """Predicted upper bound on the expected squared factor error after k outer steps.
 
     ``eta_k`` is a scalar (constant step) or a sequence of at least k
-    steps.  Hypotheses (every step inside (0, eta_max); initial squared
-    error inside (gamma_l, gamma_u)) are enforced and violations raise
+    steps; outer step t maps the bound E to
+    ``rho_tilde(eta_t, m) E + gamma_l_tilde (1 - rho(eta_t)^m)``, starting
+    from ``init_err``.  ``k < 0`` or ``m < 1`` raises ValueError.
+    Hypotheses (every step inside (0, eta_max); initial squared error
+    inside (gamma_l, gamma_u)) are enforced and violations raise
     :class:`HypothesisError` naming the failed one.
     """
+    if k < 0 or m < 1:
+        raise ValueError(f"need k >= 0 outer and m >= 1 inner steps, got k={k}, m={m}")
     constants.require_assumption2()
     if np.isscalar(eta_k):
         etas = [float(eta_k)] * k
@@ -333,18 +341,11 @@ def theorem1_rate(constants, eta_k, m, k, init_err):
             f"initial squared error {init_err:.6g} outside "
             f"(gamma_l={constants.gamma_l:.6g}, gamma_u={constants.gamma_u:.6g})"
         )
-    if k == 0:
-        return float(init_err)
-    rhos = [constants.rho(eta) for eta in etas]
-    rts = [constants.rho_tilde(eta, m) for eta in etas]
-    # suffix[t] = product of rho_tilde_i for i in (t, k-1]
-    suffix = [1.0] * (k + 1)
-    for t in range(k - 1, -1, -1):
-        suffix[t] = suffix[t + 1] * rts[t]
-    accum = 1.0 - rhos[k - 1] ** m
-    for t in range(k - 1):
-        accum += suffix[t + 1] * (1.0 - rhos[t] ** m)
-    return suffix[0] * float(init_err) + constants.gamma_l_tilde * accum
+    E = float(init_err)
+    for eta in etas:
+        E = (constants.rho_tilde(eta, m) * E
+             + constants.gamma_l_tilde * (1.0 - constants.rho(eta) ** m))
+    return E
 
 
 def lemma_dist_bounds(U, Ur):

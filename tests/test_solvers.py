@@ -189,6 +189,26 @@ class TestSvrg:
         for out in outs:
             assert np.abs(out - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("family", ["sensing", "triplet"])
+    def test_one_step_epoch_is_one_fgd_step_bitwise(self, family):
+        # the inner step starts at the snapshot, where the two sample terms
+        # come from the one oracle on equal factors and cancel exactly, so
+        # the direction is the full one to the bit; the triplet case runs
+        # the per-step loop
+        if family == "sensing":
+            obj = sensing_generate(6, 2, 30, seed=44)
+        else:
+            _, T = planted_triplets(12, 2, 400, 0)
+            obj = ReferenceTriplets(12, T, 0.1)
+        eta = 0.01
+        for seed in range(20):
+            U0 = np.random.default_rng(seed).standard_normal((obj.p, 2))
+            svrg = run_svrg(obj, svrg_config(epochs=1, m=1, seed=seed,
+                                             schedule=fixed(eta)), U0)
+            fgd = run_fgd(obj, SolverConfig(algorithm="fgd", r=2, epochs=1, seed=seed,
+                                            eta=eta), U0)
+            assert np.array_equal(svrg.final_U, fgd.final_U), f"seed {seed}"
+
     def test_single_sample_matches_fgd(self):
         # n=1 collapses the variance-reduced direction to the full
         # gradient, so m inner steps replay m FGD iterations
@@ -211,12 +231,11 @@ class TestSvrg:
         rng = np.random.default_rng(8)
         Utilde = rng.standard_normal((5, 2))
         U = rng.standard_normal((5, 2))
-        Xt = gram(Utilde)
-        g_anchor = prob.grad_full(Xt) @ Utilde
+        g_anchor = prob.grad_full(gram(Utilde)) @ Utilde
         mean = np.zeros_like(U)
         for i in range(prob.n):
-            cur = prob.grad_sample_times_factor(i, None, U)
-            anc = prob.grad_sample_times_factor(i, Xt, Utilde)
+            cur = prob.grad_sample_times_factor(i, U)
+            anc = prob.grad_sample_times_factor(i, Utilde)
             mean += cur - anc + g_anchor
         mean /= prob.n
         full = prob.grad_full(gram(U)) @ U
@@ -317,7 +336,7 @@ class TestSfgd:
         U = np.random.default_rng(25).standard_normal((5, 2))
         mean = np.zeros_like(U)
         for i in range(prob.n):
-            mean += prob.grad_sample_times_factor(i, None, U)
+            mean += prob.grad_sample_times_factor(i, U)
         mean /= prob.n
         assert np.abs(mean - prob.grad_full(gram(U)) @ U).max() <= 1e-10
 
@@ -355,11 +374,11 @@ class TestSensingInnerLoop:
         rec = run_svrg(prob, svrg_config(epochs=1, m=m, seed=seed,
                                          schedule=fixed(eta)), U0)
         gstf = prob.grad_sample_times_factor
-        Ut, Xt = U0.copy(), gram(U0)
-        g = prob.value_and_grad_full(Xt)[1] @ Ut
+        Ut = U0.copy()
+        g = prob.value_and_grad_full(gram(Ut))[1] @ Ut
         U = Ut.copy()
         for i in np.random.default_rng(seed).integers(0, prob.n, size=m).tolist():
-            U = U - eta * (gstf(i, None, U) - gstf(i, Xt, Ut) + g)
+            U = U - eta * (gstf(i, U) - gstf(i, Ut) + g)
         assert np.array_equal(rec.final_U, U)
 
     def test_two_sfgd_epochs_are_the_update_rule(self):
@@ -372,7 +391,7 @@ class TestSensingInnerLoop:
         U, t = U0.copy(), 0
         for _ in range(2):
             for i in rng.integers(0, prob.n, size=prob.n).tolist():
-                U = U - eta0 / (1.0 + t / t0) * prob.grad_sample_times_factor(i, None, U)
+                U = U - eta0 / (1.0 + t / t0) * prob.grad_sample_times_factor(i, U)
                 t += 1
         assert np.array_equal(rec.final_U, U)
 
@@ -455,9 +474,9 @@ class CountingTriplets(TripletProblem):
 
     calls = 0
 
-    def grad_sample_times_factor(self, i, X, U):
+    def grad_sample_times_factor(self, i, U):
         self.calls += 1
-        return super().grad_sample_times_factor(i, X, U)
+        return super().grad_sample_times_factor(i, U)
 
 
 def kernel_and_reference(algo, p, triplets, lam, U0, **fields):

@@ -156,3 +156,7 @@ class TestUpperBound:
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError):
             sbb_upper_bound(-1.0, 10)
+
+    def test_rejects_nan_eps(self):
+        with pytest.raises(ValueError):
+            sbb_upper_bound(math.nan, 10)

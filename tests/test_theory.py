@@ -348,6 +348,16 @@ class TestTheorem1Rate:
         with pytest.raises(ValueError, match="at least"):
             theorem1_rate(c, [c.eta_max / 2.0] * 2, 8, 3, d0)
 
+    def test_rejects_negative_outer_count(self):
+        c = near_rank2_constants()
+        with pytest.raises(ValueError, match="k >= 0"):
+            theorem1_rate(c, c.eta_max / 2.0, 8, -1, 0.5 * (c.gamma_l + c.gamma_u))
+
+    def test_rejects_empty_inner_loop(self):
+        c = near_rank2_constants()
+        with pytest.raises(ValueError, match="m >= 1"):
+            theorem1_rate(c, c.eta_max / 2.0, 0, 3, 0.5 * (c.gamma_l + c.gamma_u))
+
     def test_unmet_assumption_blocks_evaluation(self):
         c = compute_constants(1.0, 1.0, np.eye(5), 4, REGION)
         with pytest.raises(HypothesisError):
