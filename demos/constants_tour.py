@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from factored_sdp.cli import INIT_SEED_OFFSET
 from factored_sdp.init import init_perturbed_optimum
 from factored_sdp.linalg import truncated_approx
 from factored_sdp.objective import estimate_smoothness, probe_pairs, sensing_generate
@@ -58,7 +59,7 @@ def main():
     radius = 0.5 * math.sqrt(c.gamma_u_tilde)
     sq_dists = []
     for seed in range(args.trials):
-        U0 = init_perturbed_optimum(Ur, radius, 1_000_003 + seed)
+        U0 = init_perturbed_optimum(Ur, radius, INIT_SEED_OFFSET + seed)
         cfg = SolverConfig(algorithm="svrg-fixed", r=args.r, epochs=args.epochs,
                            seed=seed, m=m, schedule=fixed(eta))
         rec = run_svrg(obj, cfg, U0, X_ref=obj.Xstar, U_ref=Ur)
@@ -67,7 +68,7 @@ def main():
 
     print(f"\n{'k':>3} {'predicted bound':>16} {'empirical mean':>15} {'ratio':>7}")
     for k in range(args.epochs + 1):
-        bound = theorem1_rate(c, eta, m, k, emp[0])
+        bound = theorem1_rate(c, [eta] * k, m, emp[0])
         print(f"{k:>3} {bound:>16.3e} {emp[k]:>15.3e} {emp[k] / bound:>7.3f}")
 
     halving = math.log(0.5) / math.log(c.rho_tilde(eta, m))

@@ -14,8 +14,9 @@ import argparse
 import math
 import time
 
+import numpy as np
+
 from factored_sdp.init import init_perturbed_optimum
-from factored_sdp.linalg import norms
 from factored_sdp.objective import estimate_smoothness, probe_pairs, sensing_generate
 from factored_sdp.solvers import SolverConfig, epochs_to, run_fgd, run_sfgd, run_svrg
 from factored_sdp.stepsize import fixed, sbb
@@ -33,7 +34,7 @@ def main():
     prob = sensing_generate(args.p, args.r, args.n, args.seed)
     L_hat, mu_hat = estimate_smoothness(
         prob, probe_pairs(args.p, args.r, seed=args.seed + 1))
-    _, sigma1 = norms(prob.Xstar)
+    sigma1 = float(np.linalg.eigvalsh(prob.Xstar).max())
     base = 1.0 / (L_hat * sigma1)
     root_n = math.sqrt(prob.n)
 

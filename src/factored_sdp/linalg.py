@@ -1,14 +1,12 @@
 """Dense symmetric-matrix kernel.
 
 Eigendecomposition, truncated low-rank approximation, projection onto the
-PSD cone, norms, and orthogonal-Procrustes alignment of tall factors.
+PSD cone, and orthogonal-Procrustes alignment of tall factors.
 Everything here is a pure function of its inputs; matrices are plain numpy
 arrays, kept exactly symmetric by construction.
 """
 
 import numpy as np
-
-from dataclasses import dataclass
 
 
 def tol_psd(M):
@@ -52,20 +50,10 @@ def gram(U):
     return (G + G.T) / 2.0
 
 
-@dataclass
-class EigDecomp:
-    """Eigendecomposition of a symmetric matrix.
-
-    eigenvalues are sorted descending; eigenvectors holds the matching
-    orthonormal columns, so Q diag(w) Q^T reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def eig_sym(M):
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending.
+    """``(w, Q)`` as ``np.linalg.eigh`` returns them, but eigenvalues descending.
+
+    Q's orthonormal columns match w, so Q diag(w) Q^T reconstructs M.
 
     Ties between equal eigenvalues are broken by a stable sort on
     (eigenvalue descending, original column index ascending), so the output
@@ -84,7 +72,7 @@ def eig_sym(M):
     if not (np.isfinite(w).all() and np.isfinite(Q).all()):
         raise EigFail("eigendecomposition produced non-finite values")
     order = np.argsort(-w, kind="stable")
-    return EigDecomp(eigenvalues=w[order], eigenvectors=Q[:, order])
+    return w[order], Q[:, order]
 
 
 def truncated_approx(M, r):
@@ -113,12 +101,12 @@ def truncated_approx(M, r):
     p = M.shape[0]
     if not 1 <= r <= p:
         raise ShapeError(f"rank {r} out of range for a {p}x{p} matrix")
-    dec = eig_sym(M)
+    w, Q = eig_sym(M)
     tol = tol_psd(M)
-    if dec.eigenvalues.min(initial=0.0) < -tol:
-        raise NotPSD(f"eigenvalue {dec.eigenvalues.min()} below -{tol}")
-    w = np.clip(dec.eigenvalues[:r], 0.0, None)
-    Q = dec.eigenvectors[:, :r]
+    if w.min(initial=0.0) < -tol:
+        raise NotPSD(f"eigenvalue {w.min()} below -{tol}")
+    w = np.clip(w[:r], 0.0, None)
+    Q = Q[:, :r]
     F = Q * np.sqrt(w)
     M_r = symmetrize(Q @ np.diag(w) @ Q.T)
     return M_r, F
@@ -130,9 +118,8 @@ def proj_psd(M):
     Eigendecompose, clamp negative eigenvalues to zero, reconstruct.
     Fixed point on PSD inputs (up to reconstruction tolerance).
     """
-    dec = eig_sym(M)
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    Q = dec.eigenvectors
+    w, Q = eig_sym(M)
+    w = np.clip(w, 0.0, None)
     return symmetrize((Q * w) @ Q.T)
 
 
@@ -155,22 +142,3 @@ def procrustes_dist(U, V):
     W, _, Zt = np.linalg.svd(V.T @ U)
     R = W @ Zt
     return float(np.linalg.norm(U - V @ R))
-
-
-def norms(M, r=None):
-    """Frobenius and spectral norms of a symmetric matrix.
-
-    With r given, additionally returns the r-th largest singular value
-    (for symmetric M these are the absolute eigenvalues, sorted descending).
-
-    Returns
-    -------
-    (frobenius, spectral) or (frobenius, spectral, sigma_r)
-    """
-    M = np.asarray(M, dtype=float)
-    fro = float(np.linalg.norm(M))
-    svals = np.sort(np.abs(np.linalg.eigvalsh(M)))[::-1]
-    spectral = float(svals[0]) if svals.size else 0.0
-    if r is None:
-        return fro, spectral
-    return fro, spectral, float(svals[r - 1])

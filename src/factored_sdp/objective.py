@@ -255,8 +255,7 @@ class TripletProblem(SampleObjective):
         G[tj, tj] = -w
         G[ti, tj] = G[tj, ti] = w
         G[ti, tk] = G[tk, ti] = -w
-        if self.lam:
-            G += self.lam * np.eye(self.p)
+        G += self.lam * np.eye(self.p)
         return G
 
     def eval_full(self, X):
@@ -273,8 +272,7 @@ class TripletProblem(SampleObjective):
         # mirror entries accumulate in different orders; make symmetry exact
         G = (G + G.T) / 2.0
         G /= self.n
-        if self.lam:
-            G += self.lam * np.eye(self.p)
+        G += self.lam * np.eye(self.p)
         return G
 
     def grad_sample_times_factor(self, i, U):
@@ -282,7 +280,7 @@ class TripletProblem(SampleObjective):
         dik = U[ti] - U[tk]
         dij = U[ti] - U[tj]
         w = _logistic_weight(float(dik @ dik) - float(dij @ dij))
-        out = self.lam * U if self.lam else np.zeros_like(U)
+        out = self.lam * U
         out[ti] += w * (U[tj] - U[tk])
         out[tj] += w * (U[ti] - U[tj])
         out[tk] += w * (U[tk] - U[ti])

@@ -70,6 +70,10 @@ class SolverConfig:
             raise ValueError("eta0 must be finite and > 0")
         if self.t0 is not None and not self.t0 > 0:
             raise ValueError("t0 must be positive (inf freezes the step)")
+        # the secant step divides by the schedule's m; the loop runs self.m steps
+        m = getattr(self.schedule, "m", self.m)
+        if m != self.m:
+            raise ValueError(f"schedule inner-loop length {m} differs from m={self.m}")
 
 
 @dataclass
@@ -85,6 +89,8 @@ class Row:
 
 @dataclass
 class RunRecord:
+    """Rows and last iterate: ``final_U`` of a factored run, ``final_X`` of ProjGD."""
+
     algorithm: str
     seed: int
     rows: list = field(default_factory=list)
@@ -175,7 +181,6 @@ class _Recorder:
 
     def finish(self, U, X=None):
         """Append the final row (step 0.0) and return the record."""
-        X = gram(U) if X is None else X
         self.row(self.epochs, 0.0, U, X)
         self.record.final_U, self.record.final_X = U, X
         return self.record
@@ -214,7 +219,7 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     Every outer iteration recomputes the anchor gradient ``grad f_i`` at
     the stored snapshot instead of caching the n per-sample gradients, and
     consults the step schedule once with the snapshot and its full matrix
-    gradient.
+    gradient.  The schedule's state lives in this call, not the schedule.
     """
     if config.schedule is None:
         raise ValueError("run_svrg needs config.schedule")
@@ -223,11 +228,12 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     Utilde = _check_factor(obj, config, U0)
     rng = np.random.default_rng(config.seed)
     rec = _Recorder(obj, config, "svrg", X_ref, U_ref, metric)
+    state = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
             Xt = gram(Utilde)
             f, G = obj.value_and_grad_full(Xt)
-            eta = config.schedule.next_step(k, Xt, G)
+            eta, state = config.schedule.next_step(state, Xt, G)
             rec.row(k, eta, Utilde, Xt, f)
             idx = rng.integers(0, obj.n, size=config.m).tolist()
             Utilde = _inner_loop(obj, Utilde, idx, [eta] * config.m,

@@ -19,11 +19,12 @@ class StallError(RuntimeError):
 
 
 class StepSchedule:
-    """Mutable step-size state machine owned by a single solver run.
+    """Step-size rule of the variance-reduced solver; it holds no run state.
 
-    Build instances through :func:`fixed` or :func:`sbb`.
-    The adaptive schedules keep the previous outer iterate and its full
-    gradient; the first call returns ``eta0`` and only primes that state.
+    Build instances through :func:`fixed` or :func:`sbb`.  The run keeps
+    the adaptive rule's previous iterate in the ``state`` that
+    :meth:`next_step` takes and returns, so one schedule serves any
+    number of runs.
     """
 
     def __init__(self, kind, *, eta=None, eps=None, m=None, eta0=None):
@@ -44,16 +45,16 @@ class StepSchedule:
             self.eta0 = 1e-3 if eta0 is None else float(eta0)
             if not 0 < self.eta0 < math.inf:
                 raise ValueError("eta0 must be finite and positive")
-            self._prev_X = self._prev_g = self._prev_eta = None
 
-    def next_step(self, k, X, g):
-        """Return the step size for outer iteration ``k``.
+    def next_step(self, state, X, g):
+        """Return ``(eta, state)``: the step at outer iterate ``X``, the next state.
 
         Parameters
         ----------
-        k : int
-            Outer iteration index (informational; the decision is driven
-            by whether previous-iterate state exists).
+        state : tuple or None
+            The previous call's state, None at a run's first call.  The
+            adaptive rule's is ``(X, g, eta)`` of the last iterate that
+            moved, holding X and g themselves, not copies.
         X : ndarray
             Current outer iterate, symmetric (p, p).
         g : ndarray
@@ -61,13 +62,14 @@ class StepSchedule:
 
         Returns
         -------
-        float
-            The step size.  For the adaptive schedules this is
+        (float, tuple or None)
+            The step and the state for the next call.  The fixed rule
+            returns ``eta``; the adaptive rule ``eta0`` at state None, else
 
                 ||dX||_F^2 / (m * (|<dX, dg>| + eps * ||dX||_F^2))
 
-            with dX and dg the differences to the stored previous outer
-            iterate and gradient.
+            with dX and dg the differences to the state's iterate and
+            gradient.
 
         Raises
         ------
@@ -76,19 +78,17 @@ class StepSchedule:
             and an unchanged gradient across distinct iterates.
         """
         if self.kind == FIXED:
-            return self.eta
-        if self._prev_X is None:
-            self._prev_X = X.copy()
-            self._prev_g = g.copy()
-            self._prev_eta = self.eta0
-            return self.eta0
-        dX = X - self._prev_X
+            return self.eta, state
+        if state is None:
+            return self.eta0, (X, g, self.eta0)
+        prev_X, prev_g, prev_eta = state
+        dX = X - prev_X
         dx2 = float(np.vdot(dX, dX))
         if dx2 == 0.0:
             # outer iterate exactly repeated: keep the previous step and
             # leave the anchor pair alone rather than freezing at 0
-            return self._prev_eta
-        dg = g - self._prev_g
+            return prev_eta, state
+        dg = g - prev_g
         denom = abs(float(np.vdot(dX, dg))) + self.eps * dx2
         if denom == 0.0:
             raise StallError(
@@ -96,10 +96,7 @@ class StepSchedule:
                 "outer iterates and eps = 0"
             )
         eta = dx2 / (self.m * denom)
-        self._prev_X = X.copy()
-        self._prev_g = g.copy()
-        self._prev_eta = eta
-        return eta
+        return eta, (X, g, eta)
 
 
 def fixed(eta):

@@ -125,7 +125,7 @@ def _assumption2(lhs, sigma_r, kappa, xi):
 
 def check_assumption2(Xstar, r, kappa, xi):
     """Evaluate the rank-r approximation-error condition from the spectrum."""
-    w = eig_sym(symmetrize(np.asarray(Xstar, dtype=float))).eigenvalues
+    w, _ = eig_sym(symmetrize(np.asarray(Xstar, dtype=float)))
     if r < 1 or r > len(w):
         raise ValueError("r out of range")
     return _assumption2(float(np.sqrt(np.sum(w[r:] ** 2))), float(w[r - 1]), kappa, xi)
@@ -160,7 +160,7 @@ def compute_constants(L, mu, Xstar, r, region_stats):
     B1 = float(region_stats["B1"])
     grad_norm = float(region_stats["grad_norm_at_Xr"])
 
-    w = eig_sym(symmetrize(np.asarray(Xstar, dtype=float))).eigenvalues
+    w, _ = eig_sym(symmetrize(np.asarray(Xstar, dtype=float)))
     if r < 1 or r > len(w) or w[r - 1] <= 0:
         raise ValueError("r must index a strictly positive eigenvalue of the optimum")
     sigma_r = float(w[r - 1])
@@ -310,27 +310,21 @@ def sbb_inner_count_bound(mu, eps, eta_max):
     return math.ceil(1.0 / ((mu + eps) * eta_max)) + 1
 
 
-def theorem1_rate(constants, eta_k, m, k, init_err):
-    """Predicted upper bound on the expected squared factor error after k outer steps.
+def theorem1_rate(constants, etas, m, init_err):
+    """Predicted bound on the expected squared factor error after steps ``etas``.
 
-    ``eta_k`` is a scalar (constant step) or a sequence of at least k
+    ``etas`` holds one step per outer step, ``[eta] * k`` for k constant
     steps; outer step t maps the bound E to
     ``rho_tilde(eta_t, m) E + gamma_l_tilde (1 - rho(eta_t)^m)``, starting
-    from ``init_err``.  ``k < 0`` or ``m < 1`` raises ValueError.
+    from ``init_err``.  ``m < 1`` raises ValueError.
     Hypotheses (every step inside (0, eta_max); initial squared error
     inside (gamma_l, gamma_u)) are enforced and violations raise
     :class:`HypothesisError` naming the failed one.
     """
-    if k < 0 or m < 1:
-        raise ValueError(f"need k >= 0 outer and m >= 1 inner steps, got k={k}, m={m}")
+    if m < 1:
+        raise ValueError(f"need m >= 1 inner steps, got m={m}")
     constants.require_assumption2()
-    if np.isscalar(eta_k):
-        etas = [float(eta_k)] * k
-    else:
-        etas = [float(e) for e in eta_k]
-        if len(etas) < k:
-            raise ValueError(f"need at least {k} step sizes, got {len(etas)}")
-        etas = etas[:k]
+    etas = [float(e) for e in etas]
     for i, eta in enumerate(etas):
         if not (0.0 < eta < constants.eta_max):
             raise HypothesisError(

@@ -142,9 +142,9 @@ def test_criterion_01_sensing_convergence_and_ordering():
     eps_stab = 50.0
 
     schedules = {
-        "svrg-fixed": lambda: fixed(1.75e-5),
-        "svrg-sbb0": lambda: sbb(0.0, m, eta0=1e-5),
-        "svrg-sbb": lambda: sbb(eps_stab, m, eta0=1e-5),
+        "svrg-fixed": fixed(1.75e-5),
+        "svrg-sbb0": sbb(0.0, m, eta0=1e-5),
+        "svrg-sbb": sbb(eps_stab, m, eta0=1e-5),
     }
     epochs = {"svrg-fixed": 62, "svrg-sbb0": 80, "svrg-sbb": 56,
               "sfgd": 88, "fgd": 176}
@@ -159,7 +159,7 @@ def test_criterion_01_sensing_convergence_and_ordering():
                 algorithm=algo, r=5, epochs=epochs[algo], seed=seed,
                 m=m if algo.startswith("svrg") else None,
                 eval_every=eval_every.get(algo, 1),
-                schedule=schedules[algo]() if algo.startswith("svrg") else None,
+                schedule=schedules.get(algo),
                 eta=5e-3 if algo == "fgd" else None,
                 eta0=4e-5 if algo == "sfgd" else None,
                 t0=1e4 if algo == "sfgd" else None,
@@ -312,7 +312,7 @@ def test_criterion_04_rate_bound_dominates():
 
     D0 = float(emp[0])
     bound = np.asarray(
-        [theorem1_rate(c, eta, 400, k, D0) for k in range(epochs + 1)]
+        [theorem1_rate(c, [eta] * k, 400, D0) for k in range(epochs + 1)]
     )
     ratio = emp / bound
     elapsed = time.perf_counter() - start

@@ -23,7 +23,13 @@ from factored_sdp.cli import (
     main,
     read_triplets,
 )
-from factored_sdp.objective import EmptyTestSet, planted_triplets, split_triplets
+from factored_sdp.linalg import truncated_approx
+from factored_sdp.objective import (
+    EmptyTestSet,
+    planted_triplets,
+    sensing_generate,
+    split_triplets,
+)
 from factored_sdp.objective import test_error as triplet_error
 
 
@@ -471,6 +477,33 @@ class TestSensingCommand:
             assert run_sensing(out, init_radius="1e308", seeds=1) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: radius") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_projgd_rows_have_no_factor_error(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_sensing(out, algos="projgd") == 0
+        rows = read_rows(out / "curves.csv")
+        column = rows[0].index("error_U")
+        assert len(rows) == 1 + 2 * 4
+        assert all(row[column] == "" for row in rows[1:])
+
+    def test_init_radius_falls_back_when_gamma_u_is_nan(self, tmp_path):
+        """Rank 1 of a rank-3 optimum breaks Assumption 2, so gamma_u is NaN."""
+        out = tmp_path / "run"
+        assert main(["sensing", "--p", "12", "--r", "1", "--r-star", "3", "--n", "120",
+                     "--region-samples", "4", "--epochs", "3", "--out", str(out)]) == 0
+        argv = read_manifest(out)["replay_argv"]
+        radius = float(argv[argv.index("--init-radius") + 1])
+        _, U_ref = truncated_approx(sensing_generate(12, 3, 120, 0).Xstar, 1)
+        assert radius == 0.05 * float(np.linalg.norm(U_ref))
+        constants = read_rows(out / "constants.csv")
+        assert dict(constants[1:])["gamma_u"] == "nan"
+
+    def test_empty_algorithm_list_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_sensing(out, algos=",") == 2
+        assert capsys.readouterr().err == \
+            "error: argument --algos: needs at least one algorithm\n"
         assert not out.exists()
 
     def test_t0_inf_is_valid(self, tmp_path):

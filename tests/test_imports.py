@@ -1,10 +1,11 @@
 """Every module in src/, tests/ and demos/ uses each name it imports, and
-every private name defined in src/ is used there.
+every private name and function parameter defined in src/ is used there.
 
 No linter ships with the project, so these scans stand in for one: an
 import whose name the module never reads is dead code, and so is a private
 (``_name``, not dunder) function, class, method or module constant that
-no module of src/ references beyond its definition.
+no module of src/ references beyond its definition, and a parameter that
+its function's body never reads.
 """
 
 import ast
@@ -69,6 +70,39 @@ def unreferenced_private_names(sources):
             for line, name in private_definitions(tree) if name not in used]
 
 
+def only_raises_not_implemented(fn):
+    """Whether ``fn``'s body, past any docstring, is one ``raise NotImplementedError``."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unread_parameters(source):
+    """(line, function, parameter) of each parameter its function never reads.
+
+    A read is a loaded Name anywhere in the body, nested functions included.
+    ``self`` and ``cls`` are exempt, as the method protocol passes them, and
+    so is a method that only raises NotImplementedError: it declares an
+    interface.
+    """
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or only_raises_not_implemented(fn):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(arg for arg in (a.vararg, a.kwarg) if arg is not None)]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [(fn.lineno, fn.name, arg.arg) for arg in params
+                  if arg.arg not in read | {"self", "cls"}]
+    return found
+
+
 def test_scan_finds_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau as t\nprint(sys.argv, pi)\n"
     assert unused_imports(source) == [(1, "os"), (3, "t")]
@@ -83,6 +117,15 @@ def test_scan_finds_an_unreferenced_private_name():
     }
     assert unreferenced_private_names(sources) == [
         ("a", 2, "_SEEN"), ("a", 3, "_dead"), ("a", 10, "_shrink")]
+
+
+def test_scan_finds_an_unread_parameter():
+    source = ("def f(a, b, *c, d, **e):\n    return a + c[0] + e['x']\n"
+              "class K:\n    def m(self, x):\n        \"\"\"Doc.\"\"\"\n"
+              "        raise NotImplementedError\n"
+              "    def n(self, y, z):\n        def g():\n            return y\n"
+              "        return g\n")
+    assert unread_parameters(source) == [(1, "f", "b"), (1, "f", "d"), (7, "n", "z")]
 
 
 def test_modules_are_found():
@@ -101,3 +144,9 @@ def test_no_unreferenced_private_name():
     sources = {module: (ROOT / module).read_text(encoding="utf-8")
                for module in MODULES if module.startswith("src/")}
     assert unreferenced_private_names(sources) == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.startswith("src/")])
+def test_no_unread_parameter(module):
+    source = (ROOT / module).read_text(encoding="utf-8")
+    assert unread_parameters(source) == []

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from factored_sdp.cli import INIT_SEED_OFFSET
-from factored_sdp.init import init_scheme3
+from factored_sdp.init import init_perturbed_optimum, init_scheme3
 from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
     SampleObjective,
@@ -134,6 +135,13 @@ class TestSolverConfig:
             with pytest.raises(ValueError):
                 SolverConfig(algorithm="fgd", r=1, epochs=1, seed=0, **bad)
         SolverConfig(algorithm="sfgd", r=1, epochs=1, seed=0, eta0=1.0, t0=inf)
+
+    def test_rejects_schedule_with_another_inner_loop_length(self):
+        """The secant step divides by the schedule's m, the loop runs config.m steps."""
+        with pytest.raises(ValueError, match="differs from m=5"):
+            svrg_config(m=5, schedule=sbb(0.1, 6))
+        svrg_config(m=5, schedule=sbb(0.1, 5))
+        svrg_config(m=7, schedule=fixed(0.1))
 
     def test_rejects_factor_shape_mismatch(self):
         prob = sensing_generate(4, 2, 8, seed=0)
@@ -283,6 +291,23 @@ class TestSvrg:
         mean = np.mean(np.array(curves), axis=0)
         for a, b in zip(mean, mean[1:]):
             assert b <= a * (1 + 1e-3)
+
+    def test_runs_sharing_a_schedule_are_independent(self):
+        """One sbb schedule serves two seeds as two fresh schedules would."""
+        prob = sensing_generate(20, 2, 200, seed=0)
+        m = prob.n
+        cfg = SolverConfig(algorithm="svrg-sbb", r=2, epochs=15, seed=0, m=m,
+                           schedule=sbb(30.0, m, eta0=1e-4))
+
+        def rows(config):
+            U0 = init_perturbed_optimum(prob.Ustar, 0.5, INIT_SEED_OFFSET + config.seed)
+            return run_svrg(prob, config, U0, X_ref=prob.Xstar, U_ref=prob.Ustar).rows
+
+        shared = [rows(dataclasses.replace(cfg, seed=s)) for s in (0, 1)]
+        fresh = [rows(dataclasses.replace(cfg, seed=s, schedule=sbb(30.0, m, eta0=1e-4)))
+                 for s in (0, 1)]
+        assert shared == fresh
+        assert shared[1][0].eta == 1e-4
 
 
 class TestFgd:
@@ -439,6 +464,16 @@ class TestRowLayout:
         assert epochs_to(rows, 0.2, field="metric") == 1
         assert epochs_to(rows, 1e-9) == math.inf
 
+    @pytest.mark.parametrize("runner,fields", [
+        (run_svrg, dict(m=5, schedule=fixed(0.01))), (run_sfgd, dict(eta0=0.01)),
+        (run_fgd, dict(eta=0.01))])
+    def test_factored_run_keeps_only_its_factor(self, runner, fields):
+        prob = sensing_generate(4, 2, 8, seed=37)
+        U0 = np.random.default_rng(38).standard_normal((4, 2))
+        config = SolverConfig(algorithm="factored", r=2, epochs=2, seed=0, **fields)
+        rec = runner(prob, config, U0)
+        assert rec.final_X is None and rec.final_U.shape == (4, 2)
+
     def test_last_row_is_final_state_with_zero_eta(self):
         prob = sensing_generate(4, 2, 8, seed=37)
         U0 = np.random.default_rng(38).standard_normal((4, 2))
@@ -482,16 +517,12 @@ class CountingTriplets(TripletProblem):
 def kernel_and_reference(algo, p, triplets, lam, U0, **fields):
     """The records of one run through the kernel and through the reference.
 
-    ``fields`` go to SolverConfig; a ``schedule`` is given as a factory,
-    since adaptive schedules keep state.  A diverged run's record is
-    returned as it stands.
+    ``fields`` go to SolverConfig.  A diverged run's record is returned as
+    it stands.
     """
     records = []
+    config = SolverConfig(algorithm=algo, r=U0.shape[1], seed=0, **fields)
     for cls in (TripletProblem, ReferenceTriplets):
-        kw = dict(fields)
-        if "schedule" in kw:
-            kw["schedule"] = kw["schedule"]()
-        config = SolverConfig(algorithm=algo, r=U0.shape[1], seed=0, **kw)
         run = run_sfgd if algo == "sfgd" else run_svrg
         try:
             records.append(run(cls(p, triplets, lam), config, U0))
@@ -542,7 +573,7 @@ class TestTripletKernel:
         m = len(train)
         kernel, ref = kernel_and_reference(
             "svrg-sbb", p, train, lam, U0, epochs=1, m=m,
-            schedule=lambda: sbb(0.02 * L, m, eta0=1.0))
+            schedule=sbb(0.02 * L, m, eta0=1.0))
         assert rel_diff(kernel.final_U, ref.final_U) <= 1e-10
 
     def test_sfgd_epochs_at_a_small_step(self, criterion_10):
@@ -569,7 +600,7 @@ class TestTripletKernel:
     def test_edge_steps(self, small_triplets, algo, lam, eta, m):
         p, T, U0 = small_triplets
         if algo == "svrg":
-            fields = dict(epochs=2, m=m, schedule=lambda: fixed(eta))
+            fields = dict(epochs=2, m=m, schedule=fixed(eta))
         else:
             fields = dict(epochs=2, eta0=eta, t0=math.inf)
         kernel, ref = kernel_and_reference(algo, p, T, lam, U0, **fields)
@@ -587,7 +618,7 @@ class TestTripletKernel:
         else:
             eta = 1e6
         if algo == "svrg":
-            fields = dict(epochs=3, m=60, schedule=lambda: fixed(eta))
+            fields = dict(epochs=3, m=60, schedule=fixed(eta))
         else:
             fields = dict(epochs=3, eta0=eta, t0=math.inf)
         kernel, ref = kernel_and_reference(algo, p, T, 1e-2, U0, **fields)

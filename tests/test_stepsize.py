@@ -16,12 +16,21 @@ def quad_grad(X):
     return X + 3.0 * np.diag(np.diag(X))
 
 
+def steps(sched, inputs):
+    """The steps of one run that meets the outer iterates and gradients ``inputs``."""
+    etas, state = [], None
+    for X, g in inputs:
+        eta, state = sched.next_step(state, X, g)
+        etas.append(eta)
+    return etas
+
+
 class TestFixed:
     def test_constant(self):
         sched = fixed(0.05)
         rng = np.random.default_rng(0)
-        for k in range(5):
-            assert sched.next_step(k, rand_sym(rng, 3), rand_sym(rng, 3)) == 0.05
+        inputs = [(rand_sym(rng, 3), rand_sym(rng, 3)) for _ in range(5)]
+        assert steps(sched, inputs) == [0.05] * 5
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -37,12 +46,12 @@ class TestAdaptive:
     def test_first_call_returns_eta0(self):
         sched = sbb(0.1, 20, eta0=0.007)
         rng = np.random.default_rng(1)
-        assert sched.next_step(0, rand_sym(rng, 4), rand_sym(rng, 4)) == 0.007
+        assert sched.next_step(None, rand_sym(rng, 4), rand_sym(rng, 4))[0] == 0.007
 
     def test_eta0_defaults(self):
         rng = np.random.default_rng(2)
         X, g = rand_sym(rng, 3), rand_sym(rng, 3)
-        assert sbb(0.0, 10).next_step(0, X, g) == 1e-3
+        assert sbb(0.0, 10).next_step(None, X, g)[0] == 1e-3
 
     def test_proportional_secant(self):
         # dg = c * dX collapses the formula to 1 / (m * (c + eps))
@@ -50,8 +59,7 @@ class TestAdaptive:
         sched = sbb(eps, m, eta0=1.0)
         rng = np.random.default_rng(3)
         X0, X1 = rand_sym(rng, 4), rand_sym(rng, 4)
-        sched.next_step(0, X0, c * X0)
-        eta = sched.next_step(1, X1, c * X1)
+        _, eta = steps(sched, [(X0, c * X0), (X1, c * X1)])
         assert eta == pytest.approx(1.0 / 35.0, rel=1e-12)
 
     def test_quadratic_bracket(self):
@@ -60,11 +68,8 @@ class TestAdaptive:
         m, eps = 10, 0.25
         sched = sbb(eps, m, eta0=1.0)
         rng = np.random.default_rng(4)
-        X = rand_sym(rng, 5)
-        sched.next_step(0, X, quad_grad(X))
-        for k in range(1, 12):
-            X = rand_sym(rng, 5)
-            eta = sched.next_step(k, X, quad_grad(X))
+        iterates = [rand_sym(rng, 5) for _ in range(12)]
+        for eta in steps(sched, [(X, quad_grad(X)) for X in iterates])[1:]:
             assert 1.0 / (m * (4.0 + eps)) - 1e-15 <= eta
             assert eta <= 1.0 / (m * (1.0 + eps)) + 1e-15
 
@@ -73,33 +78,25 @@ class TestAdaptive:
         inputs = [(rand_sym(rng, 4), rand_sym(rng, 4)) for _ in range(8)]
         etas = {}
         for eps in (0.01, 0.5, 2.0):
-            sched = sbb(eps, 5, eta0=1.0)
-            etas[eps] = [sched.next_step(k, X, g) for k, (X, g) in enumerate(inputs)]
+            etas[eps] = steps(sbb(eps, 5, eta0=1.0), inputs)
         for k in range(1, len(inputs)):
             assert etas[2.0][k] <= etas[0.5][k] <= etas[0.01][k]
 
     def test_scale_covariance_exact_for_doubling(self):
         rng = np.random.default_rng(7)
         inputs = [(rand_sym(rng, 4), rand_sym(rng, 4)) for _ in range(6)]
-        base = sbb(0.25, 5, eta0=1.0)
-        scaled = sbb(0.5, 5, eta0=0.5)
-        for k, (X, g) in enumerate(inputs):
-            eta1 = base.next_step(k, X, g)
-            eta2 = scaled.next_step(k, X, 2.0 * g)
-            if k > 0:
-                assert eta2 == eta1 / 2.0
+        base = steps(sbb(0.25, 5, eta0=1.0), inputs)
+        scaled = steps(sbb(0.5, 5, eta0=0.5), [(X, 2.0 * g) for X, g in inputs])
+        for eta1, eta2 in zip(base[1:], scaled[1:]):
+            assert eta2 == eta1 / 2.0
 
     def test_stall_raises_only_without_stabilizer(self):
         rng = np.random.default_rng(8)
         X0, X1 = rand_sym(rng, 3), rand_sym(rng, 3)
         g = rand_sym(rng, 3)
-        plain = sbb(0.0, 5, eta0=1.0)
-        plain.next_step(0, X0, g)
         with pytest.raises(StallError):
-            plain.next_step(1, X1, g.copy())
-        stab = sbb(0.1, 5, eta0=1.0)
-        stab.next_step(0, X0, g)
-        eta = stab.next_step(1, X1, g.copy())
+            steps(sbb(0.0, 5, eta0=1.0), [(X0, g), (X1, g.copy())])
+        _, eta = steps(sbb(0.1, 5, eta0=1.0), [(X0, g), (X1, g.copy())])
         assert eta == pytest.approx(1.0 / (5 * 0.1))
 
     def test_repeated_iterate_keeps_step_and_anchor(self):
@@ -108,20 +105,19 @@ class TestAdaptive:
         rng = np.random.default_rng(9)
         X0 = rand_sym(rng, 3)
         g0 = 2.0 * X0
-        sched.next_step(0, X0, g0)
+        _, state = sched.next_step(None, X0, g0)
         # identical iterate: previous step comes back, state stays put
-        assert sched.next_step(1, X0.copy(), rand_sym(rng, 3)) == 0.123
+        eta, repeat = sched.next_step(state, X0.copy(), rand_sym(rng, 3))
+        assert eta == 0.123 and repeat is state
         # the next real step must difference against X0, not the repeat
         X2 = rand_sym(rng, 3)
-        eta = sched.next_step(2, X2, 2.0 * X2)
+        eta, _ = sched.next_step(repeat, X2, 2.0 * X2)
         assert eta == pytest.approx(1.0 / (m * 2.0), rel=1e-12)
 
     def test_positive_whenever_iterate_moves(self):
-        sched = sbb(0.3, 6, eta0=0.5)
         rng = np.random.default_rng(10)
-        for k in range(20):
-            eta = sched.next_step(k, rand_sym(rng, 4), rand_sym(rng, 4))
-            assert eta > 0.0
+        inputs = [(rand_sym(rng, 4), rand_sym(rng, 4)) for _ in range(20)]
+        assert min(steps(sbb(0.3, 6, eta0=0.5), inputs)) > 0.0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -147,11 +143,9 @@ class TestUpperBound:
     def test_trajectory_never_exceeds(self):
         eps, m = 0.02, 100
         cap = sbb_upper_bound(eps, m)
-        sched = sbb(eps, m, eta0=cap / 2)
         rng = np.random.default_rng(11)
-        for k in range(50):
-            eta = sched.next_step(k, rand_sym(rng, 4), rand_sym(rng, 4))
-            assert eta <= cap * (1 + 1e-12)
+        inputs = [(rand_sym(rng, 4), rand_sym(rng, 4)) for _ in range(50)]
+        assert max(steps(sbb(eps, m, eta0=cap / 2), inputs)) <= cap * (1 + 1e-12)
 
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError):

@@ -280,10 +280,10 @@ class TestSbbInnerCountBound:
         sched = StepSchedule("sbb", eps=eps, m=m, eta0=1e-3)
         rng = np.random.default_rng(7)
         X = symmetrize(rng.standard_normal((p, p)))
-        sched.next_step(0, X, obj.grad_full(X))
-        for k in range(1, 4):
+        _, state = sched.next_step(None, X, obj.grad_full(X))
+        for _ in range(3):
             X = X + symmetrize(rng.standard_normal((p, p)))
-            eta = sched.next_step(k, X, obj.grad_full(X))
+            eta, state = sched.next_step(state, X, obj.grad_full(X))
             assert 0.0 < eta < target
 
 
@@ -291,14 +291,14 @@ class TestTheorem1Rate:
     def test_zero_steps_returns_initial_error(self):
         c = near_rank2_constants()
         d0 = 0.5 * (c.gamma_l + c.gamma_u)
-        assert theorem1_rate(c, c.eta_max / 2.0, 8, 0, d0) == d0
+        assert theorem1_rate(c, [], 8, d0) == d0
 
     def test_constant_step_closed_form(self):
         """Matches gbar + rho_tilde^k (D0 - gbar) with gbar = gtl/(1 - theta eta)."""
         c = near_rank2_constants()
         eta, m, k = c.eta_max / 2.0, 8, 7
         d0 = 0.5 * (c.gamma_l + c.gamma_u)
-        out = theorem1_rate(c, eta, m, k, d0)
+        out = theorem1_rate(c, [eta] * k, m, d0)
         gbar = c.gamma_l_tilde / (1.0 - c.theta * eta)
         closed = gbar + c.rho_tilde(eta, m) ** k * (d0 - gbar)
         np.testing.assert_allclose(out, closed, rtol=1e-12)
@@ -310,26 +310,18 @@ class TestTheorem1Rate:
         m, k = 5, 9
         etas = np.linspace(0.3, 0.9, k) * c.eta_max
         d0 = 0.8 * c.gamma_u
-        out = theorem1_rate(c, etas, m, k, d0)
+        out = theorem1_rate(c, etas, m, d0)
         E = d0
         for eta in etas:
             E = c.rho_tilde(eta, m) * E + c.gamma_l_tilde * (1.0 - c.rho(eta) ** m)
         np.testing.assert_allclose(out, E, rtol=1e-12)
-
-    def test_scalar_equals_repeated_sequence(self):
-        c = near_rank2_constants()
-        eta, m, k = 0.4 * c.eta_max, 6, 5
-        d0 = 0.5 * (c.gamma_l + c.gamma_u)
-        a = theorem1_rate(c, eta, m, k, d0)
-        b = theorem1_rate(c, [eta] * k, m, k, d0)
-        assert a == b
 
     def test_bound_nonincreasing(self):
         """The predicted error never rises along the outer iterations."""
         c = rank2_constants()
         eta, m = c.eta_max / 2.0, 30
         d0 = 0.5 * (c.gamma_l + c.gamma_u)
-        values = [theorem1_rate(c, eta, m, k, d0) for k in range(51)]
+        values = [theorem1_rate(c, [eta] * k, m, d0) for k in range(51)]
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-15)
         assert values[50] < values[0]
@@ -338,30 +330,23 @@ class TestTheorem1Rate:
         c = near_rank2_constants()
         d0 = 0.5 * (c.gamma_l + c.gamma_u)
         with pytest.raises(HypothesisError, match="step size"):
-            theorem1_rate(c, 0.0, 8, 3, d0)
+            theorem1_rate(c, [0.0] * 3, 8, d0)
         with pytest.raises(HypothesisError, match="step size"):
-            theorem1_rate(c, c.eta_max, 8, 3, d0)
+            theorem1_rate(c, [c.eta_max] * 3, 8, d0)
         with pytest.raises(HypothesisError, match="initial squared error"):
-            theorem1_rate(c, c.eta_max / 2.0, 8, 3, c.gamma_l)
+            theorem1_rate(c, [c.eta_max / 2.0] * 3, 8, c.gamma_l)
         with pytest.raises(HypothesisError, match="initial squared error"):
-            theorem1_rate(c, c.eta_max / 2.0, 8, 3, 2.0 * c.gamma_u)
-        with pytest.raises(ValueError, match="at least"):
-            theorem1_rate(c, [c.eta_max / 2.0] * 2, 8, 3, d0)
-
-    def test_rejects_negative_outer_count(self):
-        c = near_rank2_constants()
-        with pytest.raises(ValueError, match="k >= 0"):
-            theorem1_rate(c, c.eta_max / 2.0, 8, -1, 0.5 * (c.gamma_l + c.gamma_u))
+            theorem1_rate(c, [c.eta_max / 2.0] * 3, 8, 2.0 * c.gamma_u)
 
     def test_rejects_empty_inner_loop(self):
         c = near_rank2_constants()
         with pytest.raises(ValueError, match="m >= 1"):
-            theorem1_rate(c, c.eta_max / 2.0, 0, 3, 0.5 * (c.gamma_l + c.gamma_u))
+            theorem1_rate(c, [c.eta_max / 2.0] * 3, 0, 0.5 * (c.gamma_l + c.gamma_u))
 
     def test_unmet_assumption_blocks_evaluation(self):
         c = compute_constants(1.0, 1.0, np.eye(5), 4, REGION)
         with pytest.raises(HypothesisError):
-            theorem1_rate(c, 1e-6, 8, 3, 0.01)
+            theorem1_rate(c, [1e-6] * 3, 8, 0.01)
 
 
 class TestLemmaDistBounds:
