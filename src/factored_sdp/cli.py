@@ -385,7 +385,8 @@ def _write_run(args, records, timing, columns, summary_header, summary, ylabel,
     """Write curves.csv, summary.csv, plot.gp and run.json; return the exit code.
 
     ``columns`` maps the curves.csv columns between ``f`` and ``sample_grads``
-    to the Row fields they print.  The code is 3 if a trial diverged, else 0.
+    to the Row fields they print.  The code is 3 if a trial diverged, else 0;
+    each diverged trial is named on one stderr line.
     """
     curves = [[rec.algorithm, rec.seed, row.epoch, row.eta, row.f,
                *(getattr(row, field) for field in columns.values()), row.sample_grads]
@@ -398,7 +399,11 @@ def _write_run(args, records, timing, columns, summary_header, summary, ylabel,
     _write_csv(os.path.join(args.out, "summary.csv"), summary_header, summary)
     _write_plot_script(args.out, args.algos, ylabel, logscale)
     _write_manifest(args, timing)
-    return 3 if any(r.diverged for r in records) else 0
+    diverged = [r for r in records if r.diverged]
+    for r in diverged:
+        print(f"diverged: {r.algorithm} seed {r.seed} at epoch {r.diverged_epoch}",
+              file=sys.stderr)
+    return 3 if diverged else 0
 
 
 def _median(values):

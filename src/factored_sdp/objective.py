@@ -1,11 +1,13 @@
-"""Per-sample objective oracles.
+"""Objective oracles.
 
-An objective is an average f(X) = (1/n) sum_i f_i(X) over the PSD cone,
-queried through per-sample value/gradient oracles plus full-batch versions.
-Two concrete families live here: noiseless matrix sensing and logistic
-triplet (ordinal-embedding) losses with trace regularization.  So do the
-rules that build their experiments: planted instances, the train/test
-split of a triplet set, the held-out test error and the smoothness probes.
+An objective is f(X) = (1/n) sum_i phi_i(<A_i, X>) + lam tr(X) over the
+PSD cone: a linear measurement map, a scalar loss per sample and a trace
+term.  ``SampleObjective`` derives every full-batch oracle from those
+pieces once.  Two concrete families live here: noiseless matrix sensing
+and logistic triplet (ordinal-embedding) losses with trace
+regularization.  So do the rules that build their experiments: planted
+instances, the train/test split of a triplet set, the held-out test
+error and the smoothness probes.
 """
 
 import math
@@ -20,33 +22,28 @@ class NoProbes(Exception):
 
 
 class SampleObjective:
-    """Oracle bundle for f(X) = (1/n) sum_i f_i(X).
+    """Oracle bundle for f(X) = (1/n) sum_i phi_i(<A_i, X>) + lam tr(X).
 
-    Subclasses set `n` and `p` and implement `eval_sample` and
-    `grad_sample`.  The full-batch oracles, the fused `value_and_grad_full`
-    and the factor product `grad_sample_times_factor` are derived from
-    those; subclasses override them with faster versions, the factor
-    product to skip the p-by-p per-sample gradient.  Instances are
-    read-only after construction and safe to share.
+    A family sets ``n``, ``p`` and ``lam`` and supplies five primitives:
+
+    * ``_measure(Xs)``: the (S, n) block ``z_si = <A_i, X_s>`` of an
+      (S, p, p) stack or a list of S points;
+    * ``_value(z)``: the mean loss ``(1/n) sum_i phi_i(z_i)`` of one point;
+    * ``_slope(Z)``: the block of ``phi_i'(z_si)``;
+    * ``_adjoint(W)``: the (S, p^2) rows ``sum_i W_si vec(A_i)``, fresh;
+    * ``_A_sqnorms``: the (n,) array of ``||A_i||_F^2``.
+
+    The full-batch oracles below are derived from them here, once.  A
+    per-sample oracle is the full-batch oracle of the one-sample objective
+    of the same family.  The solvers' per-sample direction,
+    ``grad_sample_times_factor``, reads U without forming a p-by-p matrix,
+    so each family writes its own.  Instances are read-only after
+    construction and safe to share.
     """
 
     n = None
     p = None
-
-    def eval_sample(self, i, X):
-        raise NotImplementedError
-
-    def grad_sample(self, i, X):
-        raise NotImplementedError
-
-    def eval_full(self, X):
-        return sum(self.eval_sample(i, X) for i in range(self.n)) / self.n
-
-    def grad_full(self, X):
-        G = np.zeros((self.p, self.p))
-        for i in range(self.n):
-            G += self.grad_sample(i, X)
-        return G / self.n
+    lam = 0.0
 
     def grad_sample_times_factor(self, i, U):
         """grad f_i(U U^T) @ U.
@@ -55,24 +52,47 @@ class SampleObjective:
         derivative of g(U) = f(U U^T) is absorbed by the update rules, so a
         gradient check of g compares against twice this value.
         """
-        return self.grad_sample(i, gram(U)) @ U
+        raise NotImplementedError
+
+    def _f(self, z, X):
+        """f(X) from the measurements z of X."""
+        return self._value(z) + self.lam * float(np.trace(X))
+
+    def _grads(self, W):
+        """The (S, p, p) gradient stack ``adjoint(W) / n + lam I`` of the slope block W."""
+        G = self._adjoint(W)
+        G /= self.n
+        G[:, :: self.p + 1] += self.lam
+        return G.reshape(len(W), self.p, self.p)
+
+    def eval_full(self, X):
+        return self._f(self._measure(X[None])[0], X)
+
+    def grad_full(self, X):
+        return self._grads(self._slope(self._measure(X[None])))[0]
 
     def value_and_grad_full(self, X):
-        return self.eval_full(X), self.grad_full(X)
+        Z = self._measure(X[None])
+        return self._f(Z[0], X), self._grads(self._slope(Z))[0]
 
     def grad_full_many(self, Xs):
         """``grad_full`` at each of S points, stacked as an (S, p, p) array."""
-        return np.stack([self.grad_full(X) for X in Xs])
+        return self._grads(self._slope(self._measure(Xs)))
 
     def grad_moments_many(self, Xs):
         """``grad_full_many(Xs)`` and the second moments at each point.
 
         Returns the (S, p, p) gradient stack and the (S,) values
         (1/n) sum_i ||grad f_i(X_s)||_F^2 (used for variance statistics).
+        With grad f_i = w_i A_i + lam I, that square is
+        w_i^2 ||A_i||^2 + 2 lam w_i tr(A_i) + lam^2 p, and the mean of
+        w_i tr(A_i) is tr(grad f(X_s)) - lam p.
         """
-        moments = [sum(float(np.linalg.norm(self.grad_sample(i, X)) ** 2)
-                       for i in range(self.n)) / self.n for X in Xs]
-        return self.grad_full_many(Xs), np.array(moments)
+        W = self._slope(self._measure(Xs))
+        G = self._grads(W)
+        moments = (W**2) @ self._A_sqnorms / self.n
+        moments += self.lam * (2.0 * np.trace(G, axis1=1, axis2=2) - self.lam * self.p)
+        return G, moments
 
 
 class SensingProblem(SampleObjective):
@@ -84,12 +104,10 @@ class SensingProblem(SampleObjective):
 
     The measurements are held once, as the C-contiguous (n, p, p) array
     ``A``, and read through ``_A2``, an (n, p^2) view of the same memory;
-    no second copy of the operand is made.  Every full-batch oracle reads
-    S points, an (S, p, p) stack read as (S, p^2), through one residual
-    block ``R = Xs @ A2^T - b`` of shape (S, n); a single point is the
-    block at S = 1.  The gradients are ``R @ A2 / n`` and the per-sample
-    second moments come from the same ``R``.  Each of the two products
-    reads ``A`` once for all S points: at S = 1 numpy runs them as
+    no second copy of the operand is made.  The measurement map of S
+    points, an (S, p, p) stack read as (S, p^2), is the block
+    ``Xs @ A2^T`` of shape (S, n), and the adjoint is ``W @ A2``: each
+    reads ``A`` once for all S points.  At S = 1 numpy runs them as
     matrix-vector products, above it as matrix-matrix products.
     """
 
@@ -107,45 +125,22 @@ class SensingProblem(SampleObjective):
         self._A2 = A.reshape(self.n, self.p * self.p)
         self._A_sqnorms = np.einsum("kij,kij->k", A, A)
 
-    def eval_sample(self, i, X):
-        return 0.5 * float(self.b[i] - np.vdot(self.A[i], X)) ** 2
-
-    def grad_sample(self, i, X):
-        return (np.vdot(self.A[i], X) - self.b[i]) * self.A[i]
-
     def grad_sample_times_factor(self, i, U):
         AU = self.A[i] @ U
         return (float(np.vdot(U, AU)) - self.b[i]) * AU
 
-    def _residuals(self, Xs):
-        """The (S, n) residual block <A_i, X_s> - b_i of one point (S = 1) or a stack."""
-        R = np.reshape(Xs, (-1, self.p * self.p)) @ self._A2.T
-        R -= self.b
-        return R
+    def _measure(self, Xs):
+        return np.reshape(Xs, (-1, self.p * self.p)) @ self._A2.T
 
-    def _grads(self, R):
-        """The (S, p, p) gradient stack of the residual block R."""
-        G = R @ self._A2
-        G /= self.n
-        return G.reshape(len(R), self.p, self.p)
-
-    def eval_full(self, X):
-        resid = self._residuals(X)[0]
+    def _value(self, z):
+        resid = z - self.b
         return 0.5 * float(resid @ resid) / self.n
 
-    def grad_full(self, X):
-        return self._grads(self._residuals(X))[0]
+    def _slope(self, Z):
+        return Z - self.b
 
-    def value_and_grad_full(self, X):
-        R = self._residuals(X)
-        return 0.5 * float(R[0] @ R[0]) / self.n, self._grads(R)[0]
-
-    def grad_full_many(self, Xs):
-        return self._grads(self._residuals(Xs))
-
-    def grad_moments_many(self, Xs):
-        R = self._residuals(Xs)
-        return self._grads(R), (R**2) @ self._A_sqnorms / self.n
+    def _adjoint(self, W):
+        return W @ self._A2
 
 
 # Bytes of the transposed copy ``sensing_generate`` symmetrizes one block with.
@@ -178,17 +173,6 @@ def sensing_generate(p, r_star, n, seed):
     return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
 
 
-def _margin(X, i, j, k):
-    """d2_ik - d2_ij for triplet (i, j, k), read off the Gram matrix X.
-
-    Index arrays i, j, k give the margins of all their triplets at once.
-
-    Squared distances are d2_ab = X_aa + X_bb - X_ab - X_ba (the symmetric
-    form, identical to X_aa + X_bb - 2 X_ab on symmetric X).
-    """
-    return X[k, k] - X[j, j] - X[i, k] - X[k, i] + X[i, j] + X[j, i]
-
-
 def _logistic_weight(z):
     """d/dz of logaddexp(0, -z), that is sigma(z) - 1 = -1/(1 + e^z), overflow-safe."""
     return -np.exp(-z) / (1.0 + np.exp(-z)) if z >= 0 else -1.0 / (1.0 + np.exp(z))
@@ -200,10 +184,12 @@ class TripletProblem(SampleObjective):
     X is the Gram matrix of the embedded points. Each sample is one triplet
     constraint (i, j, k) meaning d2_ij <= d2_ik, with the logistic loss
     l_c(X) = -log sigma(d2_ik - d2_ij), computed through logaddexp so that
-    it stays finite for any finite X.  The trace term is folded into every
-    f_i so that f = (1/n) sum_i f_i exactly.  The oracles of X read their
-    margins d2_ik - d2_ij through ``_margin``, the full-batch ones for all
-    triplets at once; the factor oracles read them off the rows of U.
+    it stays finite for any finite X.  The measurement of a triplet is its
+    margin z = d2_ik - d2_ij = <A_c, X>, where A_c has +1 at (k, k), (i, j)
+    and (j, i) and -1 at (j, j), (i, k) and (k, i), so ||A_c||_F^2 = 6; the
+    trace term is folded into every f_i so that f = (1/n) sum_i f_i
+    exactly.  The full-batch oracles read all margins off X at once; the
+    factor oracles read them off the rows of U.
 
     ``factor_steps`` runs a whole SVRG or SFGD inner loop with lazy dense
     updates, which the solvers use in place of their per-step loop.  It
@@ -236,44 +222,44 @@ class TripletProblem(SampleObjective):
         self._J = T[:, 1]
         self._K = T[:, 2]
         self._triplet_rows = T.tolist()
+        self._A_sqnorms = np.full(self.n, 6.0)
         # flat cells (K,K), (J,J), (I,J), (J,I), (I,K), (K,I) of every
-        # triplet, in that order: grad_full's one scatter-add target
+        # triplet, in that order: the adjoint's one scatter-add target
         I, J, K = self._I, self._J, self._K
         self._cells = np.concatenate([K * p + K, J * p + J, I * p + J,
                                       J * p + I, I * p + K, K * p + I])
 
-    def eval_sample(self, i, X):
-        z = _margin(X, *self._triplet_rows[i])
-        return float(np.logaddexp(0.0, -z)) + self.lam * float(np.trace(X))
+    def _measure(self, Xs):
+        """Margins d2_ik - d2_ij, with d2_ab = X_aa + X_bb - X_ab - X_ba.
 
-    def grad_sample(self, i, X):
-        """Symmetric; the loss part touches only rows/columns {i, j, k}."""
-        ti, tj, tk = self._triplet_rows[i]
-        w = _logistic_weight(_margin(X, ti, tj, tk))
-        G = np.zeros((self.p, self.p))
-        G[tk, tk] = w
-        G[tj, tj] = -w
-        G[ti, tj] = G[tj, ti] = w
-        G[ti, tk] = G[tk, ti] = -w
-        G += self.lam * np.eye(self.p)
-        return G
+        The symmetric form equals X_aa + X_bb - 2 X_ab on symmetric X.
+        Each point of the stack is read in place.
+        """
+        I, J, K = self._I, self._J, self._K
+        return np.array([X[K, K] - X[J, J] - X[I, K] - X[K, I] + X[I, J] + X[J, I]
+                         for X in Xs])
 
-    def eval_full(self, X):
-        z = _margin(X, self._I, self._J, self._K)
-        return float(np.mean(np.logaddexp(0.0, -z))) + self.lam * float(np.trace(X))
+    def _value(self, z):
+        return float(np.mean(np.logaddexp(0.0, -z)))
 
-    def grad_full(self, X):
-        z = _margin(X, self._I, self._J, self._K)
-        w = -1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
-        # one scatter-add over the six cells of every triplet, summed per
-        # cell in the order of _cells
-        G = np.bincount(self._cells, np.concatenate([w, -w, w, w, -w, -w]),
-                        minlength=self.p * self.p).reshape(self.p, self.p)
-        # mirror entries accumulate in different orders; make symmetry exact
-        G = (G + G.T) / 2.0
-        G /= self.n
-        G += self.lam * np.eye(self.p)
-        return G
+    def _slope(self, Z):
+        return -1.0 / (1.0 + np.exp(np.clip(Z, -700.0, 700.0)))
+
+    def _adjoint(self, W):
+        """Per row one scatter-add over the six cells of every triplet.
+
+        Mirror entries accumulate in different orders, so each row is
+        symmetrized to make its symmetry exact.
+        """
+        p = self.p
+        out = np.empty((len(W), p * p))
+        for w, row in zip(W, out):
+            G = np.bincount(self._cells, np.concatenate([w, -w, w, w, -w, -w]),
+                            minlength=p * p).reshape(p, p)
+            sym = row.reshape(p, p)
+            np.add(G, G.T, out=sym)
+            sym /= 2.0
+        return out
 
     def grad_sample_times_factor(self, i, U):
         ti, tj, tk = self._triplet_rows[i]

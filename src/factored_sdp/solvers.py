@@ -11,7 +11,7 @@ Four algorithms share the RunRecord trace format:
 
 SVRG and SFGD share one inner loop, ``_inner_loop``: SFGD is the SVRG
 loop without an anchor and with a decaying step.  It steps along
-``grad_sample_times_factor``, which every SampleObjective provides.  An
+``grad_sample_times_factor``, which each objective family provides.  An
 objective that also has ``factor_steps`` (TripletProblem does) runs the
 whole loop itself on the same samples and steps; the per-step loop stays
 the reference, and the two agree up to rounding (TripletProblem's

@@ -111,6 +111,13 @@ def rel_err(approx, exact):
     return float(np.linalg.norm(approx - exact)) / denom
 
 
+def sample_objective(obj, i):
+    """f_i as the one-sample objective of obj's family."""
+    if isinstance(obj, TripletProblem):
+        return TripletProblem(obj.p, obj.triplets[[i]], obj.lam)
+    return SensingProblem(obj.A[[i]], obj.b[[i]])
+
+
 # ---------------------------------------------------------------------------
 # criterion 1: sensing benchmark
 
@@ -496,9 +503,9 @@ def test_criterion_08_gradient_checks():
     for _ in range(probes):
         i = int(rng.integers(prob.n))
         X = gram(rng.standard_normal((5, 3)))
-        G = prob.grad_sample(i, X)
-        G_fd = fd_gradient(lambda Y: prob.eval_sample(i, Y), X)
-        worst = max(worst, rel_err(G_fd, G))
+        f_i = sample_objective(prob, i)
+        G_fd = fd_gradient(f_i.eval_full, X)
+        worst = max(worst, rel_err(G_fd, f_i.grad_full(X)))
     assert worst <= 1e-5, f"sensing sample gradient off by {worst:.2e}"
 
     trip = TripletProblem(
@@ -509,9 +516,9 @@ def test_criterion_08_gradient_checks():
     for _ in range(probes):
         i = int(rng.integers(trip.n))
         X = gram(rng.standard_normal((7, 2)))
-        G = trip.grad_sample(i, X)
-        G_fd = fd_gradient(lambda Y: trip.eval_sample(i, Y), X)
-        worst = max(worst, rel_err(G_fd, G))
+        f_i = sample_objective(trip, i)
+        G_fd = fd_gradient(f_i.eval_full, X)
+        worst = max(worst, rel_err(G_fd, f_i.grad_full(X)))
     assert worst <= 1e-5, f"triplet sample gradient off by {worst:.2e}"
 
     # the factored gradient carries the chain-rule factor of two
@@ -533,9 +540,11 @@ def test_criterion_08_gradient_checks():
 def test_criterion_09_direction_unbiasedness():
     """Sample directions average exactly to the full ones, both families.
 
-    Checked at arbitrary states for the raw gradients and for the
-    variance-reduced factor direction, whose anchor terms must cancel in
-    the mean.  Tolerance is 1e-10 in Frobenius norm, absolute.
+    Checked at arbitrary states for the raw gradients, those of the
+    one-sample objectives, and for the variance-reduced factor direction
+    the solvers step along, built from ``grad_sample_times_factor``, whose
+    anchor terms must cancel in the mean.  Tolerance is 1e-10 in Frobenius
+    norm, absolute.
     """
     sensing = sensing_generate(6, 2, 15, seed=40)
     _, T = planted_triplets(7, 2, 20, seed=41)
@@ -545,22 +554,22 @@ def test_criterion_09_direction_unbiasedness():
     for obj, p in ((sensing, 6), (triplet, 7)):
         for _ in range(5):
             X = gram(rng.standard_normal((p, 3)))
-            mean = np.mean([obj.grad_sample(i, X) for i in range(obj.n)], axis=0)
+            mean = np.mean([sample_objective(obj, i).grad_full(X) for i in range(obj.n)],
+                           axis=0)
             full = obj.grad_full(X)
             assert float(np.linalg.norm(mean - full)) <= 1e-10
 
             U = rng.standard_normal((p, 2))
             Ut = rng.standard_normal((p, 2))
-            Xc, Xa = gram(U), gram(Ut)
-            anchor = obj.grad_full(Xa) @ Ut
+            anchor = obj.grad_full(gram(Ut)) @ Ut
             vr_mean = np.mean(
                 [
-                    obj.grad_sample(i, Xc) @ U - obj.grad_sample(i, Xa) @ Ut
+                    obj.grad_sample_times_factor(i, U) - obj.grad_sample_times_factor(i, Ut)
                     for i in range(obj.n)
                 ],
                 axis=0,
             ) + anchor
-            full_dir = obj.grad_full(Xc) @ U
+            full_dir = obj.grad_full(gram(U)) @ U
             assert float(np.linalg.norm(vr_mean - full_dir)) <= 1e-10
 
 

@@ -350,7 +350,7 @@ class TestSensingCommand:
         assert run_sensing(tmp_path / "run", eta="0.1,0.2,0.3") == 2
         assert "--eta" in capsys.readouterr().err
 
-    def test_divergence_exits_3_with_partial_csv(self, tmp_path):
+    def test_divergence_exits_3_with_partial_csv(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = run_sensing(out, algos="fgd", eta="1e6", seeds=1, epochs=20)
         assert rc == 3
@@ -358,6 +358,7 @@ class TestSensingCommand:
         last = body[-1]
         assert last[3] == "0.0" and last[4] == "nan"
         assert int(last[2]) < 20
+        assert capsys.readouterr().err == f"diverged: fgd seed 0 at epoch {last[2]}\n"
         summary = read_rows(out / "summary.csv")
         assert summary[1][0] == "fgd"
 

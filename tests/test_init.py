@@ -10,7 +10,6 @@ from factored_sdp.init import (
 )
 from factored_sdp.linalg import gram
 from factored_sdp.objective import (
-    SampleObjective,
     SensingProblem,
     estimate_smoothness,
     probe_pairs,
@@ -18,16 +17,9 @@ from factored_sdp.objective import (
 )
 
 
-class ConstantObjective(SampleObjective):
-    def __init__(self, p):
-        self.p = p
-        self.n = 1
-
-    def eval_sample(self, i, X):
-        return 0.0
-
-    def grad_sample(self, i, X):
-        return np.zeros((self.p, self.p))
+def zero_objective(p):
+    """f(X) = 0 with an exactly-zero gradient: one zero measurement, b = 0."""
+    return SensingProblem(np.zeros((1, p, p)), np.zeros(1))
 
 
 class TestScheme1:
@@ -39,7 +31,7 @@ class TestScheme1:
         assert err < 0.1
 
     def test_zero_gradient_stays_at_zero(self):
-        U0 = init_scheme1(ConstantObjective(5), 2, warm_epochs=3, eta=0.1)
+        U0 = init_scheme1(zero_objective(5), 2, warm_epochs=3, eta=0.1)
         np.testing.assert_array_equal(U0, np.zeros((5, 2)))
 
     def test_deterministic(self):
@@ -77,27 +69,15 @@ class TestScheme2:
 
     def test_scale_equivariant(self):
         prob = sensing_generate(5, 2, 25, seed=5)
-
-        class Scaled(SampleObjective):
-            n = prob.n
-            p = prob.p
-
-            def eval_sample(self, i, X):
-                return 7.0 * prob.eval_sample(i, X)
-
-            def grad_sample(self, i, X):
-                return 7.0 * prob.grad_sample(i, X)
-
-            def grad_full(self, X):
-                return 7.0 * prob.grad_full(X)
-
+        # sqrt(7) A and sqrt(7) b scale every f_i by 7
+        scaled = SensingProblem(np.sqrt(7.0) * prob.A, np.sqrt(7.0) * prob.b)
         a = init_scheme2(prob, 2)
-        b = init_scheme2(Scaled(), 2)
+        b = init_scheme2(scaled, 2)
         np.testing.assert_allclose(gram(a), gram(b), atol=1e-12)
 
     def test_flat_objective_raises(self):
         with pytest.raises(DegenerateCurvature):
-            init_scheme2(ConstantObjective(4), 2)
+            init_scheme2(zero_objective(4), 2)
 
 
 class TestScheme3:

@@ -52,18 +52,39 @@ def basis_sensing(p, seed=0):
 
 
 class LinearObjective(SampleObjective):
-    """f(X) = <C, X>: constant gradient, zero curvature."""
+    """f(X) = <C, X>: one sample with phi(z) = z and A_1 = C.
+
+    Constant gradient, zero curvature; the full-batch oracles are the
+    base class's, derived from the primitives below.
+    """
 
     def __init__(self, C):
         self.C = symmetrize(C)
         self.p = C.shape[0]
         self.n = 1
+        self._A_sqnorms = np.array([np.vdot(self.C, self.C)])
 
-    def eval_sample(self, i, X):
-        return float(np.vdot(self.C, X))
+    def _measure(self, Xs):
+        return np.reshape(Xs, (-1, self.p * self.p)) @ self.C.reshape(-1, 1)
 
-    def grad_sample(self, i, X):
-        return self.C.copy()
+    def _value(self, z):
+        return float(z[0])
+
+    def _slope(self, Z):
+        return np.ones_like(Z)
+
+    def _adjoint(self, W):
+        return W @ self.C.reshape(1, -1)
+
+    def grad_sample_times_factor(self, i, U):
+        return self.C @ U
+
+
+def sample_objective(obj, i):
+    """f_i as the one-sample objective of obj's family."""
+    if isinstance(obj, TripletProblem):
+        return TripletProblem(obj.p, obj.triplets[[i]], obj.lam)
+    return SensingProblem(obj.A[[i]], obj.b[[i]])
 
 
 class TestSensingGenerate:
@@ -115,29 +136,30 @@ class TestSensingGenerate:
 class TestSensingGradients:
     def test_identity_measurement(self):
         prob = SensingProblem(np.eye(2)[None, :, :], np.array([0.0]))
-        np.testing.assert_allclose(prob.grad_sample(0, np.eye(2)), 2.0 * np.eye(2))
+        np.testing.assert_allclose(prob.grad_full(np.eye(2)), 2.0 * np.eye(2))
 
     def test_zero_at_optimum(self):
         prob = sensing_generate(5, 2, 12, seed=2)
         for i in range(prob.n):
-            assert np.abs(prob.grad_sample(i, prob.Xstar)).max() <= 1e-12
+            assert np.abs(sample_objective(prob, i).grad_full(prob.Xstar)).max() <= 1e-12
 
     def test_matches_finite_differences(self):
         prob = sensing_generate(4, 2, 6, seed=4)
         rng = np.random.default_rng(5)
         X = symmetrize(rng.standard_normal((4, 4)))
         for i in range(prob.n):
-            G = prob.grad_sample(i, X)
-            G_fd = fd_gradient(lambda Y: prob.eval_sample(i, Y), X)
-            assert np.abs(G - G_fd).max() <= 1e-6
+            f_i = sample_objective(prob, i)
+            G_fd = fd_gradient(f_i.eval_full, X)
+            assert np.abs(f_i.grad_full(X) - G_fd).max() <= 1e-6
 
     def test_full_is_sample_mean(self):
         prob = sensing_generate(5, 2, 17, seed=6)
         rng = np.random.default_rng(7)
         X = symmetrize(rng.standard_normal((5, 5)))
-        mean = sum(prob.grad_sample(i, X) for i in range(prob.n)) / prob.n
+        samples = [sample_objective(prob, i) for i in range(prob.n)]
+        mean = sum(f_i.grad_full(X) for f_i in samples) / prob.n
         assert np.linalg.norm(prob.grad_full(X) - mean) <= 1e-10
-        vals = sum(prob.eval_sample(i, X) for i in range(prob.n)) / prob.n
+        vals = sum(f_i.eval_full(X) for f_i in samples) / prob.n
         assert abs(prob.eval_full(X) - vals) <= 1e-10 * (1 + abs(vals))
 
     def test_convexity_probe(self):
@@ -163,15 +185,18 @@ def x_layouts(p, seed):
 
 
 def sample_moment(obj, X):
-    """(1/n) sum_i ||grad f_i(X)||_F^2 as a loop over the per-sample gradients."""
-    return sum(float(np.linalg.norm(obj.grad_sample(i, X)) ** 2) for i in range(obj.n)) / obj.n
+    """(1/n) sum_i ||grad f_i(X)||_F^2 as a loop over the one-sample objectives."""
+    return sum(float(np.linalg.norm(sample_objective(obj, i).grad_full(X)) ** 2)
+               for i in range(obj.n)) / obj.n
 
 
 class TestSensingGemvOracle:
-    """The (n, p^2)-view full-batch oracles against the per-sample base loops.
+    """The (n, p^2)-view full-batch oracles against per-sample loops.
 
     Nonsymmetric A_i and X make a transposed flattening of X visible: with
-    symmetric A_i, <A_i, X^T> = <A_i, X> would hide it.
+    symmetric A_i, <A_i, X^T> = <A_i, X> would hide it.  A one-sample
+    objective flattens X the same way, so the reference is written out
+    with ``np.vdot``.
     """
 
     P = 7
@@ -185,8 +210,9 @@ class TestSensingGemvOracle:
     def test_full_batch_oracles_match_sample_loops(self, layout):
         prob = self.problem()
         X = x_layouts(self.P, 22)[layout]
-        f_ref = SampleObjective.eval_full(prob, X)
-        G_ref = SampleObjective.grad_full(prob, X)
+        resid = [np.vdot(A_i, X) - b_i for A_i, b_i in zip(prob.A, prob.b)]
+        f_ref = sum(0.5 * r * r for r in resid) / prob.n
+        G_ref = sum(r * A_i for r, A_i in zip(resid, prob.A)) / prob.n
         assert abs(prob.eval_full(X) - f_ref) <= 1e-12 * abs(f_ref)
         assert rel_err(prob.grad_full(X), G_ref) <= 1e-12
         f, G = prob.value_and_grad_full(X)
@@ -224,30 +250,6 @@ class TestSensingGemvOracle:
             sq_ref = sample_moment(prob, X)
             assert abs(moments[s] - sq_ref) <= 1e-12 * sq_ref
 
-    def test_base_class_loops_over_the_per_matrix_oracles(self):
-        prob = self.problem()
-        Xs = self.stacks(self.P, 27)["strided"]
-        G = SampleObjective.grad_full_many(prob, Xs)
-        G2, moments = SampleObjective.grad_moments_many(prob, Xs)
-        assert np.array_equal(G2, prob.grad_full_many(Xs))
-        for s, X in enumerate(Xs):
-            assert np.array_equal(G[s], prob.grad_full(X))
-            assert moments[s] == sample_moment(prob, X)
-
-    def test_override_of_grad_full_alone_reaches_the_batched_oracle(self):
-        prob = self.problem()
-
-        class Scaled(SampleObjective):
-            n, p = prob.n, prob.p
-
-            def grad_full(self, X):
-                return 3.0 * prob.grad_full(X)
-
-        Xs = self.stacks(self.P, 28)["C"]
-        G = Scaled().grad_full_many(Xs)
-        for s, X in enumerate(Xs):
-            assert np.array_equal(G[s], 3.0 * prob.grad_full(X))
-
     @pytest.mark.parametrize("contiguous", [True, False])
     def test_view_shares_the_one_operand(self, contiguous):
         A = np.random.default_rng(25).standard_normal((12, self.P, self.P))
@@ -268,19 +270,19 @@ def one_triplet(c, p, lam=0.0):
 
 class TestSteLoss:
     def test_all_equal_distances(self):
-        assert one_triplet((0, 1, 2), 4).eval_sample(0, np.eye(4)) == pytest.approx(np.log(2.0))
+        assert one_triplet((0, 1, 2), 4).eval_full(np.eye(4)) == pytest.approx(np.log(2.0))
 
     def test_strongly_satisfied_triplet(self):
         # points on a line: d2_ij = 0, d2_ik = 20, so the loss is -log sigma(20)
         coords = np.array([[0.0], [0.0], [np.sqrt(20.0)]])
         X = coords @ coords.T
-        assert one_triplet((0, 1, 2), 3).eval_sample(0, X) == pytest.approx(np.log1p(np.exp(-20.0)), rel=1e-12)
+        assert one_triplet((0, 1, 2), 3).eval_full(X) == pytest.approx(np.log1p(np.exp(-20.0)), rel=1e-12)
 
     def test_nonnegative_and_log2_iff_tie(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             X = symmetrize(rng.standard_normal((5, 5)))
-            val = one_triplet((0, 1, 2), 5).eval_sample(0, X)
+            val = one_triplet((0, 1, 2), 5).eval_full(X)
             assert val >= 0.0
             d2ij = X[0, 0] + X[1, 1] - X[0, 1] - X[1, 0]
             d2ik = X[0, 0] + X[2, 2] - X[0, 2] - X[2, 0]
@@ -293,8 +295,8 @@ class TestSteLoss:
         rng = np.random.default_rng(11)
         X = symmetrize(rng.standard_normal((5, 5)))
         prob = one_triplet((0, 2, 4), 5)
-        G = prob.grad_sample(0, X)
-        G_fd = fd_gradient(lambda Y: prob.eval_sample(0, Y), X)
+        G = prob.grad_full(X)
+        G_fd = fd_gradient(prob.eval_full, X)
         assert np.abs(G - G_fd).max() <= 1e-6
 
 
@@ -302,7 +304,7 @@ class TestSteGradSample:
     def test_sparsity_pattern_at_identity(self):
         p = 6
         i, j, k = 1, 3, 5
-        G = one_triplet((i, j, k), p).grad_sample(0, np.eye(p))
+        G = one_triplet((i, j, k), p).grad_full(np.eye(p))
         # sigma(0) - 1 = -1/2 weights
         assert G[k, k] == pytest.approx(-0.5)
         assert G[j, j] == pytest.approx(0.5)
@@ -320,15 +322,15 @@ class TestSteGradSample:
         coords = np.zeros((4, 1))
         coords[3, 0] = 40.0
         X = coords @ coords.T
-        G = one_triplet((0, 1, 3), 4, lam=0.1).grad_sample(0, X)
+        G = one_triplet((0, 1, 3), 4, lam=0.1).grad_full(X)
         np.testing.assert_allclose(G, 0.1 * np.eye(4), atol=1e-40)
 
     def test_matches_finite_differences_with_lambda(self):
         rng = np.random.default_rng(12)
         X = symmetrize(rng.standard_normal((5, 5)))
         prob = one_triplet((1, 0, 3), 5, lam=0.05)
-        G = prob.grad_sample(0, X)
-        G_fd = fd_gradient(lambda Y: prob.eval_sample(0, Y), X)
+        G = prob.grad_full(X)
+        G_fd = fd_gradient(prob.eval_full, X)
         assert np.abs(G - G_fd).max() <= 1e-6
 
     def test_exact_symmetry_both_families(self):
@@ -337,12 +339,10 @@ class TestSteGradSample:
         trip = TripletProblem(6, [(0, 1, 2), (3, 4, 5), (1, 5, 0)], lam=0.01)
         X5 = symmetrize(rng.standard_normal((5, 5)))
         X6 = symmetrize(rng.standard_normal((6, 6)))
-        for i in range(sens.n):
-            G = sens.grad_sample(i, X5)
-            assert np.array_equal(G, G.T)
-        for i in range(trip.n):
-            G = trip.grad_sample(i, X6)
-            assert np.array_equal(G, G.T)
+        for obj, X in ((sens, X5), (trip, X6)):
+            for i in range(obj.n):
+                G = sample_objective(obj, i).grad_full(X)
+                assert np.array_equal(G, G.T)
 
 
 class TestTripletProblem:
@@ -364,7 +364,7 @@ class TestTripletProblem:
         trip = TripletProblem(5, [(0, 1, 2), (1, 3, 4), (2, 4, 0), (3, 0, 1)], lam=0.02)
         rng = np.random.default_rng(16)
         X = gram(rng.standard_normal((5, 2)))
-        mean = sum(trip.grad_sample(i, X) for i in range(trip.n)) / trip.n
+        mean = sum(sample_objective(trip, i).grad_full(X) for i in range(trip.n)) / trip.n
         assert np.linalg.norm(trip.grad_full(X) - mean) <= 1e-10
 
     @pytest.mark.parametrize("lam", [0.0, 1e-2])
@@ -397,6 +397,37 @@ class TestTripletProblem:
         G = trip.grad_full_many(Xs)
         for s, X in enumerate(Xs):
             assert np.array_equal(G[s], trip.grad_full(X))
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-2])
+    def test_stacked_and_fused_oracles_match_per_point(self, lam):
+        """Stacked and fused oracles repeat the one-point ones bitwise.
+
+        The second moments match the loop over one-sample objectives.
+        """
+        _, T = planted_triplets(12, 2, 200, seed=2)
+        trip = TripletProblem(12, T, lam)
+        rng = np.random.default_rng(19)
+        Xs = np.stack([gram(rng.standard_normal((12, 2))) for _ in range(3)])
+        G = trip.grad_full_many(Xs)
+        G2, moments = trip.grad_moments_many(Xs)
+        assert np.array_equal(G2, G)
+        for s, X in enumerate(Xs):
+            assert np.array_equal(G[s], trip.grad_full(X))
+            f, G1 = trip.value_and_grad_full(X)
+            assert f == trip.eval_full(X)
+            assert np.array_equal(G1, trip.grad_full(X))
+            ref = sample_moment(trip, X)
+            assert abs(moments[s] - ref) <= 1e-12 * ref
+
+
+class TestDerivedOracles:
+    def test_moments_with_a_trace_term_and_a_trace_carrying_operator(self):
+        """||A_1 + lam I||^2 has the cross term 2 lam tr(A_1); triplet A_c have none."""
+        obj = LinearObjective(np.diag([1.0, 2.0, 3.0]))
+        obj.lam = 0.5
+        G, moments = obj.grad_moments_many([np.eye(3)])
+        assert np.array_equal(G[0], np.diag([1.5, 2.5, 3.5]))
+        assert moments[0] == pytest.approx(1.5**2 + 2.5**2 + 3.5**2, rel=1e-14)
 
 
 class TestPlantedTriplets:
@@ -435,7 +466,7 @@ class TestFactoredGradient:
         X = gram(U)
         for obj in (prob, trip):
             for i in range(obj.n):
-                direct = obj.grad_sample(i, X) @ U
+                direct = sample_objective(obj, i).grad_full(X) @ U
                 via_u = obj.grad_sample_times_factor(i, U)
                 assert np.linalg.norm(direct - via_u) <= 1e-12
 
@@ -467,23 +498,11 @@ class TestEstimateSmoothness:
 
     def test_scaling_homogeneity(self):
         prob = sensing_generate(4, 2, 12, seed=26)
-
-        class Scaled(SampleObjective):
-            n = prob.n
-            p = prob.p
-
-            def eval_sample(self, i, X):
-                return 3.0 * prob.eval_sample(i, X)
-
-            def grad_sample(self, i, X):
-                return 3.0 * prob.grad_sample(i, X)
-
-            def grad_full(self, X):
-                return 3.0 * prob.grad_full(X)
-
+        # sqrt(3) A and sqrt(3) b scale every f_i by 3
+        scaled = SensingProblem(np.sqrt(3.0) * prob.A, np.sqrt(3.0) * prob.b)
         pairs = probe_pairs(4, 2, seed=27, n_pairs=6)
         L1, m1 = estimate_smoothness(prob, pairs)
-        L3, m3 = estimate_smoothness(Scaled(), pairs)
+        L3, m3 = estimate_smoothness(scaled, pairs)
         assert L3 == pytest.approx(3.0 * L1, rel=1e-12)
         assert m3 == pytest.approx(3.0 * m1, rel=1e-12)
 

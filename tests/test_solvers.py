@@ -9,6 +9,7 @@ from factored_sdp.init import init_perturbed_optimum, init_scheme3
 from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
     SampleObjective,
+    SensingProblem,
     TripletProblem,
     estimate_smoothness,
     planted_triplets,
@@ -31,33 +32,34 @@ from factored_sdp.solvers import (
 from factored_sdp.stepsize import StallError, fixed, sbb
 
 
-class ConstantObjective(SampleObjective):
-    """f(X) = 3 with an exactly-zero gradient."""
-
-    def __init__(self, p, n=4):
-        self.p = p
-        self.n = n
-
-    def eval_sample(self, i, X):
-        return 3.0
-
-    def grad_sample(self, i, X):
-        return np.zeros((self.p, self.p))
+def constant_objective(p, n=4):
+    """f(X) = 2 with an exactly-zero gradient: zero measurements, b_i = 2."""
+    return SensingProblem(np.zeros((n, p, p)), np.full(n, 2.0))
 
 
 class LinearObjective(SampleObjective):
-    """f(X) = <C, X>: constant nonzero gradient."""
+    """f(X) = <C, X>: one sample with phi(z) = z and A_1 = C, a constant gradient."""
 
     def __init__(self, C):
         self.C = symmetrize(C)
         self.p = C.shape[0]
         self.n = 1
+        self._A_sqnorms = np.array([np.vdot(self.C, self.C)])
 
-    def eval_sample(self, i, X):
-        return float(np.vdot(self.C, X))
+    def _measure(self, Xs):
+        return np.reshape(Xs, (-1, self.p * self.p)) @ self.C.reshape(-1, 1)
 
-    def grad_sample(self, i, X):
-        return self.C.copy()
+    def _value(self, z):
+        return float(z[0])
+
+    def _slope(self, Z):
+        return np.ones_like(Z)
+
+    def _adjoint(self, W):
+        return W @ self.C.reshape(1, -1)
+
+    def grad_sample_times_factor(self, i, U):
+        return self.C @ U
 
 
 def assert_diverges_with_partial_record(algo):
@@ -176,11 +178,11 @@ class TestEpochCost:
 
 class TestSvrg:
     def test_zero_gradient_fixed_point(self):
-        obj = ConstantObjective(3)
+        obj = constant_objective(3)
         U0 = np.random.default_rng(3).standard_normal((3, 2))
         rec = run_svrg(obj, svrg_config(epochs=4), U0)
         np.testing.assert_array_equal(rec.final_U, U0)
-        assert all(row.f == 3.0 for row in rec.rows)
+        assert all(row.f == 2.0 for row in rec.rows)
 
     def test_first_inner_step_ignores_sampling(self):
         # with m=1 the stochastic terms cancel at t=0, so one outer
@@ -319,7 +321,7 @@ class TestFgd:
         np.testing.assert_array_equal(rec.final_U, U0)
 
     def test_zero_gradient_is_constant(self):
-        obj = ConstantObjective(4)
+        obj = constant_objective(4)
         U0 = np.random.default_rng(18).standard_normal((4, 2))
         rec = run_fgd(obj, SolverConfig(algorithm="fgd", r=2, epochs=3, seed=0,
                                         eta=0.5), U0)
@@ -423,7 +425,7 @@ class TestSensingInnerLoop:
 
 class TestProjGd:
     def test_zero_gradient_nearly_constant(self):
-        obj = ConstantObjective(4)
+        obj = constant_objective(4)
         X0 = gram(np.random.default_rng(30).standard_normal((4, 2)))
         cfg = SolverConfig(algorithm="projgd", r=1, epochs=3, seed=0, eta=0.5)
         rec = run_projgd(obj, cfg, X0)

@@ -6,7 +6,7 @@ import pytest
 
 from factored_sdp import theory
 from factored_sdp.linalg import gram, symmetrize, truncated_approx
-from factored_sdp.objective import SampleObjective, SensingProblem, sensing_generate
+from factored_sdp.objective import SensingProblem, sensing_generate
 from factored_sdp.stepsize import StepSchedule
 from factored_sdp.theory import (
     CONSTANT_FIELDS,
@@ -550,8 +550,12 @@ class TestEstimateRegionStats:
 
     @staticmethod
     def per_matrix_stats(obj, Ur, gamma0, n_samples, seed):
-        """The per-matrix loop: one grad_full and one second moment per sample."""
+        """The per-matrix loop: one grad_full and one second moment per sample.
+
+        The second moment loops over the one-sample objectives f_i.
+        """
         p, r = Ur.shape
+        samples = [SensingProblem(obj.A[[i]], obj.b[[i]]) for i in range(obj.n)]
         radius = math.sqrt(gamma0 * float(np.linalg.svd(Ur, compute_uv=False)[-1] ** 2))
         rng = np.random.default_rng(seed)
         grad_norm_at_Xr = float(np.linalg.norm(obj.grad_full(gram(Ur))))
@@ -566,7 +570,8 @@ class TestEstimateRegionStats:
             X = gram(U)
             calB = max(calB, float(np.linalg.norm(X)))
             full_sq = float(np.linalg.norm(obj.grad_full(X))) ** 2
-            second = SampleObjective.grad_moments_many(obj, [X])[1][0]
+            second = sum(float(np.linalg.norm(f_i.grad_full(X))) ** 2
+                         for f_i in samples) / obj.n
             B0 = max(B0, second - full_sq)
             B1 = max(B1, full_sq)
         return {"calB": calB, "B0": max(B0, 0.0), "B1": B1,
