@@ -280,17 +280,10 @@ def _parse_algos(text):
     return algos
 
 
-def _per_algo_values(text, algos, flag):
-    """A finite float above 0 broadcast to all algorithms, or a comma list of them."""
-    if text is None:
+def _per_algo_values(values, algos, flag):
+    """The parsed ``flag`` list as a map over ``algos``: one value broadcast, or one each."""
+    if values is None:
         return {}
-    parts = text.split(",")
-    try:
-        values = [float(part) for part in parts]
-    except ValueError:
-        raise CliError(f"argument {flag}: values must be numbers, got {text!r}")
-    if not all(0 < value < math.inf for value in values):
-        raise CliError(f"argument {flag}: must be finite and above 0")
     if len(values) == 1:
         values = values * len(algos)
     if len(values) != len(algos):
@@ -428,7 +421,7 @@ def _sensing_setup(args):
         raise CliError("need 1 <= r <= p and 1 <= r_star <= p")
     if args.r > args.r_star:
         raise CliError(f"--r {args.r} above --r-star {args.r_star}: a solver rank above "
-                       "the planted rank is unsupported until ROADMAP direction 3(a)")
+                       "the planted rank is unsupported (ROADMAP: over-parameterized rank)")
     obj = sensing_generate(args.p, args.r_star, args.n, args.instance_seed)
     _, U_ref = truncated_approx(obj.Xstar, args.r)
     L_hat, mu_hat = estimate_smoothness(
@@ -610,6 +603,15 @@ _FINITE_POSITIVE = _ranged(float, lambda v: 0 < v < math.inf, "finite and above 
 _NONNEG = _ranged(float, lambda v: v >= 0, "at least 0")
 
 
+def _comma_list(kind):
+    """An argparse ``type=``: a comma list of ``kind`` values, each checked by ``kind``."""
+    def parse(text):
+        return [kind(part) for part in text.split(",")]
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_common(sub, algos):
     """Flags of the solver commands; ``algos`` is the --algos default."""
     sub.add_argument("--out", required=True, help="output directory")
@@ -623,7 +625,7 @@ def _add_common(sub, algos):
     sub.add_argument("--epochs", type=_COUNT, default=100)
     sub.add_argument("--eval-every", type=_COUNT, default=1,
                      help="record metrics every this many epochs")
-    sub.add_argument("--eta", default=None,
+    sub.add_argument("--eta", type=_comma_list(_FINITE_POSITIVE), default=None,
                      help="step: the fixed step of fgd, projgd and svrg-fixed, "
                           "the initial step of sfgd, svrg-sbb0 and svrg-sbb; "
                           "one value or a comma list per --algos (default: "

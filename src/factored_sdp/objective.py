@@ -35,9 +35,10 @@ class SampleObjective:
 
     The full-batch oracles below are derived from them here, once.  A
     per-sample oracle is the full-batch oracle of the one-sample objective
-    of the same family.  The solvers' per-sample direction,
-    ``grad_sample_times_factor``, reads U without forming a p-by-p matrix,
-    so each family writes its own.  Instances are read-only after
+    of the same family.  The solvers' per-sample direction reads U without
+    forming a p-by-p matrix, so each family writes its own: either
+    ``grad_sample_times_factor`` (sensing) or the inner-loop kernel
+    ``factor_steps`` (triplets).  Instances are read-only after
     construction and safe to share.
     """
 
@@ -173,11 +174,6 @@ def sensing_generate(p, r_star, n, seed):
     return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
 
 
-def _logistic_weight(z):
-    """d/dz of logaddexp(0, -z), that is sigma(z) - 1 = -1/(1 + e^z), overflow-safe."""
-    return -np.exp(-z) / (1.0 + np.exp(-z)) if z >= 0 else -1.0 / (1.0 + np.exp(z))
-
-
 class TripletProblem(SampleObjective):
     """Ordinal embedding objective f(X) = (1/|C|) sum_c l_c(X) + lam tr(X).
 
@@ -189,17 +185,18 @@ class TripletProblem(SampleObjective):
     and (j, i) and -1 at (j, j), (i, k) and (k, i), so ||A_c||_F^2 = 6; the
     trace term is folded into every f_i so that f = (1/n) sum_i f_i
     exactly.  The full-batch oracles read all margins off X at once; the
-    factor oracles read them off the rows of U.
+    kernel reads them off the rows of U.
 
-    ``factor_steps`` runs a whole SVRG or SFGD inner loop with lazy dense
-    updates, which the solvers use in place of their per-step loop.  It
-    matches that loop up to rounding: one SVRG epoch at the criterion-10
-    steps agrees to about 1e-11 relative, and SFGD at eta0 = 0.05 over
-    several epochs to about 1e-15.  SFGD at eta0 = 2 is chaotic, so its
-    1e-17 per-step differences grow to about 1e-5 relative after one
-    3200-step epoch and to O(1) after two; there the two paths agree as
-    runs (same test-error crossings on the criterion-10 trials), not as
-    iterates.
+    The family's one per-sample direction is the kernel ``factor_steps``:
+    it runs a whole SVRG or SFGD inner loop with lazy dense updates, which
+    the solvers use in place of their per-step loop.  It matches the
+    per-step loop over the one-sample objectives up to rounding: one SVRG
+    epoch at the criterion-10 steps agrees to about 1e-11 relative, and
+    SFGD at eta0 = 0.05 over several epochs to about 1e-15.  SFGD at
+    eta0 = 2 is chaotic, so its 1e-17 per-step differences grow to about
+    1e-5 relative after one 3200-step epoch and to O(1) after two; there
+    the two paths agree as runs (same test-error crossings on the
+    criterion-10 trials), not as iterates.
     """
 
     def __init__(self, p, triplets, lam=0.0):
@@ -221,7 +218,6 @@ class TripletProblem(SampleObjective):
         self._I = T[:, 0]
         self._J = T[:, 1]
         self._K = T[:, 2]
-        self._triplet_rows = T.tolist()
         self._A_sqnorms = np.full(self.n, 6.0)
         # flat cells (K,K), (J,J), (I,J), (J,I), (I,K), (K,I) of every
         # triplet, in that order: the adjoint's one scatter-add target
@@ -261,17 +257,6 @@ class TripletProblem(SampleObjective):
             sym /= 2.0
         return out
 
-    def grad_sample_times_factor(self, i, U):
-        ti, tj, tk = self._triplet_rows[i]
-        dik = U[ti] - U[tk]
-        dij = U[ti] - U[tj]
-        w = _logistic_weight(float(dik @ dik) - float(dij @ dij))
-        out = self.lam * U
-        out[ti] += w * (U[tj] - U[tk])
-        out[tj] += w * (U[ti] - U[tj])
-        out[tk] += w * (U[tk] - U[ti])
-        return out
-
     def factor_steps(self, U, idx, etas, anchor=None):
         """Run a whole inner loop from U and return the final factor.
 
@@ -284,7 +269,8 @@ class TripletProblem(SampleObjective):
         ``grad f_i(U U^T) @ U - grad f_i(Ut Ut^T) @ Ut + g``; the anchor's
         margins are read off the rows of Ut, so no p-by-p matrix is formed.
 
-        The result equals the per-step loop over ``grad_sample_times_factor``
+        The result equals the per-step loop over the one-sample objectives,
+        ``d_t = TripletProblem(p, triplets[[i]], lam).grad_full(U U^T) @ U``,
         up to rounding, at a fraction of its cost.  A step's loss part moves
         only the three rows of its triplet; the rest of the step is the
         affine map ``u <- a_t u + eta_t c`` on every row, with
@@ -296,11 +282,12 @@ class TripletProblem(SampleObjective):
         touches it, and once more at the end.  When ``|P|`` leaves
         ``[1e-100, 1e100]`` (say ``eta lam`` near 1, or a long loop at a
         large step) every row is caught up and the composition restarts, so
-        no ratio of products underflows.  Rows are Python float lists; a
-        step makes no numpy call.
+        no ratio of products underflows.  Rows are Python float lists, and
+        the sampled triplets are gathered from the index array once per
+        call; a step makes no numpy call.
         """
         lam = self.lam
-        T = self._triplet_rows
+        sampled = self.triplets[idx].tolist()
         rows = U.tolist()
         p = len(rows)
         if anchor is None:
@@ -326,8 +313,7 @@ class TripletProblem(SampleObjective):
             shift = R - ratio * row_R[q]
             return [ratio * x + shift * y for x, y in zip(rows[q], c[q])]
 
-        for s, eta in zip(idx, etas):
-            i, j, k = T[s]
+        for s, (i, j, k), eta in zip(idx, sampled, etas):
             ui, uj, uk = current(i), current(j), current(k)
             dk, dj = math.dist(ui, uk), math.dist(ui, uj)
             z = dk * dk - dj * dj
@@ -449,6 +435,8 @@ def estimate_smoothness(obj, pairs):
     Coincident pairs (||X - Y||_F < 1e-14) are dropped first; the gradients
     at the 2K points of the K pairs kept come from one
     ``obj.grad_full_many`` call on the stack [X_1, Y_1, ..., X_K, Y_K].
+    Each difference X - Y is formed again after that call, one pair at a
+    time, so no list of K differences sits beside the gradient stack.
 
     Raises
     ------
@@ -457,16 +445,16 @@ def estimate_smoothness(obj, pairs):
     """
     kept = []
     for X, Y in pairs:
-        D = X - Y
-        nd = float(np.linalg.norm(D))
+        nd = float(np.linalg.norm(X - Y))
         if nd < 1e-14:
             continue
-        kept.append((X, Y, D, nd))
+        kept.append((X, Y, nd))
     if not kept:
         raise NoProbes("all probe pairs coincident")
-    grads = obj.grad_full_many([M for X, Y, _, _ in kept for M in (X, Y)])
+    grads = obj.grad_full_many([M for X, Y, _ in kept for M in (X, Y)])
     l_vals, mu_vals = [], []
-    for k, (_, _, D, nd) in enumerate(kept):
+    for k, (X, Y, nd) in enumerate(kept):
+        D = X - Y
         Gd = grads[2 * k] - grads[2 * k + 1]
         l_vals.append(float(np.linalg.norm(Gd)) / nd)
         mu_vals.append(float(np.vdot(Gd, D)) / nd**2)

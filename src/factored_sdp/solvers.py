@@ -10,12 +10,12 @@ Four algorithms share the RunRecord trace format:
 * ``run_projgd``  projected gradient descent in X-space (baseline)
 
 SVRG and SFGD share one inner loop, ``_inner_loop``: SFGD is the SVRG
-loop without an anchor and with a decaying step.  It steps along
-``grad_sample_times_factor``, which each objective family provides.  An
-objective that also has ``factor_steps`` (TripletProblem does) runs the
-whole loop itself on the same samples and steps; the per-step loop stays
-the reference, and the two agree up to rounding (TripletProblem's
-docstring says how closely).  Epoch accounting follows sample-gradient
+loop without an anchor and with a decaying step.  An objective family
+supplies either the per-sample direction ``grad_sample_times_factor``
+(sensing), which the loop steps along, or the kernel ``factor_steps``
+(triplets), which runs the whole loop itself on the same samples and
+steps (TripletProblem's docstring says how closely it matches the
+per-step loop).  Epoch accounting follows sample-gradient
 counts: FGD, SFGD, and ProjGD spend n sample gradients per epoch, SVRG
 spends n + m per outer iteration.  Metric evaluations are not counted.
 """
@@ -192,10 +192,11 @@ def _inner_loop(obj, U, idx, etas, anchor=None):
     d_t is ``grad f_i(U U^T) @ U``, the SFGD direction, or with ``anchor =
     (Ut, g)``, a snapshot and ``g = grad f(Ut Ut^T) @ Ut``, the SVRG direction
     ``grad f_i(U U^T) @ U - grad f_i(Ut Ut^T) @ Ut + g``, whose sample terms
-    cancel exactly at U = Ut.  An objective with ``factor_steps`` runs the
-    whole loop itself.  The update is applied in place on fresh oracle outputs;
-    the loop runs n+ times per epoch and per-step temporaries dominate its
-    cost otherwise.
+    cancel exactly at U = Ut.  The objective supplies either
+    ``grad_sample_times_factor`` (sensing), stepped along here, or
+    ``factor_steps`` (triplets), which runs the whole loop itself.  The
+    update is applied in place on fresh oracle outputs; the loop runs n+
+    times per epoch and per-step temporaries dominate its cost otherwise.
     """
     steps = getattr(obj, "factor_steps", None)
     if steps is not None:

@@ -123,14 +123,6 @@ def _assumption2(lhs, sigma_r, kappa, xi):
     )
 
 
-def check_assumption2(Xstar, r, kappa, xi):
-    """Evaluate the rank-r approximation-error condition from the spectrum."""
-    w, _ = eig_sym(symmetrize(np.asarray(Xstar, dtype=float)))
-    if r < 1 or r > len(w):
-        raise ValueError("r out of range")
-    return _assumption2(float(np.sqrt(np.sum(w[r:] ** 2))), float(w[r - 1]), kappa, xi)
-
-
 def region_gamma0(L, mu):
     """gamma0 = 2(sqrt(2) - 1) / (3 kappa), with kappa = L / mu.
 

@@ -28,7 +28,6 @@ from factored_sdp.cli import INIT_SEED_OFFSET, main
 from factored_sdp.init import init_perturbed_optimum, init_scheme3
 from factored_sdp.linalg import gram, truncated_approx
 from factored_sdp.objective import (
-    SensingProblem,
     TripletProblem,
     estimate_smoothness,
     planted_triplets,
@@ -56,45 +55,11 @@ from factored_sdp.theory import (
     region_gamma0,
     theorem1_rate,
 )
+from helpers import basis_sensing, fd_gradient, kernel_direction, sample_objective
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def basis_sensing(p, r=2, seed=0):
-    """Sensing instance over all p^2 symmetrized coordinate matrices.
-
-    The quadratic's Hessian action is exactly identity / p^2, so the
-    measured smoothness and curvature moduli coincide at 1/p^2 and every
-    secant quotient is the same number.  That makes the adaptive-step
-    bracket a single point, which pins the step sequence exactly.
-    """
-    mats = []
-    for a in range(p):
-        for b in range(p):
-            E = np.zeros((p, p))
-            E[a, b] += 0.5
-            E[b, a] += 0.5
-            mats.append(E)
-    A = np.stack(mats)
-    Ustar = np.random.default_rng(seed).standard_normal((p, r))
-    Xstar = gram(Ustar)
-    b = np.einsum("kij,ij->k", A, Xstar)
-    return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
-
-
-def fd_gradient(fun, X, h=1e-5):
-    """Central finite differences of a scalar function of a matrix."""
-    G = np.zeros_like(X)
-    for a in range(X.shape[0]):
-        for b in range(X.shape[1]):
-            Xp = X.copy()
-            Xm = X.copy()
-            Xp[a, b] += h
-            Xm[a, b] -= h
-            G[a, b] = (fun(Xp) - fun(Xm)) / (2 * h)
-    return G
 
 
 def affine_r2(xs, ys):
@@ -109,13 +74,6 @@ def affine_r2(xs, ys):
 def rel_err(approx, exact):
     denom = max(float(np.linalg.norm(exact)), float(np.linalg.norm(approx)), 1e-12)
     return float(np.linalg.norm(approx - exact)) / denom
-
-
-def sample_objective(obj, i):
-    """f_i as the one-sample objective of obj's family."""
-    if isinstance(obj, TripletProblem):
-        return TripletProblem(obj.p, obj.triplets[[i]], obj.lam)
-    return SensingProblem(obj.A[[i]], obj.b[[i]])
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +500,10 @@ def test_criterion_09_direction_unbiasedness():
 
     Checked at arbitrary states for the raw gradients, those of the
     one-sample objectives, and for the variance-reduced factor direction
-    the solvers step along, built from ``grad_sample_times_factor``, whose
-    anchor terms must cancel in the mean.  Tolerance is 1e-10 in Frobenius
-    norm, absolute.
+    the solvers step along, whose anchor terms must cancel in the mean:
+    for sensing built from ``grad_sample_times_factor``, for triplets one
+    kernel step at eta = 1.  Tolerance is 1e-10 in Frobenius norm,
+    absolute.
     """
     sensing = sensing_generate(6, 2, 15, seed=40)
     _, T = planted_triplets(7, 2, 20, seed=41)
@@ -562,13 +521,17 @@ def test_criterion_09_direction_unbiasedness():
             U = rng.standard_normal((p, 2))
             Ut = rng.standard_normal((p, 2))
             anchor = obj.grad_full(gram(Ut)) @ Ut
-            vr_mean = np.mean(
-                [
-                    obj.grad_sample_times_factor(i, U) - obj.grad_sample_times_factor(i, Ut)
-                    for i in range(obj.n)
-                ],
-                axis=0,
-            ) + anchor
+            if obj is triplet:
+                vr_mean = np.mean([kernel_direction(obj, i, U, anchor=(Ut, anchor))
+                                   for i in range(obj.n)], axis=0)
+            else:
+                vr_mean = np.mean(
+                    [
+                        obj.grad_sample_times_factor(i, U) - obj.grad_sample_times_factor(i, Ut)
+                        for i in range(obj.n)
+                    ],
+                    axis=0,
+                ) + anchor
             full_dir = obj.grad_full(gram(U)) @ U
             assert float(np.linalg.norm(vr_mean - full_dir)) <= 1e-10
 

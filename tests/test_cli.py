@@ -187,16 +187,20 @@ class TestParseHelpers:
             _parse_algos("fgd,fgd")
 
     def test_per_algo_broadcast(self):
-        got = _per_algo_values("0.5", ["fgd", "sfgd"], "--eta")
+        got = _per_algo_values([0.5], ["fgd", "sfgd"], "--eta")
         assert got == {"fgd": 0.5, "sfgd": 0.5}
 
     def test_per_algo_list_must_match(self):
         with pytest.raises(CliError, match="--eta"):
-            _per_algo_values("0.5,0.1", ["fgd", "sfgd", "projgd"], "--eta")
+            _per_algo_values([0.5, 0.1], ["fgd", "sfgd", "projgd"], "--eta")
 
     def test_per_algo_non_numeric(self):
-        with pytest.raises(CliError, match="numbers"):
-            _per_algo_values("big", ["fgd"], "--eta")
+        """The parser reads --eta as a comma list of numbers."""
+        parser = build_parser()
+        args = parser.parse_args(["sensing", "--out", "o", "--eta", "0.5,1e-3"])
+        assert args.eta == [0.5, 1e-3]
+        with pytest.raises(CliError, match="argument --eta: invalid float value: '0.5,big'"):
+            parser.parse_args(["sensing", "--out", "o", "--eta", "0.5,big"])
 
     def test_default_steps_cover_all_algorithms(self):
         args = argparse.Namespace(algos=list(ALGORITHMS), eta={},
@@ -627,7 +631,7 @@ class TestEmbedCommand:
         assert not out.exists()
 
     @pytest.mark.xfail(strict=True, reason="embed's default svrg-sbb steps diverge "
-                       "on this file (ROADMAP direction 6)")
+                       "on this file (ROADMAP: safe embed defaults)")
     def test_readme_example_converges(self, tmp_path):
         """The README's gen-triplets and embed lines, cut to one seed and six epochs."""
         data = tmp_path / "data" / "t1"

@@ -5,10 +5,13 @@ No linter ships with the project, so these scans stand in for one: an
 import whose name the module never reads is dead code, and so is a private
 (``_name``, not dunder) function, class, method or module constant that
 no module of src/ references beyond its definition, and a parameter that
-its function's body never reads.
+its function's body never reads.  A last scan keeps those modules and the
+README from citing a ROADMAP direction by its number, which changes each
+time the ROADMAP is re-anchored; they name the item instead.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -103,6 +106,15 @@ def unread_parameters(source):
     return found
 
 
+ROADMAP_NUMBER = re.compile(r"ROADMAP\s+direction\s+\d")
+
+
+def roadmap_direction_numbers(text):
+    """(line, citation) of each ROADMAP direction that ``text`` cites by number."""
+    return [(text.count("\n", 0, m.start()) + 1, m.group())
+            for m in ROADMAP_NUMBER.finditer(text)]
+
+
 def test_scan_finds_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau as t\nprint(sys.argv, pi)\n"
     assert unused_imports(source) == [(1, "os"), (3, "t")]
@@ -128,6 +140,14 @@ def test_scan_finds_an_unread_parameter():
     assert unread_parameters(source) == [(1, "f", "b"), (1, "f", "d"), (7, "n", "z")]
 
 
+def test_scan_finds_a_roadmap_direction_number():
+    word = "ROADMAP"  # spelled apart, so this module passes its own scan
+    text = (f"see {word} direction 2,\nor the {word}\ndirection 6(a); "
+            f"not {word} aim 3 or the {word} item on safe embed defaults\n")
+    assert roadmap_direction_numbers(text) == [
+        (1, f"{word} direction 2"), (2, f"{word}\ndirection 6")]
+
+
 def test_modules_are_found():
     assert "src/factored_sdp/objective.py" in MODULES
     assert "tests/test_imports.py" in MODULES
@@ -150,3 +170,10 @@ def test_no_unreferenced_private_name():
 def test_no_unread_parameter(module):
     source = (ROOT / module).read_text(encoding="utf-8")
     assert unread_parameters(source) == []
+
+
+def test_no_roadmap_direction_number():
+    found = [(document, *hit) for document in [*MODULES, "README.md"]
+             for hit in roadmap_direction_numbers(
+                 (ROOT / document).read_text(encoding="utf-8"))]
+    assert found == []

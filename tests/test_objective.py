@@ -7,7 +7,6 @@ from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
     SYMMETRIZE_BLOCK_BYTES,
     NoProbes,
-    SampleObjective,
     SensingProblem,
     TripletProblem,
     estimate_smoothness,
@@ -15,76 +14,31 @@ from factored_sdp.objective import (
     probe_pairs,
     sensing_generate,
 )
+from helpers import (
+    LinearObjective,
+    basis_sensing,
+    fd_gradient,
+    kernel_direction,
+    sample_objective,
+)
 
 
-def fd_gradient(fun, X, h=1e-5):
-    """Central finite differences of a scalar function of a matrix."""
-    G = np.zeros_like(X)
-    for a in range(X.shape[0]):
-        for b in range(X.shape[1]):
-            Xp = X.copy()
-            Xm = X.copy()
-            Xp[a, b] += h
-            Xm[a, b] -= h
-            G[a, b] = (fun(Xp) - fun(Xm)) / (2 * h)
-    return G
+def random_triplets(p, n, seed):
+    """n uniform triplets over p points with pairwise distinct indices."""
+    T = np.random.default_rng(seed).integers(0, p, size=(2 * n, 3))
+    distinct = (T[:, 0] != T[:, 1]) & (T[:, 0] != T[:, 2]) & (T[:, 1] != T[:, 2])
+    return T[distinct][:n]
 
 
-def basis_sensing(p, seed=0):
-    """Sensing instance whose Hessian action is exactly D / p^2.
-
-    Measurements are the p^2 symmetrized coordinate matrices, so the
-    curvature ratio of any probe pair is the constant 1/p^2.
-    """
-    A = np.zeros((p * p, p, p))
-    idx = 0
-    for a in range(p):
-        for b in range(p):
-            E = np.zeros((p, p))
-            E[a, b] = 1.0
-            A[idx] = (E + E.T) / 2.0
-            idx += 1
-    rng = np.random.default_rng(seed)
-    Ustar = rng.standard_normal((p, 2))
-    Xstar = gram(Ustar)
-    b = np.einsum("kij,ij->k", A, Xstar)
-    return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
-
-
-class LinearObjective(SampleObjective):
-    """f(X) = <C, X>: one sample with phi(z) = z and A_1 = C.
-
-    Constant gradient, zero curvature; the full-batch oracles are the
-    base class's, derived from the primitives below.
-    """
-
-    def __init__(self, C):
-        self.C = symmetrize(C)
-        self.p = C.shape[0]
-        self.n = 1
-        self._A_sqnorms = np.array([np.vdot(self.C, self.C)])
-
-    def _measure(self, Xs):
-        return np.reshape(Xs, (-1, self.p * self.p)) @ self.C.reshape(-1, 1)
-
-    def _value(self, z):
-        return float(z[0])
-
-    def _slope(self, Z):
-        return np.ones_like(Z)
-
-    def _adjoint(self, W):
-        return W @ self.C.reshape(1, -1)
-
-    def grad_sample_times_factor(self, i, U):
-        return self.C @ U
-
-
-def sample_objective(obj, i):
-    """f_i as the one-sample objective of obj's family."""
-    if isinstance(obj, TripletProblem):
-        return TripletProblem(obj.p, obj.triplets[[i]], obj.lam)
-    return SensingProblem(obj.A[[i]], obj.b[[i]])
+def traced_bytes(build):
+    """``build()``'s result and the bytes it still holds, with the peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak
 
 
 class TestSensingGenerate:
@@ -124,12 +78,7 @@ class TestSensingGenerate:
 
     def test_holds_one_operand_while_generating(self):
         """Peak allocation stays near one (n, p, p) array, not two."""
-        tracemalloc.start()
-        try:
-            prob = sensing_generate(60, 4, 600, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        prob, _, peak = traced_bytes(lambda: sensing_generate(60, 4, 600, 0))
         assert peak < 1.25 * prob.A.nbytes
 
 
@@ -346,6 +295,13 @@ class TestSteGradSample:
 
 
 class TestTripletProblem:
+    def test_holds_a_small_multiple_of_its_index_array(self):
+        """No per-triplet Python list: the arrays built are about 2.3x the triplets."""
+        T = random_triplets(20_000, 200_000, seed=31)
+        assert len(T) == 200_000
+        _, held, _ = traced_bytes(lambda: TripletProblem(20_000, T, 1e-2))
+        assert held <= 3 * T.nbytes
+
     def test_trace_term_slope(self):
         triplets = [(0, 1, 2), (2, 3, 0)]
         rng = np.random.default_rng(15)
@@ -458,6 +414,17 @@ class TestFactoredGradient:
         fd = fd_gradient(lambda V: prob.eval_full(gram(V)), U)
         assert np.abs(analytic - fd).max() <= 1e-6
 
+    @staticmethod
+    def sample_direction(obj, i, U):
+        """The per-sample factor direction the solvers step along.
+
+        Sensing supplies ``grad_sample_times_factor``; triplets step along
+        their kernel, read here as one step at eta = 1.
+        """
+        if isinstance(obj, TripletProblem):
+            return kernel_direction(obj, i, U)
+        return obj.grad_sample_times_factor(i, U)
+
     def test_product_path_matches_materialized(self):
         prob = sensing_generate(5, 2, 9, seed=20)
         trip = TripletProblem(5, [(0, 1, 2), (1, 3, 4), (2, 4, 0)], lam=0.03)
@@ -467,7 +434,7 @@ class TestFactoredGradient:
         for obj in (prob, trip):
             for i in range(obj.n):
                 direct = sample_objective(obj, i).grad_full(X) @ U
-                via_u = obj.grad_sample_times_factor(i, U)
+                via_u = self.sample_direction(obj, i, U)
                 assert np.linalg.norm(direct - via_u) <= 1e-12
 
     def test_unbiasedness_both_families(self):
@@ -476,7 +443,7 @@ class TestFactoredGradient:
         rng = np.random.default_rng(23)
         for obj, p in ((prob, 5), (trip, 6)):
             U = rng.standard_normal((p, 2))
-            mean = sum(obj.grad_sample_times_factor(i, U)
+            mean = sum(self.sample_direction(obj, i, U)
                        for i in range(obj.n)) / obj.n
             full = obj.grad_full(gram(U)) @ U
             assert np.linalg.norm(mean - full) <= 1e-10
@@ -522,6 +489,14 @@ class TestEstimateSmoothness:
         assert seen == [6]
         L_ref, mu_ref = estimate_smoothness(prob, pairs)
         assert (L, mu) == (L_ref, mu_ref)
+
+    def test_peak_holds_no_list_of_differences(self):
+        """The gradient stack of the 16 probe points, with a few p-by-p temporaries."""
+        p = 400
+        obj = TripletProblem(p, random_triplets(p, 20 * p, seed=32), 1e-2)
+        pairs = probe_pairs(p, 2, seed=33)
+        _, _, peak = traced_bytes(lambda: estimate_smoothness(obj, pairs))
+        assert peak <= 22 * p * p * 8
 
     def test_all_pairs_coincident(self):
         prob = sensing_generate(3, 1, 5, seed=28)

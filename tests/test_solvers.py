@@ -8,7 +8,6 @@ from factored_sdp.cli import INIT_SEED_OFFSET
 from factored_sdp.init import init_perturbed_optimum, init_scheme3
 from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
-    SampleObjective,
     SensingProblem,
     TripletProblem,
     estimate_smoothness,
@@ -30,36 +29,12 @@ from factored_sdp.solvers import (
     run_svrg,
 )
 from factored_sdp.stepsize import StallError, fixed, sbb
+from helpers import LinearObjective, ReferenceTriplets
 
 
 def constant_objective(p, n=4):
     """f(X) = 2 with an exactly-zero gradient: zero measurements, b_i = 2."""
     return SensingProblem(np.zeros((n, p, p)), np.full(n, 2.0))
-
-
-class LinearObjective(SampleObjective):
-    """f(X) = <C, X>: one sample with phi(z) = z and A_1 = C, a constant gradient."""
-
-    def __init__(self, C):
-        self.C = symmetrize(C)
-        self.p = C.shape[0]
-        self.n = 1
-        self._A_sqnorms = np.array([np.vdot(self.C, self.C)])
-
-    def _measure(self, Xs):
-        return np.reshape(Xs, (-1, self.p * self.p)) @ self.C.reshape(-1, 1)
-
-    def _value(self, z):
-        return float(z[0])
-
-    def _slope(self, Z):
-        return np.ones_like(Z)
-
-    def _adjoint(self, W):
-        return W @ self.C.reshape(1, -1)
-
-    def grad_sample_times_factor(self, i, U):
-        return self.C @ U
 
 
 def assert_diverges_with_partial_record(algo):
@@ -496,24 +471,18 @@ class TestRowLayout:
 
 
 # ---------------------------------------------------------------------------
-# the triplet inner-loop kernel against the per-step loop
-
-
-class ReferenceTriplets(TripletProblem):
-    """A TripletProblem without its kernel: the solvers then take the
-    per-step loop over ``grad_sample_times_factor``, the reference."""
-
-    factor_steps = None
+# the triplet inner-loop kernel against the per-step loop over one-sample
+# objectives
 
 
 class CountingTriplets(TripletProblem):
-    """A TripletProblem that counts its per-sample oracle calls."""
+    """A TripletProblem with a counted per-sample oracle next to its kernel."""
 
     calls = 0
 
     def grad_sample_times_factor(self, i, U):
         self.calls += 1
-        return super().grad_sample_times_factor(i, U)
+        return ReferenceTriplets.grad_sample_times_factor(self, i, U)
 
 
 def kernel_and_reference(algo, p, triplets, lam, U0, **fields):
@@ -556,6 +525,8 @@ def small_triplets():
 
 class TestTripletKernel:
     """TripletProblem.factor_steps is the per-step loop up to rounding.
+
+    The reference steps along the one-sample objective's gradient times U.
 
     SFGD at eta0 = 2 is chaotic: per-step agreement near 1e-17 grows to
     about 1e-5 relative after one 3200-step epoch and to O(1) after two,

@@ -6,7 +6,7 @@ import pytest
 
 from factored_sdp import theory
 from factored_sdp.linalg import gram, symmetrize, truncated_approx
-from factored_sdp.objective import SensingProblem, sensing_generate
+from factored_sdp.objective import sensing_generate
 from factored_sdp.stepsize import StepSchedule
 from factored_sdp.theory import (
     CONSTANT_FIELDS,
@@ -15,7 +15,7 @@ from factored_sdp.theory import (
     REGION_KEYS,
     HypothesisError,
     NotApplicable,
-    check_assumption2,
+    _assumption2,
     compute_constants,
     constants_report_text,
     constants_rows,
@@ -29,6 +29,7 @@ from factored_sdp.theory import (
     sbb_inner_count_bound,
     theorem1_rate,
 )
+from helpers import basis_sensing, sample_objective
 
 SQRT2M1 = math.sqrt(2.0) - 1.0
 
@@ -45,23 +46,6 @@ def rank2_constants():
 def near_rank2_constants():
     """Same instance with a 0.02 trailing eigenvalue, so gamma_l_tilde > 0."""
     return compute_constants(2.0, 1.0, np.diag([4.0, 1.0, 0.02, 0.0]), 2, REGION)
-
-
-def basis_sensing(p, r=2, seed=0):
-    """Sensing instance whose Hessian action is exactly D / p^2."""
-    A = np.zeros((p * p, p, p))
-    idx = 0
-    for a in range(p):
-        for b in range(p):
-            E = np.zeros((p, p))
-            E[a, b] = 1.0
-            A[idx] = (E + E.T) / 2.0
-            idx += 1
-    rng = np.random.default_rng(seed)
-    Ustar = rng.standard_normal((p, r))
-    Xstar = gram(Ustar)
-    b = np.einsum("kij,ij->k", A, Xstar)
-    return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
 
 
 class ZeroObjective:
@@ -85,40 +69,40 @@ def rotation(r, angle, axes=(0, 1)):
 
 
 class TestCheckAssumption2:
+    """The rank-r approximation-error condition, ``compute_constants``'s ``assumption2``."""
+
+    @staticmethod
+    def report(spectrum, r, kappa, xi):
+        """The condition on a decreasing spectrum truncated at rank r."""
+        tail = np.asarray(spectrum[r:], dtype=float)
+        return _assumption2(float(np.sqrt(np.sum(tail**2))), spectrum[r - 1], kappa, xi)
+
     def test_exact_rank_always_holds(self):
         """Zero tail beats any positive threshold."""
-        rep = check_assumption2(np.diag([4.0, 1.0, 0.0]), 2, kappa=2.0, xi=0.3)
+        rep = self.report([4.0, 1.0, 0.0], 2, kappa=2.0, xi=0.3)
         assert rep.holds_approx_error
         assert rep.lhs == 0.0
         assert rep.margin == rep.rhs > 0.0
 
     def test_identity_one_rank_down_fails(self):
         """Dropping one direction of the identity leaves a unit tail."""
-        rep = check_assumption2(np.eye(5), 4, kappa=1.0, xi=0.5)
+        rep = self.report([1.0] * 5, 4, kappa=1.0, xi=0.5)
         assert not rep.holds_approx_error
         np.testing.assert_allclose(rep.lhs, 1.0, rtol=1e-12)
         assert rep.rhs < 1.0
 
     def test_cubic_decay_tail_too_heavy(self):
         """sigma_i = i^-3 truncated at r=3 violates the condition."""
-        rep = check_assumption2(
-            np.diag([float(i) ** -3 for i in range(1, 9)]), 3, kappa=1.5, xi=0.3
-        )
+        rep = self.report([float(i) ** -3 for i in range(1, 9)], 3, kappa=1.5, xi=0.3)
         assert not rep.holds_approx_error
         np.testing.assert_allclose(rep.lhs, 0.018490231272904178, rtol=1e-10)
         np.testing.assert_allclose(rep.rhs, 0.00323421801192889, rtol=1e-10)
 
     def test_tiny_tail_passes(self):
         """A 1e-6-scale tail sits far below the threshold."""
-        rep = check_assumption2(
-            np.diag([4.0, 1.0, 1e-6, 1e-7]), 2, kappa=1.5, xi=0.3
-        )
+        rep = self.report([4.0, 1.0, 1e-6, 1e-7], 2, kappa=1.5, xi=0.3)
         assert rep.holds_approx_error
         np.testing.assert_allclose(rep.lhs, math.sqrt(1e-12 + 1e-14), rtol=1e-10)
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(ValueError):
-            check_assumption2(np.eye(3), 4, kappa=1.0, xi=0.5)
 
 
 class TestComputeConstants:
@@ -555,7 +539,7 @@ class TestEstimateRegionStats:
         The second moment loops over the one-sample objectives f_i.
         """
         p, r = Ur.shape
-        samples = [SensingProblem(obj.A[[i]], obj.b[[i]]) for i in range(obj.n)]
+        samples = [sample_objective(obj, i) for i in range(obj.n)]
         radius = math.sqrt(gamma0 * float(np.linalg.svd(Ur, compute_uv=False)[-1] ** 2))
         rng = np.random.default_rng(seed)
         grad_norm_at_Xr = float(np.linalg.norm(obj.grad_full(gram(Ur))))
