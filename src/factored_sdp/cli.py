@@ -309,10 +309,15 @@ def _resolve_steps(args, L_hat, sigma1, n, family):
     ``m = t0 = n``.  Each algorithm reads one step from the map: the
     fixed step of fgd, projgd and svrg-fixed, the initial step of sfgd,
     svrg-sbb0 and svrg-sbb.  Defaults are starting points; benchmarks pass
-    --eta.
+    --eta.  With ``L_hat`` None (every step given, and no default
+    stabilizer read) only --m and --t0 are filled.
     """
     if args.m is None:
         args.m = n
+    if args.t0 is None:
+        args.t0 = float(n)
+    if L_hat is None:
+        return
     base = 1.0 / (L_hat * max(sigma1, 1e-12))
     if family == "embed":
         full, stochastic, adaptive = 0.03 * base, 0.0015 * base, 0.001 * base
@@ -327,8 +332,6 @@ def _resolve_steps(args, L_hat, sigma1, n, family):
     args.eta = {**defaults, **args.eta}
     if args.eps is None:
         args.eps = eps
-    if args.t0 is None:
-        args.t0 = float(n)
 
 
 def _checked(fn, *args, **kwargs):
@@ -379,7 +382,7 @@ def _write_run(args, records, timing, columns, summary_header, summary, ylabel,
 
     ``columns`` maps the curves.csv columns between ``f`` and ``sample_grads``
     to the Row fields they print.  The code is 3 if a trial diverged, else 0;
-    each diverged trial is named on one stderr line.
+    each diverged trial is named on one stderr line, with its epoch and step.
     """
     curves = [[rec.algorithm, rec.seed, row.epoch, row.eta, row.f,
                *(getattr(row, field) for field in columns.values()), row.sample_grads]
@@ -394,8 +397,8 @@ def _write_run(args, records, timing, columns, summary_header, summary, ylabel,
     _write_manifest(args, timing)
     diverged = [r for r in records if r.diverged]
     for r in diverged:
-        print(f"diverged: {r.algorithm} seed {r.seed} at epoch {r.diverged_epoch}",
-              file=sys.stderr)
+        print(f"diverged: {r.algorithm} seed {r.seed} at epoch {r.diverged_epoch}, "
+              f"step {r.diverged_eta!r}", file=sys.stderr)
     return 3 if diverged else 0
 
 
@@ -487,10 +490,13 @@ def cmd_embed(args):
     if has_test and n_train == len(triplets):
         raise CliError(f"--split {args.split!r} leaves no triplet for the test set")
 
-    probe_obj = TripletProblem(args.p, triplets, args.lam)
-    L_hat, _ = estimate_smoothness(
-        probe_obj, probe_pairs(args.p, args.dim, seed=args.seed_base + 1)
-    )
+    # L_hat feeds only the default steps and the default stabilizer
+    L_hat = None
+    if any(algo not in args.eta for algo in args.algos) or \
+            (args.eps is None and "svrg-sbb" in args.algos):
+        L_hat, _ = estimate_smoothness(
+            TripletProblem(args.p, triplets, args.lam),
+            probe_pairs(args.p, args.dim, seed=args.seed_base + 1))
     _resolve_steps(args, L_hat, sigma1, n_train, "embed")
 
     trials = []

@@ -10,6 +10,7 @@ instances, the train/test split of a triplet set, the held-out test
 error and the smoothness probes.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -282,68 +283,121 @@ class TripletProblem(SampleObjective):
         touches it, and once more at the end.  When ``|P|`` leaves
         ``[1e-100, 1e100]`` (say ``eta lam`` near 1, or a long loop at a
         large step) every row is caught up and the composition restarts, so
-        no ratio of products underflows.  Rows are Python float lists, and
-        the sampled triplets are gathered from the index array once per
-        call; a step makes no numpy call.
+        no ratio of products underflows.  Each row is an r-tuple, and the
+        loop that steps them is written out for the rank by ``_kernel`` and
+        compiled once per ``(r, anchored)``.  The sampled triplets are
+        gathered from the index array once per call, and a step makes no
+        numpy call.
         """
         lam = self.lam
         sampled = self.triplets[idx].tolist()
         rows = U.tolist()
-        p = len(rows)
         if anchor is None:
-            c = None
+            return np.array(_kernel(U.shape[1], False)(rows, sampled, etas, lam))
+        Ut, g = anchor
+        tilde = Ut.tolist()
+        c = (lam * Ut - g).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            dik = Ut[self._I] - Ut[self._K]
+            dij = Ut[self._I] - Ut[self._J]
+            z = np.einsum("tr,tr->t", dik, dik) - np.einsum("tr,tr->t", dij, dij)
+            e = np.exp(-np.abs(z))
+            w_anchor = np.where(z >= 0, -e / (1.0 + e), -1.0 / (1.0 + e))[idx].tolist()
+        return np.array(_kernel(U.shape[1], True)(rows, sampled, etas, lam,
+                                                  c, tilde, w_anchor))
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(r, anchored):
+    """The loop of ``TripletProblem.factor_steps`` at rank r, compiled once.
+
+    Every per-column expression is written out, over the locals ``x0..``,
+    ``y0..`` and ``v0..`` that hold the rows of i, j and k (with an anchor
+    also ``cx0..``, ``cy0..``, ``cv0..`` for their rows of c and ``ti0..``,
+    ``tj0..``, ``tk0..`` for those of Ut), so a step builds no list and
+    calls no comprehension.  The
+    operations and their order are those of the lazy update that
+    ``factor_steps`` documents; without an anchor ``c = 0``, so the shift
+    ``R`` it would scale is not kept.  The source is built from the fixed
+    templates below and the integer r alone.
+    """
+
+    def each(template):
+        """``template`` once per column, ``#`` replaced by the column, comma-ended."""
+        return "".join(template.replace("#", str(col)) + ", " for col in range(r))
+
+    def catch_up(q, name, indent):
+        """Lines that load row ``q``, brought up to date, into the locals ``name#``."""
+        lines = [f"f = P / row_P[{q}]", f"{each(name + '#')}= rows[{q}]"]
+        if anchored:
+            lines += [f"s = R - f * row_R[{q}]", f"{each('c' + name + '#')}= c[{q}]"]
+            lines += [f"{name}{col} = f * {name}{col} + s * c{name}{col}"
+                      for col in range(r)]
         else:
-            Ut, g = anchor
-            tilde = Ut.tolist()
-            c = (lam * Ut - g).tolist()
-            with np.errstate(over="ignore", invalid="ignore"):
-                dik = Ut[self._I] - Ut[self._K]
-                dij = Ut[self._I] - Ut[self._J]
-                z = np.einsum("tr,tr->t", dik, dik) - np.einsum("tr,tr->t", dij, dij)
-                e = np.exp(-np.abs(z))
-                w_anchor = np.where(z >= 0, -e / (1.0 + e), -1.0 / (1.0 + e)).tolist()
-        P, R = 1.0, 0.0
-        row_P, row_R = [1.0] * p, [0.0] * p
+            lines += [f"{name}{col} = f * {name}{col}" for col in range(r)]
+        return [indent + line for line in lines]
 
-        def current(q):
-            """Row q brought up to date under the composition (P, R)."""
-            ratio = P / row_P[q]
-            if c is None:
-                return [ratio * x for x in rows[q]]
-            shift = R - ratio * row_R[q]
-            return [ratio * x + shift * y for x, y in zip(rows[q], c[q])]
-
-        for s, (i, j, k), eta in zip(idx, sampled, etas):
-            ui, uj, uk = current(i), current(j), current(k)
-            dk, dj = math.dist(ui, uk), math.dist(ui, uj)
-            z = dk * dk - dj * dj
-            w = -math.exp(-z) / (1.0 + math.exp(-z)) if z >= 0 else -1.0 / (1.0 + math.exp(z))
-            a, ew = 1.0 - eta * lam, eta * w
-            if c is None:
-                rows[i] = [a * x - ew * (y - v) for x, y, v in zip(ui, uj, uk)]
-                rows[j] = [a * y - ew * (x - y) for x, y in zip(ui, uj)]
-                rows[k] = [a * v - ew * (v - x) for x, v in zip(ui, uk)]
-            else:
-                # the anchor's loss part, grad f_i(Ut Ut^T) @ Ut, on the same rows
-                ti, tj, tk = tilde[i], tilde[j], tilde[k]
-                ea = eta * w_anchor[s]
-                rows[i] = [a * x + eta * ci - ew * (y - v) + ea * (sj - sk)
-                           for x, y, v, ci, sj, sk in zip(ui, uj, uk, c[i], tj, tk)]
-                rows[j] = [a * y + eta * cj - ew * (x - y) + ea * (si - sj)
-                           for x, y, cj, si, sj in zip(ui, uj, c[j], ti, tj)]
-                rows[k] = [a * v + eta * ck - ew * (v - x) + ea * (sk - si)
-                           for x, v, ck, si, sk in zip(ui, uk, c[k], ti, tk)]
-            P, R = a * P, a * R + eta
-            if 1e-100 <= abs(P) <= 1e100:
-                row_P[i] = row_P[j] = row_P[k] = P
-                row_R[i] = row_R[j] = row_R[k] = R
-            else:
-                for q in range(p):
-                    if q not in (i, j, k):
-                        rows[q] = current(q)
-                P, R = 1.0, 0.0
-                row_P, row_R = [1.0] * p, [0.0] * p
-        return np.array([current(q) for q in range(p)])
+    if anchored:
+        src = ["def steps(rows, sampled, etas, lam, c, tilde, w_anchor):",
+               "    p = len(rows)",
+               "    P, R = 1.0, 0.0",
+               "    row_P, row_R = [1.0] * p, [0.0] * p",
+               "    for (i, j, k), eta, wa in zip(sampled, etas, w_anchor):"]
+    else:
+        src = ["def steps(rows, sampled, etas, lam):",
+               "    p = len(rows)",
+               "    P = 1.0",
+               "    row_P = [1.0] * p",
+               "    for (i, j, k), eta in zip(sampled, etas):"]
+    for q, name in (("i", "x"), ("j", "y"), ("k", "v")):
+        src += catch_up(q, name, " " * 8)
+    src += [f"        dk = dist(({each('x#')}), ({each('v#')}))",
+            f"        dj = dist(({each('x#')}), ({each('y#')}))",
+            "        z = dk * dk - dj * dj",
+            "        if z >= 0:",
+            "            e = exp(-z)",
+            "            w = -e / (1.0 + e)",
+            "        else:",
+            "            w = -1.0 / (1.0 + exp(z))",
+            "        a = 1.0 - eta * lam",
+            "        ew = eta * w"]
+    if anchored:
+        # the anchor's loss part, grad f_i(Ut Ut^T) @ Ut, on the same rows
+        src += [f"        {each('t' + q + '#')}= tilde[{q}]" for q in "ijk"]
+        src += ["        ea = eta * wa",
+                "        rows[i] = ("
+                + each("a * x# + eta * cx# - ew * (y# - v#) + ea * (tj# - tk#)") + ")",
+                "        rows[j] = ("
+                + each("a * y# + eta * cy# - ew * (x# - y#) + ea * (ti# - tj#)") + ")",
+                "        rows[k] = ("
+                + each("a * v# + eta * cv# - ew * (v# - x#) + ea * (tk# - ti#)") + ")",
+                "        P, R = a * P, a * R + eta",
+                "        if 1e-100 <= abs(P) <= 1e100:",
+                "            row_P[i] = row_P[j] = row_P[k] = P",
+                "            row_R[i] = row_R[j] = row_R[k] = R"]
+    else:
+        src += [f"        rows[i] = ({each('a * x# - ew * (y# - v#)')})",
+                f"        rows[j] = ({each('a * y# - ew * (x# - y#)')})",
+                f"        rows[k] = ({each('a * v# - ew * (v# - x#)')})",
+                "        P = a * P",
+                "        if 1e-100 <= abs(P) <= 1e100:",
+                "            row_P[i] = row_P[j] = row_P[k] = P"]
+    src += ["        else:",
+            "            for q in range(p):",
+            "                if q != i and q != j and q != k:"]
+    src += catch_up("q", "x", " " * 20)
+    src += [f"                    rows[q] = ({each('x#')})"]
+    if anchored:
+        src += ["            P, R = 1.0, 0.0",
+                "            row_P, row_R = [1.0] * p, [0.0] * p"]
+    else:
+        src += ["            P = 1.0", "            row_P = [1.0] * p"]
+    src += ["    out = []", "    for q in range(p):"]
+    src += catch_up("q", "x", " " * 8)
+    src += [f"        out.append(({each('x#')}))", "    return out"]
+    namespace = {"dist": math.dist, "exp": math.exp}
+    exec(compile("\n".join(src) + "\n", f"<factor_steps r={r}>", "exec"), namespace)
+    return namespace["steps"]
 
 
 def planted_triplets(p, dim, count, seed, noise=0.0, scale=1.0):

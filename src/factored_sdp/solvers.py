@@ -89,13 +89,19 @@ class Row:
 
 @dataclass
 class RunRecord:
-    """Rows and last iterate: ``final_U`` of a factored run, ``final_X`` of ProjGD."""
+    """Rows and last iterate: ``final_U`` of a factored run, ``final_X`` of ProjGD.
+
+    A diverged run records the epoch whose iterate left the range and, as
+    ``diverged_eta``, the step of the epoch that took it there: the step
+    that epoch's row records, whether or not ``eval_every`` wrote the row.
+    """
 
     algorithm: str
     seed: int
     rows: list = field(default_factory=list)
     diverged: bool = False
     diverged_epoch: int | None = None
+    diverged_eta: float | None = None
     final_U: np.ndarray | None = None
     final_X: np.ndarray | None = None
 
@@ -134,7 +140,8 @@ class _Recorder:
     ``kind`` prices an epoch through ``epoch_cost``.  ``U`` is the factor,
     or None for the X-space solver, which has no factor error; ``X``
     defaults to ``gram(U)``.  A row computes its metrics before any
-    objective value it still has to evaluate.
+    objective value it still has to evaluate.  ``eta`` is the step of the
+    last epoch begun, recorded or not.
     """
 
     def __init__(self, obj, config, kind, X_ref, U_ref, metric):
@@ -148,6 +155,7 @@ class _Recorder:
 
         ``f`` defaults to ``eval_full(X)``.
         """
+        self.eta = eta
         if k % self.eval_every and k != self.epochs:
             return
         if X is None:
@@ -176,8 +184,10 @@ class _Recorder:
         self.record.rows.append(
             Row(epoch, 0.0, nan, *(nan if h else None for h in has), epoch * self.cost))
         self.record.diverged, self.record.diverged_epoch = True, epoch
+        self.record.diverged_eta = self.eta
         self.record.final_U, self.record.final_X = U, X
-        raise DivergedError(f"iterate diverged at epoch {epoch}", epoch, self.record)
+        raise DivergedError(f"iterate diverged at epoch {epoch}, step {self.eta!r}",
+                            epoch, self.record)
 
     def finish(self, U, X=None):
         """Append the final row (step 0.0) and return the record."""

@@ -362,7 +362,8 @@ class TestSensingCommand:
         last = body[-1]
         assert last[3] == "0.0" and last[4] == "nan"
         assert int(last[2]) < 20
-        assert capsys.readouterr().err == f"diverged: fgd seed 0 at epoch {last[2]}\n"
+        assert capsys.readouterr().err == \
+            f"diverged: fgd seed 0 at epoch {last[2]}, step 1000000.0\n"
         summary = read_rows(out / "summary.csv")
         assert summary[1][0] == "fgd"
 
@@ -662,6 +663,22 @@ class TestEmbedCommand:
         assert "--r" not in argv and argv.count("--dim") == 1
         assert argv[argv.index("--dim") + 1] == "3"
 
+    def test_curvature_probes_run_only_for_a_default(self, triplet_file, tmp_path,
+                                                    monkeypatch):
+        """L_hat feeds only the default steps and svrg-sbb's default stabilizer."""
+        def no_probes(*args):
+            raise AssertionError("estimate_smoothness ran")
+
+        monkeypatch.setattr(cli, "estimate_smoothness", no_probes)
+        assert run_embed(triplet_file, tmp_path / "given", algos="svrg-fixed,svrg-sbb",
+                         eta="0.05", eps="0.01") == 0
+        assert run_embed(triplet_file, tmp_path / "no-eps", algos="svrg-fixed,fgd",
+                         eta="0.05") == 0
+        assert "--eps" not in read_manifest(tmp_path / "no-eps")["replay_argv"]
+        # a step left to its default, or svrg-sbb without --eps, needs them
+        for flags in (dict(eps="0.01"), dict(algos="svrg-fixed,svrg-sbb", eta="0.05")):
+            with pytest.raises(AssertionError, match="estimate_smoothness ran"):
+                run_embed(triplet_file, tmp_path / "default", **flags)
     def test_negative_lambda_exits_2(self, triplet_file, tmp_path, capsys):
         rc = main(["embed", "--triplets", str(triplet_file),
                    "--out", str(tmp_path / "run"), "--lambda", "-1.0",

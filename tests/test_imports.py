@@ -5,9 +5,11 @@ No linter ships with the project, so these scans stand in for one: an
 import whose name the module never reads is dead code, and so is a private
 (``_name``, not dunder) function, class, method or module constant that
 no module of src/ references beyond its definition, and a parameter that
-its function's body never reads.  A last scan keeps those modules and the
-README from citing a ROADMAP direction by its number, which changes each
-time the ROADMAP is re-anchored; they name the item instead.
+its function's body never reads.  Code generation stays in one place: no
+module of src/ calls the ``exec``, ``eval`` or ``compile`` builtin outside
+``objective._kernel``.  A last scan keeps those modules and the README
+from citing a ROADMAP direction by its number, which changes each time the
+ROADMAP is re-anchored; they name the item instead.
 """
 
 import ast
@@ -106,6 +108,20 @@ def unread_parameters(source):
     return found
 
 
+CODEGEN_BUILTINS = ("exec", "eval", "compile")
+
+
+def codegen_calls(source, allowed=()):
+    """(line, builtin) of each exec, eval or compile call outside the functions named."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and fn.name in allowed for node in ast.walk(fn)}
+    return [(node.lineno, node.func.id) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in CODEGEN_BUILTINS and id(node) not in inside]
+
+
 ROADMAP_NUMBER = re.compile(r"ROADMAP\s+direction\s+\d")
 
 
@@ -140,6 +156,13 @@ def test_scan_finds_an_unread_parameter():
     assert unread_parameters(source) == [(1, "f", "b"), (1, "f", "d"), (7, "n", "z")]
 
 
+def test_scan_finds_a_code_generation_call():
+    source = ("import re\nexec('x = 1')\ndef _kernel():\n    return eval('2')\n"
+              "def other():\n    return compile('3', '<s>', 'eval'), re.compile('4')\n")
+    assert codegen_calls(source) == [(2, "exec"), (4, "eval"), (6, "compile")]
+    assert codegen_calls(source, allowed=("_kernel",)) == [(2, "exec"), (6, "compile")]
+
+
 def test_scan_finds_a_roadmap_direction_number():
     word = "ROADMAP"  # spelled apart, so this module passes its own scan
     text = (f"see {word} direction 2,\nor the {word}\ndirection 6(a); "
@@ -170,6 +193,13 @@ def test_no_unreferenced_private_name():
 def test_no_unread_parameter(module):
     source = (ROOT / module).read_text(encoding="utf-8")
     assert unread_parameters(source) == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.startswith("src/")])
+def test_no_code_generation_outside_the_kernel(module):
+    source = (ROOT / module).read_text(encoding="utf-8")
+    allowed = ("_kernel",) if module == "src/factored_sdp/objective.py" else ()
+    assert codegen_calls(source, allowed) == []
 
 
 def test_no_roadmap_direction_number():

@@ -10,6 +10,7 @@ from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
     SensingProblem,
     TripletProblem,
+    _kernel,
     estimate_smoothness,
     planted_triplets,
     probe_pairs,
@@ -60,6 +61,10 @@ def assert_diverges_with_partial_record(algo):
     assert err.record.diverged
     assert err.record.diverged_epoch == err.epoch
     assert 1 <= err.epoch <= 50
+    # the step in force is the one the row before the marker records
+    assert err.record.diverged_eta == err.record.rows[-2].eta
+    assert str(err) == \
+        f"iterate diverged at epoch {err.epoch}, step {err.record.diverged_eta!r}"
     last = err.record.rows[-1]
     assert last.epoch == err.epoch
     assert np.isnan(last.f)
@@ -361,6 +366,22 @@ class TestSfgd:
         np.testing.assert_allclose(etas, [0.1, 0.05, 0.1 / 3.0], rtol=1e-12)
         assert rec.rows[-1].eta == 0.0
 
+    def test_divergence_names_the_step_of_an_unrecorded_epoch(self):
+        """f(X) = -tr X grows U by (1 + eta_k) per one-sample epoch, eta_k = 1e6 / (1 + k).
+
+        The diverging epoch is not a multiple of eval_every, so its row is
+        not written; its step is still the one the record names.
+        """
+        obj = LinearObjective(-np.eye(3))
+        U0 = np.random.default_rng(30).standard_normal((3, 2))
+        with pytest.raises(DivergedError) as info:
+            run_sfgd(obj, SolverConfig(algorithm="sfgd", r=2, epochs=100, seed=0,
+                                       eta0=1e6, t0=1.0, eval_every=7), U0)
+        k = info.value.epoch - 1
+        assert k % 7
+        assert k not in [row.epoch for row in info.value.record.rows]
+        assert info.value.record.diverged_eta == 1e6 / (1.0 + k)
+
 
 class TestSensingInnerLoop:
     """The per-step SVRG and SFGD updates, pinned bit for bit on sensing.
@@ -523,6 +544,46 @@ def small_triplets():
     return p, T, init_scheme3(p, 2, 1.0, INIT_SEED_OFFSET)
 
 
+EDGE_STEPS = [
+    ("svrg", 0.0, 0.1, 600),    # a = 1, the path criterion 06 takes
+    ("svrg", 0.5, 2.0, 200),    # eta lam = 1: a = 0
+    ("svrg", 0.5, 3.0, 200),    # eta lam > 1: a < 0
+    ("svrg", 0.5, 1.0, 3200),   # the running product 0.5^t underflows
+    ("sfgd", 0.0, 0.1, None),
+    # a = -0.5: the product, and the iterate with it, shrinks past 1e-100
+    ("sfgd", 0.5, 3.0, None),
+]
+
+
+def assert_edge_step_matches(p, T, U0, algo, lam, eta, m):
+    """Two epochs at an edge step of ``EDGE_STEPS`` agree with the reference."""
+    if algo == "svrg":
+        fields = dict(epochs=2, m=m, schedule=fixed(eta))
+    else:
+        fields = dict(epochs=2, eta0=eta, t0=math.inf)
+    kernel, ref = kernel_and_reference(algo, p, T, lam, U0, **fields)
+    assert not ref.diverged
+    assert rel_diff(kernel.final_U, ref.final_U) <= 1e-10
+
+
+def assert_diverges_as_the_reference(p, T, U0, algo, start):
+    """A NaN entry or an overflowing step diverges at the reference's epoch and row."""
+    U0 = U0.copy()
+    if start == "nan":
+        U0[3, -1], eta = math.nan, 0.1
+    else:
+        eta = 1e6
+    if algo == "svrg":
+        fields = dict(epochs=3, m=60, schedule=fixed(eta))
+    else:
+        fields = dict(epochs=3, eta0=eta, t0=math.inf)
+    kernel, ref = kernel_and_reference(algo, p, T, 1e-2, U0, **fields)
+    assert ref.diverged and kernel.diverged
+    assert kernel.diverged_epoch == ref.diverged_epoch
+    assert repr(kernel.rows[-1]) == repr(ref.rows[-1])
+    assert len(kernel.rows) == len(ref.rows)
+
+
 class TestTripletKernel:
     """TripletProblem.factor_steps is the per-step loop up to rounding.
 
@@ -561,41 +622,46 @@ class TestTripletKernel:
                                            epochs=1, eta0=2.0, t0=3200.0)
         assert rel_diff(kernel.final_U, ref.final_U) <= 1e-10
 
-    @pytest.mark.parametrize("algo,lam,eta,m", [
-        ("svrg", 0.0, 0.1, 600),    # a = 1, the path criterion 06 takes
-        ("svrg", 0.5, 2.0, 200),    # eta lam = 1: a = 0
-        ("svrg", 0.5, 3.0, 200),    # eta lam > 1: a < 0
-        ("svrg", 0.5, 1.0, 3200),   # the running product 0.5^t underflows
-        ("sfgd", 0.0, 0.1, None),
-        # a = -0.5: the product, and the iterate with it, shrinks past 1e-100
-        ("sfgd", 0.5, 3.0, None),
-    ])
-    def test_edge_steps(self, small_triplets, algo, lam, eta, m):
-        p, T, U0 = small_triplets
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("algo", ["svrg", "sfgd"])
+    def test_epoch_at_other_ranks(self, criterion_10, algo, r):
+        # At the criterion-10 SVRG step 1.0, rounding grows over the epoch to
+        # 3.5e-10 relative at r = 3 (8e-12 at r = 2); at 0.5 it stays near 2e-15.
+        p, train, lam, _, _ = criterion_10
+        U0 = init_scheme3(p, r, 1.0, INIT_SEED_OFFSET)
         if algo == "svrg":
-            fields = dict(epochs=2, m=m, schedule=fixed(eta))
+            fields = dict(epochs=1, m=len(train), schedule=fixed(0.5))
         else:
-            fields = dict(epochs=2, eta0=eta, t0=math.inf)
-        kernel, ref = kernel_and_reference(algo, p, T, lam, U0, **fields)
-        assert not ref.diverged
+            fields = dict(epochs=1, eta0=0.05, t0=3200.0)
+        kernel, ref = kernel_and_reference(algo, p, train, lam, U0, **fields)
         assert rel_diff(kernel.final_U, ref.final_U) <= 1e-10
+
+    @pytest.mark.parametrize("algo,lam,eta,m", EDGE_STEPS)
+    def test_edge_steps(self, small_triplets, algo, lam, eta, m):
+        assert_edge_step_matches(*small_triplets, algo, lam, eta, m)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("algo,lam,eta,m", EDGE_STEPS)
+    def test_edge_steps_at_other_ranks(self, small_triplets, algo, lam, eta, m, r):
+        p, T, _ = small_triplets
+        U0 = init_scheme3(p, r, 1.0, INIT_SEED_OFFSET)
+        assert_edge_step_matches(p, T, U0, algo, lam, eta, m)
 
     @pytest.mark.parametrize("algo", ["svrg", "sfgd"])
     @pytest.mark.parametrize("start", ["nan", "overflow"])
     def test_non_finite_iterate_diverges_as_the_reference(self, small_triplets,
                                                           algo, start):
-        p, T, U0 = small_triplets
-        U0 = U0.copy()
-        if start == "nan":
-            U0[3, 1], eta = math.nan, 0.1
-        else:
-            eta = 1e6
-        if algo == "svrg":
-            fields = dict(epochs=3, m=60, schedule=fixed(eta))
-        else:
-            fields = dict(epochs=3, eta0=eta, t0=math.inf)
-        kernel, ref = kernel_and_reference(algo, p, T, 1e-2, U0, **fields)
-        assert ref.diverged and kernel.diverged
-        assert kernel.diverged_epoch == ref.diverged_epoch
-        assert repr(kernel.rows[-1]) == repr(ref.rows[-1])
-        assert len(kernel.rows) == len(ref.rows)
+        assert_diverges_as_the_reference(*small_triplets, algo, start)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("algo", ["svrg", "sfgd"])
+    @pytest.mark.parametrize("start", ["nan", "overflow"])
+    def test_non_finite_iterate_at_other_ranks(self, small_triplets, algo, start, r):
+        p, T, _ = small_triplets
+        assert_diverges_as_the_reference(p, T, init_scheme3(p, r, 1.0, INIT_SEED_OFFSET),
+                                         algo, start)
+
+    def test_kernel_is_compiled_once_per_rank_and_anchor(self):
+        assert _kernel(3, True) is _kernel(3, True)
+        assert _kernel(3, False) is not _kernel(3, True)
+
