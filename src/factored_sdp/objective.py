@@ -189,15 +189,15 @@ class TripletProblem(SampleObjective):
     kernel reads them off the rows of U.
 
     The family's one per-sample direction is the kernel ``factor_steps``:
-    it runs a whole SVRG or SFGD inner loop with lazy dense updates, which
-    the solvers use in place of their per-step loop.  It matches the
-    per-step loop over the one-sample objectives up to rounding: one SVRG
-    epoch at the criterion-10 steps agrees to about 1e-11 relative, and
-    SFGD at eta0 = 0.05 over several epochs to about 1e-15.  SFGD at
-    eta0 = 2 is chaotic, so its 1e-17 per-step differences grow to about
-    1e-5 relative after one 3200-step epoch and to O(1) after two; there
-    the two paths agree as runs (same test-error crossings on the
-    criterion-10 trials), not as iterates.
+    it runs a whole SVRG or SFGD inner loop with its dense part kept in one
+    shared frame, which the solvers use in place of their per-step loop.
+    It matches the per-step loop over the one-sample objectives up to
+    rounding: one SVRG epoch at the criterion-10 steps agrees to about
+    1e-11 relative, and SFGD at eta0 = 0.05 over several epochs to about
+    1e-15.  SFGD at eta0 = 2 is chaotic, so its per-step differences near
+    1e-16 grow to about 4e-6 relative after one 3200-step epoch and to
+    O(1) after two; there the two paths agree as runs (same test-error
+    crossings on the criterion-10 trials), not as iterates.
     """
 
     def __init__(self, p, triplets, lam=0.0):
@@ -261,12 +261,12 @@ class TripletProblem(SampleObjective):
     def factor_steps(self, U, idx, etas, anchor=None):
         """Run a whole inner loop from U and return the final factor.
 
-        U is a (p, r) array, ``idx`` and ``etas`` equally long lists of
-        sample indices and steps; step t is ``U <- U - etas[t] * d_t`` for
-        sample ``i = idx[t]``.  Without ``anchor``, d_t is the SFGD
-        direction ``grad f_i(U U^T) @ U``.  With ``anchor = (Ut, g)``, a
-        snapshot factor and the full direction ``grad f(Ut Ut^T) @ Ut``,
-        d_t is the SVRG direction
+        U is a (p, r) array, ``idx`` an integer array or list of sample
+        indices and ``etas`` an equally long list of steps; step t is
+        ``U <- U - etas[t] * d_t`` for sample ``i = idx[t]``.  Without
+        ``anchor``, d_t is the SFGD direction ``grad f_i(U U^T) @ U``.  With
+        ``anchor = (Ut, g)``, a snapshot factor and the full direction
+        ``grad f(Ut Ut^T) @ Ut``, d_t is the SVRG direction
         ``grad f_i(U U^T) @ U - grad f_i(Ut Ut^T) @ Ut + g``; the anchor's
         margins are read off the rows of Ut, so no p-by-p matrix is formed.
 
@@ -276,24 +276,28 @@ class TripletProblem(SampleObjective):
         only the three rows of its triplet; the rest of the step is the
         affine map ``u <- a_t u + eta_t c`` on every row, with
         ``a_t = 1 - eta_t lam`` and ``c = lam Ut - g`` (``c = 0`` without an
-        anchor).  That map is applied lazily (Bottou 2012): the loop keeps
-        the running composition ``u -> P u + R c`` of all maps so far, each
-        row remembers the ``(P, R)`` at which it was last brought up to
-        date, and a row is caught up in closed form only when a step
-        touches it, and once more at the end.  When ``|P|`` leaves
-        ``[1e-100, 1e100]`` (say ``eta lam`` near 1, or a long loop at a
-        large step) every row is caught up and the composition restarts, so
-        no ratio of products underflows.  Each row is an r-tuple, and the
-        loop that steps them is written out for the rank by ``_kernel`` and
-        compiled once per ``(r, anchored)``.  The sampled triplets are
-        gathered from the index array once per call, and a step makes no
-        numpy call.
+        anchor).  That map is never applied row by row (Bottou 2012;
+        Shalev-Shwartz, Singer and Srebro 2007): every row lives in one
+        shared frame, the running composition ``u -> P u + R c`` of the
+        maps so far, and is stored as ``s`` with ``u = P s + R c``.  A step
+        reads only its three rows, takes the margin from their differences
+        at actual scale, and writes each as ``s <- s + D / P'``, where D is
+        the row's loss part (plus the anchor's) and ``P'`` the new scale.
+        When ``|P'|`` leaves ``[1e-100, 1e100]`` (``a_t = 0``, ``eta lam``
+        near 1, or a long loop at a large step) that step is taken in
+        actual coordinates on every row and the frame restarts, so no
+        scale under- or overflows.  The sampled triplets are gathered from
+        the three index columns once per call; each row is an r-tuple, and
+        the loop that steps them is written out for the rank by ``_kernel``
+        and compiled once per ``(r, anchored)``, so a step makes no numpy
+        call.
         """
         lam = self.lam
-        sampled = self.triplets[idx].tolist()
+        idx = np.asarray(idx, dtype=np.intp)
+        columns = (self._I[idx].tolist(), self._J[idx].tolist(), self._K[idx].tolist())
         rows = U.tolist()
         if anchor is None:
-            return np.array(_kernel(U.shape[1], False)(rows, sampled, etas, lam))
+            return np.array(_kernel(U.shape[1], False)(rows, *columns, etas, lam))
         Ut, g = anchor
         tilde = Ut.tolist()
         c = (lam * Ut - g).tolist()
@@ -303,7 +307,7 @@ class TripletProblem(SampleObjective):
             z = np.einsum("tr,tr->t", dik, dik) - np.einsum("tr,tr->t", dij, dij)
             e = np.exp(-np.abs(z))
             w_anchor = np.where(z >= 0, -e / (1.0 + e), -1.0 / (1.0 + e))[idx].tolist()
-        return np.array(_kernel(U.shape[1], True)(rows, sampled, etas, lam,
+        return np.array(_kernel(U.shape[1], True)(rows, *columns, etas, lam,
                                                   c, tilde, w_anchor))
 
 
@@ -311,91 +315,101 @@ class TripletProblem(SampleObjective):
 def _kernel(r, anchored):
     """The loop of ``TripletProblem.factor_steps`` at rank r, compiled once.
 
-    Every per-column expression is written out, over the locals ``x0..``,
-    ``y0..`` and ``v0..`` that hold the rows of i, j and k (with an anchor
-    also ``cx0..``, ``cy0..``, ``cv0..`` for their rows of c and ``ti0..``,
-    ``tj0..``, ``tk0..`` for those of Ut), so a step builds no list and
-    calls no comprehension.  The
-    operations and their order are those of the lazy update that
-    ``factor_steps`` documents; without an anchor ``c = 0``, so the shift
-    ``R`` it would scale is not kept.  The source is built from the fixed
-    templates below and the integer r alone.
+    Every per-column expression is written out over locals: ``sx0..``,
+    ``sy0..`` and ``sv0..`` hold the stored rows of i, j and k in the
+    shared frame; with an anchor, ``cx0..``, ``cy0..``, ``cv0..`` hold
+    their rows of c, ``ti0..``, ``tj0..``, ``tk0..`` those of Ut, and
+    ``x0..``, ``y0..``, ``v0..`` their actual values.  So a step builds no
+    list and calls no comprehension.  Without an anchor ``c = 0``: the
+    frame is the scale P alone, no actual row is formed, and the update
+    ``s <- s + D / P'`` reads ``s_i <- s_i - (eta w / a)(s_j - s_k)``, and
+    likewise for j and k.  The margin is still summed from differences at
+    actual scale, ``P (s_i - s_k)`` and ``P (s_i - s_j)``, so it overflows
+    where the per-step loop's does.  A restart writes every row at its
+    actual value, ``P' s + R' c``, plus D on the three rows of the step.
+    The source is built from the fixed templates below and the integer r
+    alone.
     """
 
     def each(template):
         """``template`` once per column, ``#`` replaced by the column, comma-ended."""
         return "".join(template.replace("#", str(col)) + ", " for col in range(r))
 
-    def catch_up(q, name, indent):
-        """Lines that load row ``q``, brought up to date, into the locals ``name#``."""
-        lines = [f"f = P / row_P[{q}]", f"{each(name + '#')}= rows[{q}]"]
-        if anchored:
-            lines += [f"s = R - f * row_R[{q}]", f"{each('c' + name + '#')}= c[{q}]"]
-            lines += [f"{name}{col} = f * {name}{col} + s * c{name}{col}"
-                      for col in range(r)]
-        else:
-            lines += [f"{name}{col} = f * {name}{col}" for col in range(r)]
-        return [indent + line for line in lines]
+    def per_column(template, indent):
+        """One line of ``template`` per column, ``#`` replaced by the column."""
+        return [" " * indent + template.replace("#", str(col)) for col in range(r)]
 
     if anchored:
-        src = ["def steps(rows, sampled, etas, lam, c, tilde, w_anchor):",
+        src = ["def steps(rows, I, J, K, etas, lam, c, tilde, w_anchor):",
                "    p = len(rows)",
                "    P, R = 1.0, 0.0",
-               "    row_P, row_R = [1.0] * p, [0.0] * p",
-               "    for (i, j, k), eta, wa in zip(sampled, etas, w_anchor):"]
+               "    for i, j, k, eta, wa in zip(I, J, K, etas, w_anchor):"]
+        for q, name in (("i", "x"), ("j", "y"), ("k", "v")):
+            src += [f"        {each('s' + name + '#')}= rows[{q}]",
+                    f"        {each('c' + name + '#')}= c[{q}]"]
+            src += per_column(f"{name}# = P * s{name}# + R * c{name}#", 8)
+        src += per_column("mv# = x# - v#", 8) + per_column("my# = x# - y#", 8)
     else:
-        src = ["def steps(rows, sampled, etas, lam):",
+        src = ["def steps(rows, I, J, K, etas, lam):",
                "    p = len(rows)",
                "    P = 1.0",
-               "    row_P = [1.0] * p",
-               "    for (i, j, k), eta in zip(sampled, etas):"]
-    for q, name in (("i", "x"), ("j", "y"), ("k", "v")):
-        src += catch_up(q, name, " " * 8)
-    src += [f"        dk = dist(({each('x#')}), ({each('v#')}))",
-            f"        dj = dist(({each('x#')}), ({each('y#')}))",
-            "        z = dk * dk - dj * dj",
+               "    for i, j, k, eta in zip(I, J, K, etas):"]
+        src += [f"        {each('s' + name + '#')}= rows[{q}]"
+                for q, name in (("i", "x"), ("j", "y"), ("k", "v"))]
+        src += per_column("dv# = sx# - sv#", 8) + per_column("dy# = sx# - sy#", 8)
+        src += per_column("mv# = P * dv#", 8) + per_column("my# = P * dy#", 8)
+    # the margin from the differences at actual scale, mv# and my#
+    squares = [" + ".join(f"m{d}{col} * m{d}{col}" for col in range(r)) for d in "vy"]
+    src += [f"        z = ({squares[0]}) - ({squares[1]})",
             "        if z >= 0:",
             "            e = exp(-z)",
             "            w = -e / (1.0 + e)",
             "        else:",
             "            w = -1.0 / (1.0 + exp(z))",
             "        a = 1.0 - eta * lam",
-            "        ew = eta * w"]
+            "        Q = a * P"]
+    # each row's loss part D, written for its columns as "+ D" over the
+    # weights g (and ga); the frame stores D / Q, actual coordinates D
     if anchored:
         # the anchor's loss part, grad f_i(Ut Ut^T) @ Ut, on the same rows
         src += [f"        {each('t' + q + '#')}= tilde[{q}]" for q in "ijk"]
-        src += ["        ea = eta * wa",
-                "        rows[i] = ("
-                + each("a * x# + eta * cx# - ew * (y# - v#) + ea * (tj# - tk#)") + ")",
-                "        rows[j] = ("
-                + each("a * y# + eta * cy# - ew * (x# - y#) + ea * (ti# - tj#)") + ")",
-                "        rows[k] = ("
-                + each("a * v# + eta * cv# - ew * (v# - x#) + ea * (tk# - ti#)") + ")",
-                "        P, R = a * P, a * R + eta",
-                "        if 1e-100 <= abs(P) <= 1e100:",
-                "            row_P[i] = row_P[j] = row_P[k] = P",
-                "            row_R[i] = row_R[j] = row_R[k] = R"]
+        src += ["        R = a * R + eta"]
+        loss = {"x": "- g * (y# - v#) + ga * (tj# - tk#)",
+                "y": "- g * my# + ga * (ti# - tj#)",
+                "v": "+ g * mv# + ga * (tk# - ti#)"}
+        in_frame = ["g = eta * w / Q", "ga = eta * wa / Q"]
+        actual = ["g = eta * w", "ga = eta * wa"]
     else:
-        src += [f"        rows[i] = ({each('a * x# - ew * (y# - v#)')})",
-                f"        rows[j] = ({each('a * y# - ew * (x# - y#)')})",
-                f"        rows[k] = ({each('a * v# - ew * (v# - x#)')})",
-                "        P = a * P",
-                "        if 1e-100 <= abs(P) <= 1e100:",
-                "            row_P[i] = row_P[j] = row_P[k] = P"]
-    src += ["        else:",
+        loss = {"x": "- g * (sy# - sv#)", "y": "- g * dy#", "v": "+ g * dv#"}
+        in_frame, actual = ["g = eta * w / a"], ["g = eta * w * P"]
+
+    def value(name, scale):
+        """The actual value of the stored row ``s<name>`` at the frame's ``scale``."""
+        return f"{scale} * s{name}#" + (f" + R * c{name}#" if anchored else "")
+
+    src += ["        if 1e-100 <= abs(Q) <= 1e100:"]
+    src += ["            " + line for line in in_frame]
+    src += [f"            rows[{q}] = ({each(f's{name}# {loss[name]}')})"
+            for q, name in zip("ijk", "xyv")]
+    src += ["            P = Q",
+            "        else:",
             "            for q in range(p):",
-            "                if q != i and q != j and q != k:"]
-    src += catch_up("q", "x", " " * 20)
-    src += [f"                    rows[q] = ({each('x#')})"]
+            "                if q != i and q != j and q != k:",
+            f"                    {each('sq#')}= rows[q]"]
+    if anchored:
+        src += [f"                    {each('cq#')}= c[q]"]
+    src += [f"                    rows[q] = ({each(value('q', 'Q'))})"]
+    src += ["            " + line for line in actual]
+    src += [f"            rows[{q}] = ({each(value(name, 'Q') + ' ' + loss[name])})"
+            for q, name in zip("ijk", "xyv")]
     if anchored:
         src += ["            P, R = 1.0, 0.0",
-                "            row_P, row_R = [1.0] * p, [0.0] * p"]
+                f"    return [({each(value('q', 'P'))}) "
+                f"for ({each('sq#')}), ({each('cq#')}) in zip(rows, c)]"]
     else:
-        src += ["            P = 1.0", "            row_P = [1.0] * p"]
-    src += ["    out = []", "    for q in range(p):"]
-    src += catch_up("q", "x", " " * 8)
-    src += [f"        out.append(({each('x#')}))", "    return out"]
-    namespace = {"dist": math.dist, "exp": math.exp}
+        src += ["            P = 1.0",
+                f"    return [({each(value('q', 'P'))}) for ({each('sq#')}) in rows]"]
+    namespace = {"exp": math.exp}
     exec(compile("\n".join(src) + "\n", f"<factor_steps r={r}>", "exec"), namespace)
     return namespace["steps"]
 

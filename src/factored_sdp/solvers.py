@@ -94,6 +94,8 @@ class RunRecord:
     A diverged run records the epoch whose iterate left the range and, as
     ``diverged_eta``, the step of the epoch that took it there: the step
     that epoch's row records, whether or not ``eval_every`` wrote the row.
+    An SVRG step that is not finite and positive stops the run at its own
+    epoch, before that epoch runs, and is the step the record names.
     """
 
     algorithm: str
@@ -178,6 +180,20 @@ class _Recorder:
         M = X if U is None else U
         if np.isfinite(M).all() and float(np.abs(M).max()) <= DIVERGE_LIMIT:
             return
+        self._diverge(epoch, U, X)
+
+    def check_step(self, epoch, eta, U):
+        """Raise DivergedError at ``epoch``, before it runs, unless ``eta`` is finite and > 0.
+
+        The epoch's one row is then the NaN marker, and ``eta`` the step
+        the record names.
+        """
+        if not 0 < eta < math.inf:  # written so that NaN fails
+            self.eta = eta
+            self._diverge(epoch, U, None)
+
+    def _diverge(self, epoch, U, X):
+        """Append the NaN marker row at ``epoch`` and raise DivergedError."""
         nan = float("nan")
         has = (self.X_ref is not None, U is not None and self.U_ref is not None,
                self.metric is not None)
@@ -199,8 +215,9 @@ class _Recorder:
 def _inner_loop(obj, U, idx, etas, anchor=None):
     """Step ``U <- U - etas[t] * d_t`` for sample ``i = idx[t]``; return the factor.
 
-    d_t is ``grad f_i(U U^T) @ U``, the SFGD direction, or with ``anchor =
-    (Ut, g)``, a snapshot and ``g = grad f(Ut Ut^T) @ Ut``, the SVRG direction
+    ``idx`` is an integer array and ``etas`` a list of floats.  d_t is
+    ``grad f_i(U U^T) @ U``, the SFGD direction, or with ``anchor = (Ut, g)``,
+    a snapshot and ``g = grad f(Ut Ut^T) @ Ut``, the SVRG direction
     ``grad f_i(U U^T) @ U - grad f_i(Ut Ut^T) @ Ut + g``, whose sample terms
     cancel exactly at U = Ut.  The objective supplies either
     ``grad_sample_times_factor`` (sensing), stepped along here, or
@@ -214,7 +231,7 @@ def _inner_loop(obj, U, idx, etas, anchor=None):
     gstf = obj.grad_sample_times_factor
     Ut, g = anchor if anchor is not None else (None, None)
     U = U.copy()
-    for i, eta in zip(idx, etas):
+    for i, eta in zip(idx.tolist(), etas):
         d = gstf(i, U)
         if anchor is not None:
             d -= gstf(i, Ut)
@@ -231,6 +248,8 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     the stored snapshot instead of caching the n per-sample gradients, and
     consults the step schedule once with the snapshot and its full matrix
     gradient.  The schedule's state lives in this call, not the schedule.
+    A step that is not finite and positive ends the run at its epoch,
+    before the inner loop runs, as a DivergedError naming that step.
     """
     if config.schedule is None:
         raise ValueError("run_svrg needs config.schedule")
@@ -245,8 +264,9 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
             Xt = gram(Utilde)
             f, G = obj.value_and_grad_full(Xt)
             eta, state = config.schedule.next_step(state, Xt, G)
+            rec.check_step(k, eta, Utilde)
             rec.row(k, eta, Utilde, Xt, f)
-            idx = rng.integers(0, obj.n, size=config.m).tolist()
+            idx = rng.integers(0, obj.n, size=config.m)
             Utilde = _inner_loop(obj, Utilde, idx, [eta] * config.m,
                                  anchor=(Utilde, G @ Utilde))
             rec.check(k + 1, Utilde)
@@ -275,8 +295,9 @@ def run_sfgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     The step at global inner step t is ``eta0 / (1 + t / t0)`` with t
     counted across epochs; t0 defaults to the sample size, and
     ``t0 = math.inf`` degenerates to a fixed step.  One epoch is n
-    sampled steps.  The row for epoch k records the step used at the
-    first inner step of that epoch.
+    sampled steps, whose steps are computed at once in numpy with the
+    same float operations.  The row for epoch k records the step used at
+    the first inner step of that epoch.
     """
     if config.eta0 is None:
         raise ValueError("run_sfgd needs config.eta0")
@@ -287,9 +308,9 @@ def run_sfgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     n = obj.n
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
-            etas = [config.eta0 / (1.0 + t / t0) for t in range(k * n, (k + 1) * n)]
+            etas = (config.eta0 / (1.0 + np.arange(k * n, (k + 1) * n) / t0)).tolist()
             rec.row(k, etas[0], U)
-            idx = rng.integers(0, n, size=n).tolist()
+            idx = rng.integers(0, n, size=n)
             U = _inner_loop(obj, U, idx, etas)
             rec.check(k + 1, U)
         return rec.finish(U)

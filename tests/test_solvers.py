@@ -291,6 +291,40 @@ class TestSvrg:
         assert shared == fresh
         assert shared[1][0].eta == 1e-4
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.5])
+    def test_step_not_finite_and_positive_ends_the_run_at_its_epoch(self, bad):
+        class StepAt:
+            """0.01 at every epoch but epoch 2, which gets ``bad``."""
+
+            m = 5
+
+            def next_step(self, state, X, g):
+                k = 0 if state is None else state + 1
+                return (bad if k == 2 else 0.01), k
+
+        class Counting(SensingProblem):
+            calls = 0
+
+            def grad_sample_times_factor(self, i, U):
+                self.calls += 1
+                return super().grad_sample_times_factor(i, U)
+
+        base = sensing_generate(5, 2, 20, seed=31)
+        prob = Counting(base.A, base.b)
+        U0 = np.random.default_rng(32).standard_normal((5, 2))
+        with pytest.raises(DivergedError) as info:
+            run_svrg(prob, svrg_config(epochs=5, schedule=StepAt()), U0)
+        err = info.value
+        # two epochs of m = 5 steps, each calling the oracle at U and at the anchor
+        assert prob.calls == 2 * 5 * 2
+        assert err.epoch == err.record.diverged_epoch == 2
+        assert repr(err.record.diverged_eta) == repr(bad)
+        assert str(err) == f"iterate diverged at epoch 2, step {bad!r}"
+        assert [row.epoch for row in err.record.rows] == [0, 1, 2]
+        assert math.isnan(err.record.rows[-1].f)
+        two = run_svrg(base, svrg_config(epochs=2, schedule=fixed(0.01)), U0)
+        np.testing.assert_array_equal(err.record.final_U, two.final_U)
+
 
 class TestFgd:
     def test_zero_step_is_constant(self):
@@ -365,6 +399,27 @@ class TestSfgd:
         etas = [row.eta for row in rec.rows[:3]]
         np.testing.assert_allclose(etas, [0.1, 0.05, 0.1 / 3.0], rtol=1e-12)
         assert rec.rows[-1].eta == 0.0
+
+    @pytest.mark.parametrize("eta0,t0", [(0.05, None), (2.0, 3200.0), (0.1, 7.0),
+                                         (1e-3, math.inf), (0.3, 600.0), (3.0, 1e4)])
+    def test_epoch_steps_are_the_scalar_formula(self, eta0, t0):
+        """Each epoch's steps equal eta0 / (1 + t / t0) in Python floats, bit for bit."""
+
+        class Steps(LinearObjective):
+            def factor_steps(self, U, idx, etas, anchor=None):
+                self.etas.append(etas)
+                return U
+
+        obj = Steps(np.eye(3))
+        obj.n, obj.etas = 3200, []
+        run_sfgd(obj, SolverConfig(algorithm="sfgd", r=2, epochs=4, seed=0,
+                                   eta0=eta0, t0=t0), np.ones((3, 2)))
+        t0 = float(obj.n) if t0 is None else t0
+        for k, etas in enumerate(obj.etas):
+            expected = [eta0 / (1.0 + t / t0) for t in range(k * obj.n, (k + 1) * obj.n)]
+            assert etas == expected
+            assert all(type(eta) is float for eta in etas)
+        assert len(obj.etas) == 4
 
     def test_divergence_names_the_step_of_an_unrecorded_epoch(self):
         """f(X) = -tr X grows U by (1 + eta_k) per one-sample epoch, eta_k = 1e6 / (1 + k).
@@ -524,7 +579,8 @@ def kernel_and_reference(algo, p, triplets, lam, U0, **fields):
 
 
 def rel_diff(a, b):
-    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+    """||a - b|| / ||b||; a zero b asks for a equal to it."""
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
 
 @pytest.fixture(scope="module")
@@ -552,6 +608,7 @@ EDGE_STEPS = [
     ("sfgd", 0.0, 0.1, None),
     # a = -0.5: the product, and the iterate with it, shrinks past 1e-100
     ("sfgd", 0.5, 3.0, None),
+    ("sfgd", 0.5, 2.0, None),   # a = 0 on the path that divides by a
 ]
 
 
@@ -584,13 +641,35 @@ def assert_diverges_as_the_reference(p, T, U0, algo, start):
     assert len(kernel.rows) == len(ref.rows)
 
 
+def assert_large_rows_match(p, T, algo, r):
+    """One epoch at a = 0.5 from rows near 1e140 agrees with the reference.
+
+    The kernel's scale P = 0.5^t reaches the restart bound 1e-100 at step
+    333 of the 400.  Just before, the reference's rows are still about
+    1e63 (SFGD, which shrinks them) or 1e139 (SVRG, whose anchor holds
+    them), so the stored rows u / P are near 1e163 or 1e239: squared
+    unscaled, their differences would overflow, though the actual margins
+    do not.
+    """
+    U0 = 1e140 * init_scheme3(p, r, 1.0, INIT_SEED_OFFSET)
+    if algo == "svrg":
+        fields = dict(epochs=1, m=len(T), schedule=fixed(1.0))
+    else:
+        fields = dict(epochs=1, eta0=1.0, t0=math.inf)
+    kernel, ref = kernel_and_reference(algo, p, T, 0.5, U0, **fields)
+    assert kernel.diverged == ref.diverged
+    if not ref.diverged:
+        assert np.abs(ref.final_U).max() >= 1e40
+        assert rel_diff(kernel.final_U, ref.final_U) <= 1e-10
+
+
 class TestTripletKernel:
     """TripletProblem.factor_steps is the per-step loop up to rounding.
 
     The reference steps along the one-sample objective's gradient times U.
 
-    SFGD at eta0 = 2 is chaotic: per-step agreement near 1e-17 grows to
-    about 1e-5 relative after one 3200-step epoch and to O(1) after two,
+    SFGD at eta0 = 2 is chaotic: per-step agreement near 1e-16 grows to
+    about 4e-6 relative after one 3200-step epoch and to O(1) after two,
     so at that step the iterates are pinned over 200 steps only.
     """
 
@@ -660,6 +739,12 @@ class TestTripletKernel:
         p, T, _ = small_triplets
         assert_diverges_as_the_reference(p, T, init_scheme3(p, r, 1.0, INIT_SEED_OFFSET),
                                          algo, start)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("algo", ["svrg", "sfgd"])
+    def test_large_rows_near_the_restart_bound(self, small_triplets, algo, r):
+        p, T, _ = small_triplets
+        assert_large_rows_match(p, T, algo, r)
 
     def test_kernel_is_compiled_once_per_rank_and_anchor(self):
         assert _kernel(3, True) is _kernel(3, True)
