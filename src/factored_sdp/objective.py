@@ -36,11 +36,11 @@ class SampleObjective:
 
     The full-batch oracles below are derived from them here, once.  A
     per-sample oracle is the full-batch oracle of the one-sample objective
-    of the same family.  The solvers' per-sample direction reads U without
-    forming a p-by-p matrix, so each family writes its own: either
-    ``grad_sample_times_factor`` (sensing) or the inner-loop kernel
-    ``factor_steps`` (triplets).  Instances are read-only after
-    construction and safe to share.
+    of the same family.  The stochastic solvers hand a whole inner loop to
+    ``factor_steps``.  Here it is the per-step loop along
+    ``grad_sample_times_factor``, the reference; each family overrides it
+    with a kernel of its own that reads U without forming a p-by-p
+    matrix.  Instances are read-only after construction and safe to share.
     """
 
     n = None
@@ -55,6 +55,34 @@ class SampleObjective:
         gradient check of g compares against twice this value.
         """
         raise NotImplementedError
+
+    def factor_steps(self, U, idx, etas, anchor=None):
+        """Run a whole SVRG or SFGD inner loop from U and return the final factor.
+
+        U is a (p, r) array, ``idx`` an integer array of sample indices and
+        ``etas`` an equally long list of float steps; step t is
+        ``U <- U - etas[t] * d_t`` for sample ``i = idx[t]``.  Without
+        ``anchor``, d_t is the SFGD direction ``grad f_i(U U^T) @ U``.  With
+        ``anchor = (Ut, g)``, a snapshot factor and the full direction
+        ``g = grad f(Ut Ut^T) @ Ut``, d_t is the SVRG direction
+        ``grad f_i(U U^T) @ U - grad f_i(Ut Ut^T) @ Ut + g``, whose sample
+        terms cancel exactly at U = Ut.
+
+        This is the per-step loop along ``grad_sample_times_factor``: the
+        reference that each family's kernel is tested against.  The update
+        is applied in place on fresh oracle outputs.
+        """
+        gstf = self.grad_sample_times_factor
+        Ut, g = anchor if anchor is not None else (None, None)
+        U = U.copy()
+        for i, eta in zip(idx.tolist(), etas):
+            d = gstf(i, U)
+            if anchor is not None:
+                d -= gstf(i, Ut)
+                d += g
+            d *= eta
+            U -= d
+        return U
 
     def _f(self, z, X):
         """f(X) from the measurements z of X."""
@@ -131,6 +159,43 @@ class SensingProblem(SampleObjective):
         AU = self.A[i] @ U
         return (float(np.vdot(U, AU)) - self.b[i]) * AU
 
+    def factor_steps(self, U, idx, etas, anchor=None):
+        """The loop of ``SampleObjective.factor_steps``, bit for bit, with fewer products.
+
+        A step makes the float operations of the per-step loop in its
+        order.  It looks ``A[i]`` up once, writes ``A_i U`` into one product
+        buffer and scales that buffer in place by ``<U, A_i U> - b_i``,
+        then by the step.  ``u`` and ``au`` are flat views of U and the
+        buffer, so ``u.dot(au)`` is the ddot that ``np.vdot(U, A_i U)``
+        makes.  The anchor's sample term ``(<Ut, A_i Ut> - b_i) A_i Ut`` is
+        fixed for the call, so it is computed at sample i's first draw and
+        reused on every repeat; with m = n uniform draws only about
+        1 - 1/e of them are distinct.  The terms held are at most n arrays
+        of U's shape.  A table of every ``A_i Ut`` would read all of ``A``
+        to serve that share of it, and costs more than the products it
+        saves.
+        """
+        A, b = self.A, self.b.tolist()
+        Ut, g = anchor if anchor is not None else (None, None)
+        terms = [None] * self.n
+        U = U.copy()
+        AU = np.empty_like(U)
+        u, au = U.reshape(-1), AU.reshape(-1)
+        for i, eta in zip(idx.tolist(), etas):
+            Ai = A[i]
+            np.matmul(Ai, U, out=AU)
+            AU *= float(u.dot(au)) - b[i]
+            if anchor is not None:
+                term = terms[i]
+                if term is None:
+                    term = terms[i] = Ai @ Ut
+                    term *= float(np.vdot(Ut, term)) - b[i]
+                AU -= term
+                AU += g
+            AU *= eta
+            U -= AU
+        return U
+
     def _measure(self, Xs):
         return np.reshape(Xs, (-1, self.p * self.p)) @ self._A2.T
 
@@ -188,16 +253,18 @@ class TripletProblem(SampleObjective):
     exactly.  The full-batch oracles read all margins off X at once; the
     kernel reads them off the rows of U.
 
-    The family's one per-sample direction is the kernel ``factor_steps``:
+    The family's one per-sample direction is its kernel ``factor_steps``:
     it runs a whole SVRG or SFGD inner loop with its dense part kept in one
-    shared frame, which the solvers use in place of their per-step loop.
-    It matches the per-step loop over the one-sample objectives up to
-    rounding: one SVRG epoch at the criterion-10 steps agrees to about
-    1e-11 relative, and SFGD at eta0 = 0.05 over several epochs to about
-    1e-15.  SFGD at eta0 = 2 is chaotic, so its per-step differences near
-    1e-16 grow to about 4e-6 relative after one 3200-step epoch and to
-    O(1) after two; there the two paths agree as runs (same test-error
-    crossings on the criterion-10 trials), not as iterates.
+    shared frame.  Its reference is the base class's per-step loop over
+    the one-sample objectives (the family has no
+    ``grad_sample_times_factor`` of its own), which the kernel matches up
+    to rounding, not bit for bit: one SVRG epoch at the criterion-10
+    steps agrees to about 1e-11 relative, and SFGD at eta0 = 0.05 over
+    several epochs to about 1e-15.  SFGD at eta0 = 2 is chaotic, so its
+    per-step differences near 1e-16 grow to about 4e-6 relative after one
+    3200-step epoch and to O(1) after two; there the two paths agree as
+    runs (same test-error crossings on the criterion-10 trials), not as
+    iterates.
     """
 
     def __init__(self, p, triplets, lam=0.0):
@@ -259,16 +326,10 @@ class TripletProblem(SampleObjective):
         return out
 
     def factor_steps(self, U, idx, etas, anchor=None):
-        """Run a whole inner loop from U and return the final factor.
+        """The loop of ``SampleObjective.factor_steps``, up to rounding.
 
-        U is a (p, r) array, ``idx`` an integer array or list of sample
-        indices and ``etas`` an equally long list of steps; step t is
-        ``U <- U - etas[t] * d_t`` for sample ``i = idx[t]``.  Without
-        ``anchor``, d_t is the SFGD direction ``grad f_i(U U^T) @ U``.  With
-        ``anchor = (Ut, g)``, a snapshot factor and the full direction
-        ``grad f(Ut Ut^T) @ Ut``, d_t is the SVRG direction
-        ``grad f_i(U U^T) @ U - grad f_i(Ut Ut^T) @ Ut + g``; the anchor's
-        margins are read off the rows of Ut, so no p-by-p matrix is formed.
+        ``idx`` may also be a list.  The anchor's margins are read off the
+        rows of Ut, so no p-by-p matrix is formed.
 
         The result equals the per-step loop over the one-sample objectives,
         ``d_t = TripletProblem(p, triplets[[i]], lam).grad_full(U U^T) @ U``,

@@ -9,15 +9,16 @@ Four algorithms share the RunRecord trace format:
                   step (n sampled steps per epoch)
 * ``run_projgd``  projected gradient descent in X-space (baseline)
 
-SVRG and SFGD share one inner loop, ``_inner_loop``: SFGD is the SVRG
-loop without an anchor and with a decaying step.  An objective family
-supplies either the per-sample direction ``grad_sample_times_factor``
-(sensing), which the loop steps along, or the kernel ``factor_steps``
-(triplets), which runs the whole loop itself on the same samples and
-steps (TripletProblem's docstring says how closely it matches the
-per-step loop).  Epoch accounting follows sample-gradient
-counts: FGD, SFGD, and ProjGD spend n sample gradients per epoch, SVRG
-spends n + m per outer iteration.  Metric evaluations are not counted.
+SVRG and SFGD share one inner loop, the objective's ``factor_steps``:
+SFGD is the SVRG loop without an anchor and with a decaying step.  The
+runners draw the samples and steps and hand the loop to it whole.
+``SampleObjective.factor_steps`` is the per-step loop, the reference;
+each family runs a kernel of its own on the same samples and steps
+(sensing's matches the reference bit for bit; TripletProblem's
+docstring says how closely the triplet kernel matches it).  Epoch
+accounting follows sample-gradient counts: FGD, SFGD, and ProjGD spend
+n sample gradients per epoch, SVRG spends n + m per outer iteration.
+Metric evaluations are not counted.
 """
 
 import math
@@ -212,44 +213,17 @@ class _Recorder:
         return self.record
 
 
-def _inner_loop(obj, U, idx, etas, anchor=None):
-    """Step ``U <- U - etas[t] * d_t`` for sample ``i = idx[t]``; return the factor.
-
-    ``idx`` is an integer array and ``etas`` a list of floats.  d_t is
-    ``grad f_i(U U^T) @ U``, the SFGD direction, or with ``anchor = (Ut, g)``,
-    a snapshot and ``g = grad f(Ut Ut^T) @ Ut``, the SVRG direction
-    ``grad f_i(U U^T) @ U - grad f_i(Ut Ut^T) @ Ut + g``, whose sample terms
-    cancel exactly at U = Ut.  The objective supplies either
-    ``grad_sample_times_factor`` (sensing), stepped along here, or
-    ``factor_steps`` (triplets), which runs the whole loop itself.  The
-    update is applied in place on fresh oracle outputs; the loop runs n+
-    times per epoch and per-step temporaries dominate its cost otherwise.
-    """
-    steps = getattr(obj, "factor_steps", None)
-    if steps is not None:
-        return steps(U, idx, etas, anchor=anchor)
-    gstf = obj.grad_sample_times_factor
-    Ut, g = anchor if anchor is not None else (None, None)
-    U = U.copy()
-    for i, eta in zip(idx.tolist(), etas):
-        d = gstf(i, U)
-        if anchor is not None:
-            d -= gstf(i, Ut)
-            d += g
-        d *= eta
-        U -= d
-    return U
-
-
 def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     """Variance-reduced solver on the factor, Option-I outer update.
 
-    Every outer iteration recomputes the anchor gradient ``grad f_i`` at
-    the stored snapshot instead of caching the n per-sample gradients, and
-    consults the step schedule once with the snapshot and its full matrix
-    gradient.  The schedule's state lives in this call, not the schedule.
-    A step that is not finite and positive ends the run at its epoch,
-    before the inner loop runs, as a DivergedError naming that step.
+    Every outer iteration hands the objective's ``factor_steps`` the
+    stored snapshot and its full direction; the anchor terms ``grad f_i``
+    at the snapshot are computed there, for the samples drawn, and none
+    outlives the epoch.  It consults the step schedule once with the
+    snapshot and its full matrix gradient.  The schedule's state lives in
+    this call, not the schedule.  A step that is not finite and positive
+    ends the run at its epoch, before the inner loop runs, as a
+    DivergedError naming that step.
     """
     if config.schedule is None:
         raise ValueError("run_svrg needs config.schedule")
@@ -267,8 +241,8 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
             rec.check_step(k, eta, Utilde)
             rec.row(k, eta, Utilde, Xt, f)
             idx = rng.integers(0, obj.n, size=config.m)
-            Utilde = _inner_loop(obj, Utilde, idx, [eta] * config.m,
-                                 anchor=(Utilde, G @ Utilde))
+            Utilde = obj.factor_steps(Utilde, idx, [eta] * config.m,
+                                      anchor=(Utilde, G @ Utilde))
             rec.check(k + 1, Utilde)
         return rec.finish(Utilde)
 
@@ -311,7 +285,7 @@ def run_sfgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
             etas = (config.eta0 / (1.0 + np.arange(k * n, (k + 1) * n) / t0)).tolist()
             rec.row(k, etas[0], U)
             idx = rng.integers(0, n, size=n)
-            U = _inner_loop(obj, U, idx, etas)
+            U = obj.factor_steps(U, idx, etas)
             rec.check(k + 1, U)
         return rec.finish(U)
 

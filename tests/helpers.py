@@ -84,11 +84,11 @@ def sample_objective(obj, i):
 class ReferenceTriplets(TripletProblem):
     """A TripletProblem without its kernel, the kernel's reference.
 
-    The solvers then take the per-step loop, stepping along the
-    one-sample objective's gradient times U.
+    The solvers then run the base class's per-step loop, stepping along
+    the one-sample objective's gradient times U.
     """
 
-    factor_steps = None
+    factor_steps = SampleObjective.factor_steps
 
     def grad_sample_times_factor(self, i, U):
         return sample_objective(self, i).grad_full(gram(U)) @ U

@@ -122,7 +122,7 @@ def codegen_calls(source, allowed=()):
             and node.func.id in CODEGEN_BUILTINS and id(node) not in inside]
 
 
-ROADMAP_NUMBER = re.compile(r"ROADMAP\s+direction\s+\d")
+ROADMAP_NUMBER = re.compile(r"ROADMAP\s+direction\s+\d", re.IGNORECASE)
 
 
 def roadmap_direction_numbers(text):
@@ -166,9 +166,11 @@ def test_scan_finds_a_code_generation_call():
 def test_scan_finds_a_roadmap_direction_number():
     word = "ROADMAP"  # spelled apart, so this module passes its own scan
     text = (f"see {word} direction 2,\nor the {word}\ndirection 6(a); "
-            f"not {word} aim 3 or the {word} item on safe embed defaults\n")
+            f"not {word} aim 3 or the {word} item on safe embed defaults;\n"
+            f"{word.title()} direction 3\n")
     assert roadmap_direction_numbers(text) == [
-        (1, f"{word} direction 2"), (2, f"{word}\ndirection 6")]
+        (1, f"{word} direction 2"), (2, f"{word}\ndirection 6"),
+        (4, f"{word.title()} direction 3")]
 
 
 def test_modules_are_found():

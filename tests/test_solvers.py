@@ -8,6 +8,7 @@ from factored_sdp.cli import INIT_SEED_OFFSET
 from factored_sdp.init import init_perturbed_optimum, init_scheme3
 from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
+    SampleObjective,
     SensingProblem,
     TripletProblem,
     _kernel,
@@ -303,11 +304,11 @@ class TestSvrg:
                 return (bad if k == 2 else 0.01), k
 
         class Counting(SensingProblem):
-            calls = 0
+            steps = 0
 
-            def grad_sample_times_factor(self, i, U):
-                self.calls += 1
-                return super().grad_sample_times_factor(i, U)
+            def factor_steps(self, U, idx, etas, anchor=None):
+                self.steps += len(idx)
+                return super().factor_steps(U, idx, etas, anchor)
 
         base = sensing_generate(5, 2, 20, seed=31)
         prob = Counting(base.A, base.b)
@@ -315,8 +316,8 @@ class TestSvrg:
         with pytest.raises(DivergedError) as info:
             run_svrg(prob, svrg_config(epochs=5, schedule=StepAt()), U0)
         err = info.value
-        # two epochs of m = 5 steps, each calling the oracle at U and at the anchor
-        assert prob.calls == 2 * 5 * 2
+        # two epochs of m = 5 steps ran; epoch 2 ran none
+        assert prob.steps == 2 * 5
         assert err.epoch == err.record.diverged_epoch == 2
         assert repr(err.record.diverged_eta) == repr(bad)
         assert str(err) == f"iterate diverged at epoch 2, step {bad!r}"
@@ -474,6 +475,66 @@ class TestSensingInnerLoop:
         assert np.array_equal(rec.final_U, U)
 
 
+class ReferenceSensing(SensingProblem):
+    """A SensingProblem without its kernel: the base class's per-step loop."""
+
+    factor_steps = SampleObjective.factor_steps
+
+
+class TestSensingKernel:
+    """SensingProblem.factor_steps is the base class's per-step loop, bit for bit.
+
+    m is below, at and above n = 2p, so that samples repeat within a call
+    and the anchor terms computed at their first draw are reused.
+    """
+
+    @pytest.mark.parametrize("m_per_n", [0.75, 1, 3])
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    @pytest.mark.parametrize("p", [5, 12])
+    def test_loop_is_the_reference(self, p, r, m_per_n):
+        prob = sensing_generate(p, 2, 2 * p, seed=50 + p)
+        rng = np.random.default_rng(51 + 10 * r)
+        U0 = rng.standard_normal((p, r))
+        Ut = U0 + 0.1 * rng.standard_normal((p, r))
+        anchor = (Ut, prob.grad_full(gram(Ut)) @ Ut)
+        m = int(m_per_n * prob.n)
+        idx = rng.integers(0, prob.n, size=m)
+        assert len(set(idx.tolist())) < m
+        eta0 = 0.05 / p**2
+        fixed_steps = [eta0] * m
+        decaying = (eta0 / (1.0 + np.arange(m) / (prob.n / 2))).tolist()
+        for etas in (fixed_steps, decaying):
+            for a in (None, anchor):
+                kernel = prob.factor_steps(U0, idx, etas, a)
+                ref = SampleObjective.factor_steps(prob, U0, idx, etas, a)
+                assert np.array_equal(kernel, ref, equal_nan=True)
+                assert not np.array_equal(kernel, U0)
+
+    @pytest.mark.parametrize("algo", ["svrg", "sfgd"])
+    @pytest.mark.parametrize("start", ["nan", "overflow"])
+    def test_non_finite_iterate_diverges_as_the_reference(self, algo, start):
+        prob = sensing_generate(5, 2, 20, seed=52)
+        U0 = np.random.default_rng(53).standard_normal((5, 2))
+        if start == "nan":
+            U0[3, -1], eta = math.nan, 1e-3
+        else:
+            eta = 1e6
+        if algo == "svrg":
+            run, config = run_svrg, svrg_config(epochs=3, m=40, schedule=fixed(eta))
+        else:
+            run, config = run_sfgd, SolverConfig(algorithm="sfgd", r=2, epochs=3, seed=0,
+                                                 eta0=eta)
+        records = []
+        for obj in (prob, ReferenceSensing(prob.A, prob.b)):
+            with pytest.raises(DivergedError) as info:
+                run(obj, config, U0)
+            records.append(info.value.record)
+        kernel, ref = records
+        assert kernel.diverged_epoch == ref.diverged_epoch
+        assert repr(kernel.rows) == repr(ref.rows)
+        assert np.array_equal(kernel.final_U, ref.final_U, equal_nan=True)
+
+
 class TestProjGd:
     def test_zero_gradient_nearly_constant(self):
         obj = constant_objective(4)
@@ -608,7 +669,9 @@ EDGE_STEPS = [
     ("sfgd", 0.0, 0.1, None),
     # a = -0.5: the product, and the iterate with it, shrinks past 1e-100
     ("sfgd", 0.5, 3.0, None),
-    ("sfgd", 0.5, 2.0, None),   # a = 0 on the path that divides by a
+    # a = 0 on the path that divides by a; the rows collapse to 0 within a
+    # few steps, so test_a_zero_writes_the_reference_rows checks the values
+    ("sfgd", 0.5, 2.0, None),
 ]
 
 
@@ -745,6 +808,25 @@ class TestTripletKernel:
     def test_large_rows_near_the_restart_bound(self, small_triplets, algo, r):
         p, T, _ = small_triplets
         assert_large_rows_match(p, T, algo, r)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_a_zero_writes_the_reference_rows(self, small_triplets, r):
+        """SFGD at eta lam = 1 over a few steps, before the rows collapse.
+
+        At a = 0 a step zeroes every row off its triplet, so the steps run
+        along a chain of triplets, each sharing a row with the one before.
+        """
+        p, T, _ = small_triplets
+        chain = [0]
+        for c in range(1, len(T)):
+            if len(chain) < 4 and set(T[c].tolist()) & set(T[chain[-1]].tolist()):
+                chain.append(c)
+        idx, etas = np.array(chain), [2.0] * len(chain)
+        U0 = init_scheme3(p, r, 1.0, INIT_SEED_OFFSET)
+        kernel = TripletProblem(p, T, 0.5).factor_steps(U0, idx, etas)
+        ref = ReferenceTriplets(p, T, 0.5).factor_steps(U0, idx, etas)
+        assert np.abs(ref).max() > 0
+        assert rel_diff(kernel, ref) <= 1e-10
 
     def test_kernel_is_compiled_once_per_rank_and_anchor(self):
         assert _kernel(3, True) is _kernel(3, True)
