@@ -24,7 +24,8 @@ the divergence row marked by NaN metrics); 2 bad input, with one ``error:``
 line: a usage error or flag range (``argument --flag: ...``, from the parser,
 also when replaying), a check between flags (before any instance is drawn), a
 malformed triplet file or manifest, an ``embed --split`` leaving no test
-triplet, an overflowing init radius, or a secant denominator of exactly zero.
+triplet, an overflowing init radius, a secant denominator of exactly zero, or
+an array too large for the machine's memory (``MemoryError``).
 """
 
 import argparse
@@ -93,7 +94,6 @@ class TripletFormatError(CliError):
 
     def __init__(self, line_no, message):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def read_triplets(path, p=None):
@@ -229,9 +229,10 @@ def _run_parallel(trials, jobs):
     """Run the trial closures; return their records in input order and the timing.
 
     With more than one job and more than one trial they run in forked worker
-    processes, else (or where the platform cannot fork) serially.  A
-    worker's StallError is raised here.  ``timing`` is the run.json block:
-    ``jobs``, the ``pool`` used and each trial's ``solver_s``.
+    processes through ``Executor.map``, else (or where the platform cannot
+    fork) serially.  The first failing trial's exception is raised here
+    (BrokenProcessPool for a killed worker).  ``timing`` is the run.json
+    block: ``jobs``, the ``pool`` used and each trial's ``solver_s``.
     """
     # Imported here, so that importing this module for its helpers alone
     # loads no process-pool machinery.
@@ -248,12 +249,7 @@ def _run_parallel(trials, jobs):
             with ProcessPoolExecutor(
                     max_workers=min(jobs, len(trials)),
                     mp_context=multiprocessing.get_context("fork")) as executor:
-                futures = [executor.submit(_forked_trial, i) for i in range(len(trials))]
-                try:
-                    results = [f.result() for f in futures]
-                except BaseException:
-                    executor.shutdown(cancel_futures=True)
-                    raise
+                results = list(executor.map(_forked_trial, range(len(trials))))
         finally:
             _FORKED_TRIALS.clear()
     timing = {"jobs": jobs, "pool": pool, "trials": [
@@ -722,7 +718,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, OSError, StallError) as err:
+    except (CliError, OSError, StallError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -34,13 +34,12 @@ class SampleObjective:
     * ``_adjoint(W)``: the (S, p^2) rows ``sum_i W_si vec(A_i)``, fresh;
     * ``_A_sqnorms``: the (n,) array of ``||A_i||_F^2``.
 
-    The full-batch oracles below are derived from them here, once.  A
-    per-sample oracle is the full-batch oracle of the one-sample objective
-    of the same family.  The stochastic solvers hand a whole inner loop to
-    ``factor_steps``.  Here it is the per-step loop along
-    ``grad_sample_times_factor``, the reference; each family overrides it
-    with a kernel of its own that reads U without forming a p-by-p
-    matrix.  Instances are read-only after construction and safe to share.
+    The full-batch oracles ``eval_full``, ``grad_full``, ``value_and_grad_full``
+    and ``grad_moments_many`` (at S points) are derived from them here, once;
+    a per-sample oracle is that of the one-sample objective of the family.
+    The solvers hand a whole inner loop to ``factor_steps``: here the per-step
+    loop along ``grad_sample_times_factor``, the reference, which each family
+    overrides with a kernel that forms no p-by-p matrix.  Instances are read-only.
     """
 
     n = None
@@ -105,15 +104,10 @@ class SampleObjective:
         Z = self._measure(X[None])
         return self._f(Z[0], X), self._grads(self._slope(Z))[0]
 
-    def grad_full_many(self, Xs):
-        """``grad_full`` at each of S points, stacked as an (S, p, p) array."""
-        return self._grads(self._slope(self._measure(Xs)))
-
     def grad_moments_many(self, Xs):
-        """``grad_full_many(Xs)`` and the second moments at each point.
+        """``grad_full`` at each of S points, as an (S, p, p) stack, and the (S,)
+        second moments (1/n) sum_i ||grad f_i(X_s)||_F^2 (variance statistics).
 
-        Returns the (S, p, p) gradient stack and the (S,) values
-        (1/n) sum_i ||grad f_i(X_s)||_F^2 (used for variance statistics).
         With grad f_i = w_i A_i + lam I, that square is
         w_i^2 ||A_i||^2 + 2 lam w_i tr(A_i) + lam^2 p, and the mean of
         w_i tr(A_i) is tr(grad f(X_s)) - lam p.
@@ -328,8 +322,8 @@ class TripletProblem(SampleObjective):
     def factor_steps(self, U, idx, etas, anchor=None):
         """The loop of ``SampleObjective.factor_steps``, up to rounding.
 
-        ``idx`` may also be a list.  The anchor's margins are read off the
-        rows of Ut, so no p-by-p matrix is formed.
+        The anchor's margins are read off the rows of Ut, so no p-by-p
+        matrix is formed.
 
         The result equals the per-step loop over the one-sample objectives,
         ``d_t = TripletProblem(p, triplets[[i]], lam).grad_full(U U^T) @ U``,
@@ -354,7 +348,6 @@ class TripletProblem(SampleObjective):
         call.
         """
         lam = self.lam
-        idx = np.asarray(idx, dtype=np.intp)
         columns = (self._I[idx].tolist(), self._J[idx].tolist(), self._K[idx].tolist())
         rows = U.tolist()
         if anchor is None:
@@ -562,10 +555,10 @@ def estimate_smoothness(obj, pairs):
     pairs; mu_hat is the min of <grad f(X) - grad f(Y), X - Y> / ||X - Y||_F^2,
     meaningful as a restricted-curvature estimate when the probes are rank-r.
     Coincident pairs (||X - Y||_F < 1e-14) are dropped first; the gradients
-    at the 2K points of the K pairs kept come from one
-    ``obj.grad_full_many`` call on the stack [X_1, Y_1, ..., X_K, Y_K].
-    Each difference X - Y is formed again after that call, one pair at a
-    time, so no list of K differences sits beside the gradient stack.
+    at the 2K points of the K pairs kept come from one ``grad_moments_many``
+    call on [X_1, Y_1, ..., X_K, Y_K], whose moments go unread.  Each
+    X - Y is formed again after that call, one pair at a time, so no list
+    of K differences sits beside the gradient stack.
 
     Raises
     ------
@@ -580,7 +573,7 @@ def estimate_smoothness(obj, pairs):
         kept.append((X, Y, nd))
     if not kept:
         raise NoProbes("all probe pairs coincident")
-    grads = obj.grad_full_many([M for X, Y, _ in kept for M in (X, Y)])
+    grads = obj.grad_moments_many([M for X, Y, _ in kept for M in (X, Y)])[0]
     l_vals, mu_vals = [], []
     for k, (X, Y, nd) in enumerate(kept):
         D = X - Y

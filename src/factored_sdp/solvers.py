@@ -32,11 +32,10 @@ DIVERGE_LIMIT = 1e150
 
 
 class DivergedError(RuntimeError):
-    """Iterate left the representable range; carries the partial record."""
+    """Iterate left the representable range; ``record`` is the partial run."""
 
-    def __init__(self, message, epoch, record):
+    def __init__(self, message, record):
         super().__init__(message)
-        self.epoch = epoch
         self.record = record
 
 
@@ -204,7 +203,7 @@ class _Recorder:
         self.record.diverged_eta = self.eta
         self.record.final_U, self.record.final_X = U, X
         raise DivergedError(f"iterate diverged at epoch {epoch}, step {self.eta!r}",
-                            epoch, self.record)
+                            self.record)
 
     def finish(self, U, X=None):
         """Append the final row (step 0.0) and return the record."""

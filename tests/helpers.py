@@ -100,4 +100,4 @@ def kernel_direction(obj, i, U, anchor=None):
     ``anchor`` is passed on to ``factor_steps``: without it this is the
     SFGD direction, with it the SVRG one.
     """
-    return U - obj.factor_steps(U, [i], [1.0], anchor)
+    return U - obj.factor_steps(U, np.array([i]), [1.0], anchor)

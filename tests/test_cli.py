@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from factored_sdp import cli
+from factored_sdp import cli, solvers
 from factored_sdp.cli import (
     ALGORITHMS,
     CliError,
@@ -735,6 +735,28 @@ class TestTrialPool:
         err = capfd.readouterr().err
         assert err.startswith("error: BB denominator is zero")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_allocation_too_large_exits_2_with_one_line(
+            self, triplet_file, tmp_path, monkeypatch, capfd, jobs):
+        """A MemoryError, here raised in place of the p-by-p Gram array, is one line.
+
+        Nothing is allocated for real: where memory is overcommitted the
+        allocation would succeed.
+        """
+        message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+        def too_large(U):
+            raise MemoryError(message)
+        monkeypatch.setattr(solvers, "gram", too_large)
+        capfd.readouterr()
+        out = tmp_path / "run"
+        rc = main(["embed", "--triplets", str(triplet_file), "--out", str(out),
+                   "--algos", "sfgd,fgd", "--eta", "0.05", "--epochs", "1",
+                   "--seeds", "1", "--split", "1.0", "--jobs", str(jobs)])
+        assert rc == 2
+        assert capfd.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_worker_divergence_exits_3_with_the_serial_bytes(self, tmp_path):

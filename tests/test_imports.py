@@ -1,15 +1,18 @@
 """Every module in src/, tests/ and demos/ uses each name it imports, and
-every private name and function parameter defined in src/ is used there.
+every private name, function parameter and instance attribute defined in
+src/ is used.
 
 No linter ships with the project, so these scans stand in for one: an
 import whose name the module never reads is dead code, and so is a private
 (``_name``, not dunder) function, class, method or module constant that
-no module of src/ references beyond its definition, and a parameter that
-its function's body never reads.  Code generation stays in one place: no
-module of src/ calls the ``exec``, ``eval`` or ``compile`` builtin outside
-``objective._kernel``.  A last scan keeps those modules and the README
-from citing a ROADMAP direction by its number, which changes each time the
-ROADMAP is re-anchored; they name the item instead.
+no module of src/ references beyond its definition, a parameter that
+its function's body never reads, and an attribute that src/ sets on
+``self`` but no module of src/, tests/, demos/ or perfbench/ reads.  Code
+generation stays in one place: no module of src/ calls the ``exec``,
+``eval`` or ``compile`` builtin outside ``objective._kernel``.  A last
+scan keeps those modules and the README from citing a ROADMAP direction
+by its number, which changes each time the ROADMAP is re-anchored; they
+name the item instead.
 """
 
 import ast
@@ -24,6 +27,8 @@ MODULES = sorted(
     for folder in ("src", "tests", "demos")
     for path in (ROOT / folder).rglob("*.py")
 )
+BENCH_MODULES = sorted(path.relative_to(ROOT).as_posix()
+                       for path in (ROOT / "perfbench").rglob("*.py"))
 
 
 def unused_imports(source):
@@ -108,6 +113,32 @@ def unread_parameters(source):
     return found
 
 
+def unread_attributes(assigning, reading):
+    """(module, line, name) of each ``self.<name> = ...`` in ``assigning`` no source reads.
+
+    Both arguments map module names to their text; ``reading`` holds the
+    sources searched for reads.  A read is an attribute loaded under that
+    name on any object, or a ``getattr``/``hasattr`` call that names it.
+    """
+    read = set()
+    for text in reading.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in ("getattr", "hasattr") and len(node.args) > 1 \
+                    and isinstance(node.args[1], ast.Constant):
+                read.add(node.args[1].value)
+    found = []
+    for module, text in assigning.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) and node.value.id == "self" \
+                    and node.attr not in read:
+                found.append((module, node.lineno, node.attr))
+    return sorted(found)
+
+
 CODEGEN_BUILTINS = ("exec", "eval", "compile")
 
 
@@ -156,6 +187,16 @@ def test_scan_finds_an_unread_parameter():
     assert unread_parameters(source) == [(1, "f", "b"), (1, "f", "d"), (7, "n", "z")]
 
 
+def test_scan_finds_an_unread_attribute():
+    assigning = {"a": "class K:\n    def __init__(self, n):\n"
+                      "        self.n, self.seen = n, 0\n        self.kind = 'k'\n"
+                      "        self.tag = None\n"
+                      "    def size(self):\n        return self.n\n"}
+    reading = {**assigning, "b": "def f(k):\n    return getattr(k, 'kind')\n",
+               "c": "def g(k):\n    k.seen = 1\n    k.tag.upper()\n"}
+    assert unread_attributes(assigning, reading) == [("a", 3, "seen")]
+
+
 def test_scan_finds_a_code_generation_call():
     source = ("import re\nexec('x = 1')\ndef _kernel():\n    return eval('2')\n"
               "def other():\n    return compile('3', '<s>', 'eval'), re.compile('4')\n")
@@ -195,6 +236,14 @@ def test_no_unreferenced_private_name():
 def test_no_unread_parameter(module):
     source = (ROOT / module).read_text(encoding="utf-8")
     assert unread_parameters(source) == []
+
+
+def test_no_unread_attribute():
+    sources = {module: (ROOT / module).read_text(encoding="utf-8")
+               for module in MODULES + BENCH_MODULES}
+    assigning = {module: text for module, text in sources.items()
+                 if module.startswith("src/")}
+    assert unread_attributes(assigning, sources) == []
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m.startswith("src/")])

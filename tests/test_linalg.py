@@ -176,3 +176,23 @@ class TestProcrustes:
         with pytest.raises(ShapeError):
             procrustes_dist(np.eye(3), np.eye(2))
 
+
+def eigh_fails(monkeypatch):
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    return eig_sym(np.eye(3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda mp: truncated_approx(np.eye(3), 0), ShapeError,
+     "rank 0 out of range for a 3x3 matrix"),
+    (lambda mp: truncated_approx(np.eye(3), 4), ShapeError,
+     "rank 4 out of range for a 3x3 matrix"),
+    (eigh_fails, EigFail, "Eigenvalues did not converge"),
+], ids=["rank-0", "rank-above-p", "eigh"])
+def test_input_check_raises_its_message(monkeypatch, call, error, message):
+    with pytest.raises(error) as info:
+        call(monkeypatch)
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -188,14 +188,12 @@ class TestSensingGemvOracle:
     def test_batched_oracles_match_per_matrix(self, layout):
         prob = self.problem()
         Xs = self.stacks(self.P, 26)[layout]
-        G = prob.grad_full_many(Xs)
-        G2, moments = prob.grad_moments_many(Xs)
-        assert G.shape == G2.shape == (len(Xs), self.P, self.P)
+        G, moments = prob.grad_moments_many(Xs)
+        assert G.shape == (len(Xs), self.P, self.P)
         assert moments.shape == (len(Xs),)
         for s, X in enumerate(Xs):
             G_ref = prob.grad_full(X)
             assert rel_err(G[s], G_ref) <= 1e-12
-            assert rel_err(G2[s], G_ref) <= 1e-12
             sq_ref = sample_moment(prob, X)
             assert abs(moments[s] - sq_ref) <= 1e-12 * sq_ref
 
@@ -350,7 +348,7 @@ class TestTripletProblem:
         trip = TripletProblem(12, T, 1e-2)
         rng = np.random.default_rng(18)
         Xs = [gram(rng.standard_normal((12, 2))) for _ in range(3)]
-        G = trip.grad_full_many(Xs)
+        G = trip.grad_moments_many(Xs)[0]
         for s, X in enumerate(Xs):
             assert np.array_equal(G[s], trip.grad_full(X))
 
@@ -364,9 +362,7 @@ class TestTripletProblem:
         trip = TripletProblem(12, T, lam)
         rng = np.random.default_rng(19)
         Xs = np.stack([gram(rng.standard_normal((12, 2))) for _ in range(3)])
-        G = trip.grad_full_many(Xs)
-        G2, moments = trip.grad_moments_many(Xs)
-        assert np.array_equal(G2, G)
+        G, moments = trip.grad_moments_many(Xs)
         for s, X in enumerate(Xs):
             assert np.array_equal(G[s], trip.grad_full(X))
             f, G1 = trip.value_and_grad_full(X)
@@ -480,9 +476,9 @@ class TestEstimateSmoothness:
         seen = []
 
         class Counting(SensingProblem):
-            def grad_full_many(self, Xs):
+            def grad_moments_many(self, Xs):
                 seen.append(len(Xs))
-                return super().grad_full_many(Xs)
+                return super().grad_moments_many(Xs)
 
         counting = Counting(prob.A, prob.b)
         L, mu = estimate_smoothness(counting, [(X, X.copy()), *pairs])
@@ -503,3 +499,22 @@ class TestEstimateSmoothness:
         X = gram(np.ones((3, 1)))
         with pytest.raises(NoProbes):
             estimate_smoothness(prob, [(X, X.copy()), (X, X.copy())])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SensingProblem(np.zeros((3, 2, 2)), np.zeros(4)),
+     "A must be (n, p, p) and b (n,)"),
+    (lambda: SensingProblem(np.zeros((3, 2, 3)), np.zeros(3)),
+     "A must be (n, p, p) and b (n,)"),
+    (lambda: sensing_generate(2, 3, 5, seed=0), "need r_star <= p and n >= 1"),
+    (lambda: sensing_generate(4, 2, 0, seed=0), "need r_star <= p and n >= 1"),
+    (lambda: TripletProblem(4, np.zeros((0, 3), dtype=int)),
+     "triplets must be a nonempty (n, 3) index array"),
+    (lambda: TripletProblem(4, [[0, 1], [1, 2]]),
+     "triplets must be a nonempty (n, 3) index array"),
+], ids=["sensing-b", "sensing-A", "r-star", "n", "triplets-empty", "triplets-shape"])
+def test_input_check_raises_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

@@ -60,14 +60,13 @@ def assert_diverges_with_partial_record(algo):
     err = info.value
     assert isinstance(err.record, RunRecord)
     assert err.record.diverged
-    assert err.record.diverged_epoch == err.epoch
-    assert 1 <= err.epoch <= 50
+    assert 1 <= err.record.diverged_epoch <= 50
     # the step in force is the one the row before the marker records
     assert err.record.diverged_eta == err.record.rows[-2].eta
     assert str(err) == \
-        f"iterate diverged at epoch {err.epoch}, step {err.record.diverged_eta!r}"
+        f"iterate diverged at epoch {err.record.diverged_epoch}, step {err.record.diverged_eta!r}"
     last = err.record.rows[-1]
-    assert last.epoch == err.epoch
+    assert last.epoch == err.record.diverged_epoch
     assert np.isnan(last.f)
     assert np.isnan(last.error_X)
     grads = [row.sample_grads for row in err.record.rows]
@@ -77,8 +76,8 @@ def assert_diverges_with_partial_record(algo):
         assert last.error_U is None
         assert err.record.final_U is None
         X = symmetrize(gram(U0))
-        if err.epoch > 1:
-            X = run_projgd(prob, SolverConfig(**{**base, "epochs": err.epoch - 1},
+        if err.record.diverged_epoch > 1:
+            X = run_projgd(prob, SolverConfig(**{**base, "epochs": err.record.diverged_epoch - 1},
                                               eta=1e6), gram(U0)).final_X
         np.testing.assert_array_equal(err.record.final_X, X - 1e6 * prob.grad_full(X))
     else:
@@ -131,6 +130,33 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             run_fgd(prob, SolverConfig(algorithm="fgd", r=2, epochs=1, seed=0,
                                        eta=0.1), np.zeros((4, 3)))
+
+
+def tiny_run(runner, start, **fields):
+    """Call ``runner`` on a p=4 sensing instance with a rank-2 config of ``fields``."""
+    prob = sensing_generate(4, 2, 8, seed=0)
+    config = SolverConfig(algorithm="run", r=2, epochs=1, seed=0, **fields)
+    return lambda: runner(prob, config, start)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SolverConfig(algorithm="", r=1, epochs=1, seed=0),
+     "algorithm label must be a nonempty string"),
+    (tiny_run(run_svrg, np.zeros((4, 2)), m=3), "run_svrg needs config.schedule"),
+    (tiny_run(run_svrg, np.zeros((4, 2)), schedule=fixed(0.1)),
+     "run_svrg needs config.m"),
+    (tiny_run(run_fgd, np.zeros((4, 2))), "run_fgd needs config.eta"),
+    (tiny_run(run_projgd, np.zeros((4, 4))), "run_projgd needs config.eta"),
+    (tiny_run(run_sfgd, np.zeros((4, 2))), "run_sfgd needs config.eta0"),
+    (tiny_run(run_projgd, np.zeros((3, 3)), eta=0.1),
+     "initial matrix must have shape (4, 4)"),
+], ids=["empty-label", "svrg-schedule", "svrg-m", "fgd-eta", "projgd-eta",
+        "sfgd-eta0", "projgd-shape"])
+def test_input_check_raises_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
 
 
 class TestEpochCost:
@@ -318,7 +344,7 @@ class TestSvrg:
         err = info.value
         # two epochs of m = 5 steps ran; epoch 2 ran none
         assert prob.steps == 2 * 5
-        assert err.epoch == err.record.diverged_epoch == 2
+        assert err.record.diverged_epoch == 2
         assert repr(err.record.diverged_eta) == repr(bad)
         assert str(err) == f"iterate diverged at epoch 2, step {bad!r}"
         assert [row.epoch for row in err.record.rows] == [0, 1, 2]
@@ -433,7 +459,7 @@ class TestSfgd:
         with pytest.raises(DivergedError) as info:
             run_sfgd(obj, SolverConfig(algorithm="sfgd", r=2, epochs=100, seed=0,
                                        eta0=1e6, t0=1.0, eval_every=7), U0)
-        k = info.value.epoch - 1
+        k = info.value.record.diverged_epoch - 1
         assert k % 7
         assert k not in [row.epoch for row in info.value.record.rows]
         assert info.value.record.diverged_eta == 1e6 / (1.0 + k)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from factored_sdp.linalg import symmetrize
-from factored_sdp.stepsize import StallError, fixed, sbb, sbb_upper_bound
+from factored_sdp.stepsize import StallError, StepSchedule, fixed, sbb, sbb_upper_bound
 
 
 def rand_sym(rng, p):
@@ -154,3 +154,14 @@ class TestUpperBound:
     def test_rejects_nan_eps(self):
         with pytest.raises(ValueError):
             sbb_upper_bound(math.nan, 10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: StepSchedule("newton"), "unknown schedule kind: 'newton'"),
+    (lambda: sbb_upper_bound(0.1, 0), "m must be a positive integer"),
+], ids=["schedule-kind", "upper-bound-m"])
+def test_input_check_raises_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

@@ -636,3 +636,18 @@ class TestReporting:
     def test_report_text_flags_violations(self):
         c = compute_constants(1.0, 1.0, np.eye(5), 4, REGION)
         assert "negative discriminants" in constants_report_text(c)
+
+
+@pytest.mark.parametrize("L, X, r, message", [
+    (1.0, np.eye(5), 4,
+     "rank-r approximation error too large: Delta, Delta_tilde negative"),
+    (2.0, np.diag([4.0, 1.0, 0.055, 0.0]), 2,
+     "rank-r approximation error too large: Delta negative"),
+], ids=["both", "Delta"])
+def test_input_check_raises_its_message(L, X, r, message):
+    """Negative discriminants fail Assumption 2 by name."""
+    constants = compute_constants(L, 1.0, X, r, REGION)
+    with pytest.raises(HypothesisError) as info:
+        constants.require_assumption2()
+    assert type(info.value) is HypothesisError
+    assert str(info.value) == message
