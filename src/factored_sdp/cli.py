@@ -24,8 +24,9 @@ the divergence row marked by NaN metrics); 2 bad input, with one ``error:``
 line: a usage error or flag range (``argument --flag: ...``, from the parser,
 also when replaying), a check between flags (before any instance is drawn), a
 malformed triplet file or manifest, an ``embed --split`` leaving no test
-triplet, an overflowing init radius, a secant denominator of exactly zero, or
-an array too large for the machine's memory (``MemoryError``).
+triplet, an overflowing init radius, a secant denominator of exactly zero, an
+array too large for the machine's memory (``MemoryError``), or a forked trial
+worker that died without a result.
 """
 
 import argparse
@@ -79,7 +80,7 @@ INIT_SEED_OFFSET = 1_000_003
 
 
 class CliError(ValueError):
-    """Bad flag combination or input content; maps to exit code 2."""
+    """Bad flag combination or input content, or a dead trial worker; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,14 +231,16 @@ def _run_parallel(trials, jobs):
 
     With more than one job and more than one trial they run in forked worker
     processes through ``Executor.map``, else (or where the platform cannot
-    fork) serially.  The first failing trial's exception is raised here
-    (BrokenProcessPool for a killed worker).  ``timing`` is the run.json
-    block: ``jobs``, the ``pool`` used and each trial's ``solver_s``.
+    fork) serially.  The first failing trial's exception is raised here; a
+    worker that ends without a result (killed, say, by the out-of-memory
+    killer) raises CliError.  ``timing`` is the run.json block: ``jobs``,
+    the ``pool`` used and each trial's ``solver_s``.
     """
     # Imported here, so that importing this module for its helpers alone
     # loads no process-pool machinery.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     if jobs == 1 or len(trials) <= 1 or \
             "fork" not in multiprocessing.get_all_start_methods():
@@ -250,6 +253,8 @@ def _run_parallel(trials, jobs):
                     max_workers=min(jobs, len(trials)),
                     mp_context=multiprocessing.get_context("fork")) as executor:
                 results = list(executor.map(_forked_trial, range(len(trials))))
+        except BrokenProcessPool as err:
+            raise CliError(f"trial worker died: {err}") from None
         finally:
             _FORKED_TRIALS.clear()
     timing = {"jobs": jobs, "pool": pool, "trials": [

@@ -15,7 +15,12 @@ runners draw the samples and steps and hand the loop to it whole.
 ``SampleObjective.factor_steps`` is the per-step loop, the reference;
 each family runs a kernel of its own on the same samples and steps
 (sensing's matches the reference bit for bit; TripletProblem's
-docstring says how closely the triplet kernel matches it).  Epoch
+docstring says how closely the triplet kernel matches it).  An SVRG
+snapshot and an FGD iterate are each one ``obj.snapshot``: f, the
+slopes, the direction ``grad f(X) @ U`` and the anchor's sample terms.
+On sensing that reads the operand once and forms no p-by-p gradient,
+and the secant of the stabilized BB step comes from the snapshots'
+measurements and slopes; on triplets it is the X-space pass.  Epoch
 accounting follows sample-gradient counts: FGD, SFGD, and ProjGD spend
 n sample gradients per epoch, SVRG spends n + m per outer iteration.
 Metric evaluations are not counted.
@@ -215,14 +220,13 @@ class _Recorder:
 def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     """Variance-reduced solver on the factor, Option-I outer update.
 
-    Every outer iteration hands the objective's ``factor_steps`` the
-    stored snapshot and its full direction; the anchor terms ``grad f_i``
-    at the snapshot are computed there, for the samples drawn, and none
-    outlives the epoch.  It consults the step schedule once with the
-    snapshot and its full matrix gradient.  The schedule's state lives in
-    this call, not the schedule.  A step that is not finite and positive
-    ends the run at its epoch, before the inner loop runs, as a
-    DivergedError naming that step.
+    Every outer iteration takes one ``obj.snapshot`` of the stored factor,
+    consults the step schedule once with it and hands it to the objective's
+    ``factor_steps`` as the anchor; no snapshot, and so none of its anchor
+    terms, outlives the epoch.  The schedule's state lives in this call,
+    not the schedule.  A step that is not finite and positive ends the run
+    at its epoch, before the inner loop runs, as a DivergedError naming
+    that step.
     """
     if config.schedule is None:
         raise ValueError("run_svrg needs config.schedule")
@@ -235,19 +239,23 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
             Xt = gram(Utilde)
-            f, G = obj.value_and_grad_full(Xt)
-            eta, state = config.schedule.next_step(state, Xt, G)
+            snap = obj.snapshot(Utilde, Xt)
+            eta, state = config.schedule.next_step(state, snap)
             rec.check_step(k, eta, Utilde)
-            rec.row(k, eta, Utilde, Xt, f)
+            rec.row(k, eta, Utilde, Xt, snap.f)
             idx = rng.integers(0, obj.n, size=config.m)
-            Utilde = obj.factor_steps(Utilde, idx, [eta] * config.m,
-                                      anchor=(Utilde, G @ Utilde))
+            Utilde = obj.factor_steps(Utilde, idx, [eta] * config.m, anchor=snap)
+            del snap  # its anchor terms go before the next snapshot's are made
             rec.check(k + 1, Utilde)
         return rec.finish(Utilde)
 
 
 def run_fgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
-    """Full factored gradient descent; one iteration is one epoch."""
+    """Full factored gradient descent; one iteration is one epoch.
+
+    Each iterate's f and direction ``grad f(X) @ U`` come from one
+    ``obj.snapshot``, as an SVRG anchor's do.
+    """
     if config.eta is None:
         raise ValueError("run_fgd needs config.eta")
     U = _check_factor(obj, config, U0)
@@ -255,9 +263,10 @@ def run_fgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
             X = gram(U)
-            f, G = obj.value_and_grad_full(X)
-            rec.row(k, config.eta, U, X, f)
-            U = U - config.eta * (G @ U)
+            snap = obj.snapshot(U, X)
+            rec.row(k, config.eta, U, X, snap.f)
+            U = U - config.eta * snap.g
+            del snap  # as in run_svrg: one snapshot's table alive at a time
             rec.check(k + 1, U)
         return rec.finish(U)
 

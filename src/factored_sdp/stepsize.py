@@ -46,19 +46,19 @@ class StepSchedule:
             if not 0 < self.eta0 < math.inf:
                 raise ValueError("eta0 must be finite and positive")
 
-    def next_step(self, state, X, g):
-        """Return ``(eta, state)``: the step at outer iterate ``X``, the next state.
+    def next_step(self, state, snap):
+        """Return ``(eta, state)``: the step at an outer snapshot, and the next state.
 
         Parameters
         ----------
         state : tuple or None
             The previous call's state, None at a run's first call.  The
-            adaptive rule's is ``(X, g, eta)`` of the last iterate that
-            moved, holding X and g themselves, not copies.
-        X : ndarray
-            Current outer iterate, symmetric (p, p).
-        g : ndarray
-            Full gradient of the objective at ``X``.
+            adaptive rule's is ``(snap, eta)`` of the last snapshot that
+            moved, without its anchor ``terms``, which are the inner
+            loop's.
+        snap : objective.Snapshot
+            The objective at the current outer iterate: its symmetric
+            (p, p) ``X`` and what its ``secant`` reads.
 
         Returns
         -------
@@ -66,10 +66,12 @@ class StepSchedule:
             The step and the state for the next call.  The fixed rule
             returns ``eta``; the adaptive rule ``eta0`` at state None, else
 
-                ||dX||_F^2 / (m * (|<dX, dg>| + eps * ||dX||_F^2))
+                ||dX||_F^2 / (m * (|<dX, dG>| + eps * ||dX||_F^2))
 
-            with dX and dg the differences to the state's iterate and
-            gradient.
+            with dX and dG the differences to the state's iterate and
+            gradient.  ``<dX, dG>`` is ``snap.secant``: the X-space product
+            where the objective forms the p-by-p gradient, else the mean
+            of ``dz * dW`` over the measurements and their slopes.
 
         Raises
         ------
@@ -80,23 +82,22 @@ class StepSchedule:
         if self.kind == FIXED:
             return self.eta, state
         if state is None:
-            return self.eta0, (X, g, self.eta0)
-        prev_X, prev_g, prev_eta = state
-        dX = X - prev_X
+            return self.eta0, (snap._replace(terms=None), self.eta0)
+        prev, prev_eta = state
+        dX = snap.X - prev.X
         dx2 = float(np.vdot(dX, dX))
         if dx2 == 0.0:
             # outer iterate exactly repeated: keep the previous step and
-            # leave the anchor pair alone rather than freezing at 0
+            # leave the state's snapshot alone rather than freezing at 0
             return prev_eta, state
-        dg = g - prev_g
-        denom = abs(float(np.vdot(dX, dg))) + self.eps * dx2
+        denom = abs(snap.secant(prev, dX)) + self.eps * dx2
         if denom == 0.0:
             raise StallError(
                 "BB denominator is zero: gradient unchanged across distinct "
                 "outer iterates and eps = 0"
             )
         eta = dx2 / (self.m * denom)
-        return eta, (X, g, eta)
+        return eta, (snap._replace(terms=None), eta)
 
 
 def fixed(eta):

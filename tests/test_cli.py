@@ -759,6 +759,20 @@ class TestTrialPool:
         assert capfd.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_dead_worker_exits_2_with_one_line(self, tmp_path, monkeypatch, capfd):
+        """A forked worker that ends without a result is one error line, no output."""
+
+        def die(*args, **kwargs):
+            os._exit(1)
+        monkeypatch.setattr(cli, "run_fgd", die)
+        capfd.readouterr()
+        out = tmp_path / "run"
+        assert run_sensing(out, algos="fgd", jobs=2) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: trial worker died: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_worker_divergence_exits_3_with_the_serial_bytes(self, tmp_path):
         flags = dict(algos="fgd,svrg-fixed", eta="1e6,1e-3", epochs=10)
         assert run_sensing(tmp_path / "serial", **flags) == 3

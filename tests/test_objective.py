@@ -382,6 +382,82 @@ class TestDerivedOracles:
         assert moments[0] == pytest.approx(1.5**2 + 2.5**2 + 3.5**2, rel=1e-14)
 
 
+def rel(a, b):
+    """Largest entry of |a - b| over the largest of |b|."""
+    return float(np.abs(np.asarray(a) - b).max() / np.abs(b).max())
+
+
+class TestSnapshot:
+    """``snapshot``: f, z, the slopes, grad f(X) @ U and the anchor terms at one factor."""
+
+    class NoXSpacePass(SensingProblem):
+        """A sensing instance whose X-space measurement map and adjoint raise."""
+
+        def _measure(self, Xs):
+            raise AssertionError("X-space measurement map called")
+
+        def _adjoint(self, W):
+            raise AssertionError("X-space adjoint called")
+
+    @pytest.mark.parametrize("p, r", [(12, 2), (60, 4)])
+    def test_sensing_is_the_x_space_pass_to_rounding(self, p, r):
+        """From ``U^T A`` alone: no X-space pass, and no p-by-p gradient is kept."""
+        prob = sensing_generate(p, r, 10 * p, seed=60 + p)
+        U = prob.Ustar + 0.3 * np.random.default_rng(61).standard_normal((p, r))
+        X = gram(U)
+        snap = self.NoXSpacePass(prob.A, prob.b).snapshot(U, X)
+        f, G = prob.value_and_grad_full(X)
+        assert snap.U is U and snap.X is X and snap.G is None
+        assert abs(snap.f - f) <= 1e-12 * f
+        assert rel(snap.g, G @ U) <= 1e-12
+        assert rel(snap.z, prob._measure(X[None])[0]) <= 1e-12
+        assert np.array_equal(snap.W, snap.z - prob.b)
+        assert snap.terms.shape == (prob.n, r, p)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_sensing_slopes_and_terms_are_the_per_sample_oracle_bitwise(self, r):
+        """Each slope is the kernel's per-step dot, each term ``grad_sample_times_factor``."""
+        p = 12
+        prob = sensing_generate(p, 2, 10 * p, seed=62)
+        U = np.random.default_rng(63).standard_normal((p, r))
+        snap = prob.snapshot(U, gram(U))
+        V = U.T.copy()
+        VA = np.empty_like(V)
+        for i in range(prob.n):
+            V.dot(prob.A[i], out=VA)
+            assert snap.W[i] == float(V.reshape(-1).dot(VA.reshape(-1))) - prob.b[i]
+            assert np.array_equal(snap.terms[i], prob.grad_sample_times_factor(i, U).T)
+
+    @pytest.mark.parametrize("p, r", [(12, 2), (60, 4)])
+    def test_sensing_secant_is_the_x_space_product(self, p, r):
+        """mean(dz * dW) is <dX, dG> within 1e-12 relative, near and far apart."""
+        prob = sensing_generate(p, r, 10 * p, seed=64 + p)
+        rng = np.random.default_rng(65)
+        U0 = prob.Ustar + 0.3 * rng.standard_normal((p, r))
+        for scale in (1.0, 1e-4):
+            U1 = U0 + scale * rng.standard_normal((p, r))
+            a, b = (prob.snapshot(U, gram(U)) for U in (U0, U1))
+            dX = b.X - a.X
+            exact = float(np.vdot(dX, prob.grad_full(b.X) - prob.grad_full(a.X)))
+            assert abs(b.secant(a, dX) - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_base_is_the_x_space_pass_bitwise(self, lam):
+        """A family without its own snapshot gets today's oracle, bit for bit."""
+        p = 15
+        trip = TripletProblem(p, random_triplets(p, 300, 66), lam)
+        rng = np.random.default_rng(67)
+        U0, U1 = rng.standard_normal((p, 2)), rng.standard_normal((p, 2))
+        a, b = (trip.snapshot(U, gram(U)) for U in (U0, U1))
+        f, G = trip.value_and_grad_full(b.X)
+        Z = trip._measure(b.X[None])
+        assert b.f == f and np.array_equal(b.G, G) and np.array_equal(b.g, G @ U1)
+        assert np.array_equal(b.z, Z[0]) and np.array_equal(b.W, trip._slope(Z)[0])
+        assert b.terms is None
+        dX = b.X - a.X
+        assert b.secant(a, dX) == float(np.vdot(dX, G - a.G))
+
+
 class TestPlantedTriplets:
     @pytest.mark.parametrize("kw", [
         {"p": 2}, {"count": 0}, {"noise": 1.5}, {"noise": float("nan")},

@@ -325,7 +325,7 @@ class TestSvrg:
 
             m = 5
 
-            def next_step(self, state, X, g):
+            def next_step(self, state, snap):
                 k = 0 if state is None else state + 1
                 return (bad if k == 2 else 0.01), k
 
@@ -480,7 +480,7 @@ class TestSensingInnerLoop:
                                          schedule=fixed(eta)), U0)
         gstf = prob.grad_sample_times_factor
         Ut = U0.copy()
-        g = prob.value_and_grad_full(gram(Ut))[1] @ Ut
+        g = prob.snapshot(Ut, gram(Ut)).g
         U = Ut.copy()
         for i in np.random.default_rng(seed).integers(0, prob.n, size=m).tolist():
             U = U - eta * (gstf(i, U) - gstf(i, Ut) + g)
@@ -522,7 +522,7 @@ class TestSensingKernel:
         rng = np.random.default_rng(51 + 10 * r)
         U0 = rng.standard_normal((p, r))
         Ut = U0 + 0.1 * rng.standard_normal((p, r))
-        anchor = (Ut, prob.grad_full(gram(Ut)) @ Ut)
+        anchor = prob.snapshot(Ut, gram(Ut))
         m = int(m_per_n * prob.n)
         idx = rng.integers(0, prob.n, size=m)
         assert len(set(idx.tolist())) < m

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from factored_sdp.linalg import symmetrize
+from factored_sdp.linalg import gram, symmetrize
+from factored_sdp.objective import Snapshot, sensing_generate
 from factored_sdp.stepsize import StallError, StepSchedule, fixed, sbb, sbb_upper_bound
 
 
@@ -16,11 +17,16 @@ def quad_grad(X):
     return X + 3.0 * np.diag(np.diag(X))
 
 
+def point(X, g):
+    """The snapshot of an objective with gradient ``g`` at X, as the schedule reads it."""
+    return Snapshot(X=X, G=g)
+
+
 def steps(sched, inputs):
     """The steps of one run that meets the outer iterates and gradients ``inputs``."""
     etas, state = [], None
     for X, g in inputs:
-        eta, state = sched.next_step(state, X, g)
+        eta, state = sched.next_step(state, point(X, g))
         etas.append(eta)
     return etas
 
@@ -46,12 +52,12 @@ class TestAdaptive:
     def test_first_call_returns_eta0(self):
         sched = sbb(0.1, 20, eta0=0.007)
         rng = np.random.default_rng(1)
-        assert sched.next_step(None, rand_sym(rng, 4), rand_sym(rng, 4))[0] == 0.007
+        assert sched.next_step(None, point(rand_sym(rng, 4), rand_sym(rng, 4)))[0] == 0.007
 
     def test_eta0_defaults(self):
         rng = np.random.default_rng(2)
         X, g = rand_sym(rng, 3), rand_sym(rng, 3)
-        assert sbb(0.0, 10).next_step(None, X, g)[0] == 1e-3
+        assert sbb(0.0, 10).next_step(None, point(X, g))[0] == 1e-3
 
     def test_proportional_secant(self):
         # dg = c * dX collapses the formula to 1 / (m * (c + eps))
@@ -105,14 +111,32 @@ class TestAdaptive:
         rng = np.random.default_rng(9)
         X0 = rand_sym(rng, 3)
         g0 = 2.0 * X0
-        _, state = sched.next_step(None, X0, g0)
+        _, state = sched.next_step(None, point(X0, g0))
         # identical iterate: previous step comes back, state stays put
-        eta, repeat = sched.next_step(state, X0.copy(), rand_sym(rng, 3))
+        eta, repeat = sched.next_step(state, point(X0.copy(), rand_sym(rng, 3)))
         assert eta == 0.123 and repeat is state
         # the next real step must difference against X0, not the repeat
         X2 = rand_sym(rng, 3)
-        eta, _ = sched.next_step(repeat, X2, 2.0 * X2)
+        eta, _ = sched.next_step(repeat, point(X2, 2.0 * X2))
         assert eta == pytest.approx(1.0 / (m * 2.0), rel=1e-12)
+
+    def test_steps_from_measurements_are_the_x_space_steps(self):
+        """Sensing snapshots carry no G; their secant gives the X-space steps to 1e-12."""
+        prob = sensing_generate(10, 2, 100, seed=12)
+        rng = np.random.default_rng(13)
+        Us = [prob.Ustar + 0.3 * rng.standard_normal((10, 2)) for _ in range(6)]
+        sched = sbb(0.01, 100, eta0=1e-3)
+        etas, state = [], None
+        for U in Us:
+            snap = prob.snapshot(U, gram(U))
+            assert snap.G is None
+            eta, state = sched.next_step(state, snap)
+            assert state[0].terms is None
+            etas.append(eta)
+        x_space = steps(sched, [(X, prob.grad_full(X)) for X in map(gram, Us)])
+        assert etas[0] == x_space[0]
+        for eta, ref in zip(etas[1:], x_space[1:]):
+            assert abs(eta - ref) <= 1e-12 * ref
 
     def test_positive_whenever_iterate_moves(self):
         rng = np.random.default_rng(10)

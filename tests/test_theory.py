@@ -6,7 +6,7 @@ import pytest
 
 from factored_sdp import theory
 from factored_sdp.linalg import gram, symmetrize, truncated_approx
-from factored_sdp.objective import sensing_generate
+from factored_sdp.objective import Snapshot, sensing_generate
 from factored_sdp.stepsize import StepSchedule
 from factored_sdp.theory import (
     CONSTANT_FIELDS,
@@ -264,10 +264,10 @@ class TestSbbInnerCountBound:
         sched = StepSchedule("sbb", eps=eps, m=m, eta0=1e-3)
         rng = np.random.default_rng(7)
         X = symmetrize(rng.standard_normal((p, p)))
-        _, state = sched.next_step(None, X, obj.grad_full(X))
+        _, state = sched.next_step(None, Snapshot(X=X, G=obj.grad_full(X)))
         for _ in range(3):
             X = X + symmetrize(rng.standard_normal((p, p)))
-            eta, state = sched.next_step(state, X, obj.grad_full(X))
+            eta, state = sched.next_step(state, Snapshot(X=X, G=obj.grad_full(X)))
             assert 0.0 < eta < target
 
 
