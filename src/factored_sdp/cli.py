@@ -34,6 +34,7 @@ import csv
 import json
 import math
 import os
+import re
 import statistics
 import sys
 import time
@@ -101,8 +102,9 @@ def read_triplets(path, p=None):
     """Parse the triplet file format: ``i j k`` per line, ``#`` comments.
 
     Returns (triplets array, p).  When ``p`` is None it is inferred as
-    max index + 1.  Malformed lines raise TripletFormatError carrying
-    the 1-based line number, and a file that is not UTF-8 one naming it.
+    max index + 1.  An index is ASCII decimal digits, ``-?[0-9]+``.
+    Malformed lines raise TripletFormatError carrying the 1-based line
+    number, and a file that is not UTF-8 one naming it.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -119,10 +121,9 @@ def read_triplets(path, p=None):
             raise TripletFormatError(
                 line_no, f"expected three indices, got {len(parts)} fields"
             )
-        try:
-            i, j, k = (int(part) for part in parts)
-        except ValueError:
+        if not all(re.fullmatch(r"-?[0-9]+", part) for part in parts):
             raise TripletFormatError(line_no, f"non-integer index in {text!r}")
+        i, j, k = (int(part) for part in parts)
         if min(i, j, k) < 0:
             raise TripletFormatError(line_no, "negative index")
         if max(i, j, k) > np.iinfo(np.int_).max:
@@ -186,7 +187,7 @@ def _write_manifest(args, timing=None):
         fh.write("\n")
 
 
-def _write_plot_script(out_dir, algos, ylabel, logscale):
+def _write_plot_script(out_dir, algos, ylabel, logscale, column):
     lines = [
         "# gnuplot script for the curves.csv in this directory (data-only output;",
         "# render with: gnuplot -p plot.gp)",
@@ -200,7 +201,7 @@ def _write_plot_script(out_dir, algos, ylabel, logscale):
     lines.append(f'algos = "{" ".join(algos)}"')
     lines.append(
         'plot for [i=1:words(algos)] "curves.csv" skip 1 \\\n'
-        "  using 3:(strcol(1) eq word(algos,i) ? column(6) : 1/0) \\\n"
+        f"  using 3:(strcol(1) eq word(algos,i) ? column({column}) : 1/0) \\\n"
         "  with points pt 7 ps 0.4 title word(algos,i)"
     )
     with open(os.path.join(out_dir, "plot.gp"), "w", encoding="utf-8") as fh:
@@ -293,7 +294,7 @@ def _per_algo_values(values, algos, flag):
     return dict(zip(algos, values))
 
 
-def _resolve_steps(args, L_hat, sigma1, n, family):
+def _resolve_steps(args, L_hat, sigma1, n):
     """Merge the default steps into the --eta map and fill --eps/--m/--t0.
 
     Default steps come from measured curvature and scale.  ``base`` is the
@@ -305,7 +306,7 @@ def _resolve_steps(args, L_hat, sigma1, n, family):
     ``eps = 1/(m * default svrg-fixed step)``: svrg-sbb's step, at most
     ``1/(m eps)``, is then capped at the default svrg-fixed step.  Triplet
     losses sit much closer to their stability edge (the Gram scale grows
-    along the run), so the ``embed`` family uses smaller fractions,
+    along the run), so ``embed`` (``args.command``) uses smaller fractions,
     calibrated on planted instances, and ``eps = 0.02 * L_hat``.
     ``m = t0 = n``.  Each algorithm reads one step from the map: the
     fixed step of fgd, projgd and svrg-fixed, the initial step of sfgd,
@@ -320,7 +321,7 @@ def _resolve_steps(args, L_hat, sigma1, n, family):
     if L_hat is None:
         return
     base = 1.0 / (L_hat * max(sigma1, 1e-12))
-    if family == "embed":
+    if args.command == "embed":
         full, stochastic, adaptive = 0.03 * base, 0.0015 * base, 0.001 * base
         eps = 0.02 * L_hat
     else:
@@ -382,19 +383,20 @@ def _write_run(args, records, timing, columns, summary_header, summary, ylabel,
     """Write curves.csv, summary.csv, plot.gp and run.json; return the exit code.
 
     ``columns`` maps the curves.csv columns between ``f`` and ``sample_grads``
-    to the Row fields they print.  The code is 3 if a trial diverged, else 0;
-    each diverged trial is named on one stderr line, with its epoch and step.
+    to the Row fields they print; plot.gp plots the first of them, else ``f``.
+    The code is 3 if a trial diverged, else 0; each diverged trial is named
+    on one stderr line, with its epoch and step.
     """
     curves = [[rec.algorithm, rec.seed, row.epoch, row.eta, row.f,
                *(getattr(row, field) for field in columns.values()), row.sample_grads]
               for rec in records for row in rec.rows]
     curves.sort(key=lambda r: (r[0], r[1], r[2]))
+    header = ["algorithm", "seed", "epoch", "eta", "f", *columns, "sample_grads"]
     os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, "curves.csv"),
-               ["algorithm", "seed", "epoch", "eta", "f", *columns, "sample_grads"],
-               curves)
+    _write_csv(os.path.join(args.out, "curves.csv"), header, curves)
     _write_csv(os.path.join(args.out, "summary.csv"), summary_header, summary)
-    _write_plot_script(args.out, args.algos, ylabel, logscale)
+    column = header.index(next(iter(columns), "f")) + 1  # gnuplot counts from 1
+    _write_plot_script(args.out, args.algos, ylabel, logscale, column)
     _write_manifest(args, timing)
     diverged = [r for r in records if r.diverged]
     for r in diverged:
@@ -439,7 +441,7 @@ def cmd_sensing(args):
     args.eta = _per_algo_values(args.eta, args.algos, "--eta")
     obj, U_ref, L_hat, constants = _sensing_setup(args)
     sigma1 = float(np.linalg.eigvalsh(obj.Xstar).max())
-    _resolve_steps(args, L_hat, sigma1, obj.n, "sensing")
+    _resolve_steps(args, L_hat, sigma1, obj.n)
     if args.init_radius is None:
         if math.isfinite(constants.gamma_u):
             args.init_radius = 0.5 * math.sqrt(constants.gamma_u)
@@ -498,7 +500,7 @@ def cmd_embed(args):
         L_hat, _ = estimate_smoothness(
             TripletProblem(args.p, triplets, args.lam),
             probe_pairs(args.p, args.dim, seed=args.seed_base + 1))
-    _resolve_steps(args, L_hat, sigma1, n_train, "embed")
+    _resolve_steps(args, L_hat, sigma1, n_train)
 
     trials = []
     for seed in range(args.seed_base, args.seed_base + args.seeds):

@@ -26,12 +26,13 @@ class NoProbes(Exception):
 class Snapshot(NamedTuple):
     """The objective at a factor U and its Gram matrix X = U U^T.
 
-    ``SampleObjective.snapshot`` computes one.  ``f`` is f(X), ``z`` the
-    (n,) measurements ``<A_i, X>``, ``W`` their slopes ``phi_i'(z_i)`` and
-    ``g`` the (p, r) direction ``grad f(X) @ U``.  ``G`` is the p-by-p
-    gradient where the family forms it, else None, and ``terms`` what the
-    family's inner-loop kernel reads from an SVRG anchor, else None.  Every
-    field defaults to None, so a test can build a point from X and G alone.
+    ``SampleObjective.snapshot(U)`` computes one, X included.  ``f`` is
+    f(X) and ``g`` the (p, r) direction ``grad f(X) @ U``.  ``G`` is the
+    p-by-p gradient where the family forms it; where it does not, ``z``
+    and ``W`` are the (n,) measurements ``<A_i, X>`` and their slopes
+    ``phi_i'(z_i)``.  ``terms`` is what the family's inner-loop kernel
+    reads from an SVRG anchor.  Every field defaults to None, so a test
+    can build a point from X and G alone.
     """
 
     U: np.ndarray | None = None
@@ -72,9 +73,9 @@ class SampleObjective:
     The full-batch oracles ``eval_full``, ``grad_full``, ``value_and_grad_full``
     and ``grad_moments_many`` (at S points) are derived from them here, once;
     a per-sample oracle is that of the one-sample objective of the family.
-    The factored solvers read f, the slopes and ``grad f(X) @ U`` from one
-    ``snapshot`` per iterate: here an X-space pass, which a family may
-    replace with one read off U.  They hand a whole inner loop to
+    The factored solvers read X = U U^T, f and ``grad f(X) @ U`` from one
+    ``snapshot(U)`` per iterate: here ``value_and_grad_full``, which a
+    family may replace with one read off U.  They hand a whole inner loop to
     ``factor_steps``: here the per-step loop along
     ``grad_sample_times_factor``, the reference, which each family overrides
     with a kernel that forms no p-by-p matrix.  Instances are read-only.
@@ -100,8 +101,8 @@ class SampleObjective:
         ``etas`` an equally long list of float steps; step t is
         ``U <- U - etas[t] * d_t`` for sample ``i = idx[t]``.  Without
         ``anchor``, d_t is the SFGD direction ``grad f_i(U U^T) @ U``.  With
-        ``anchor``, this objective's ``snapshot`` at a factor Ut with full
-        direction ``g = grad f(Ut Ut^T) @ Ut``, d_t is the SVRG direction
+        ``anchor``, this objective's ``snapshot(Ut)`` with full direction
+        ``g = grad f(Ut Ut^T) @ Ut``, d_t is the SVRG direction
         ``grad f_i(U U^T) @ U - grad f_i(Ut Ut^T) @ Ut + g``, whose sample
         terms cancel exactly at U = Ut.
 
@@ -120,16 +121,15 @@ class SampleObjective:
             U -= d
         return U
 
-    def snapshot(self, U, X):
-        """The objective at U as a ``Snapshot``; X is ``gram(U)``, formed by the caller.
+    def snapshot(self, U):
+        """The objective at U and ``X = gram(U)`` as a ``Snapshot``.
 
-        Here one X-space pass, the arithmetic of ``value_and_grad_full``,
-        and ``g = G @ U``; ``terms`` is None.
+        Here ``value_and_grad_full(X)`` and ``g = G @ U``; ``z``, ``W`` and
+        ``terms`` are None.
         """
-        Z = self._measure(X[None])
-        W = self._slope(Z)
-        G = self._grads(W)[0]
-        return Snapshot(U=U, X=X, f=self._f(Z[0], X), z=Z[0], W=W[0], g=G @ U, G=G)
+        X = gram(U)
+        f, G = self.value_and_grad_full(X)
+        return Snapshot(U=U, X=X, f=f, g=G @ U, G=G)
 
     def _f(self, z, X):
         """f(X) from the measurements z of X."""
@@ -208,8 +208,8 @@ class SensingProblem(SampleObjective):
         VA = V @ self.A[i]
         return ((float(np.vdot(V, VA)) - self.b[i]) * VA).T
 
-    def snapshot(self, U, X):
-        """The ``Snapshot`` at U from one batched product; X = ``gram(U)`` is passed on.
+    def snapshot(self, U):
+        """The ``Snapshot`` at U and ``X = gram(U)`` from one batched product.
 
         ``T = U^T A`` is the (n, r, p) stack of ``U^T A_i``.  Then
         ``z_i = <U^T, T_i>`` is one dot per row, ``W = z - b``, sample i's
@@ -221,7 +221,7 @@ class SensingProblem(SampleObjective):
         took 8 ms under OpenBLAS with two threads on a 2-vCPU VM, against
         0.2 ms with one.
         """
-        n = self.n
+        n, X = self.n, gram(U)
         V = U.T.copy()
         T = np.matmul(V, self.A)
         z = np.matmul(T.reshape(n, 1, -1), V.reshape(-1))[:, 0]

@@ -16,14 +16,14 @@ runners draw the samples and steps and hand the loop to it whole.
 each family runs a kernel of its own on the same samples and steps
 (sensing's matches the reference bit for bit; TripletProblem's
 docstring says how closely the triplet kernel matches it).  An SVRG
-snapshot and an FGD iterate are each one ``obj.snapshot``: f, the
-slopes, the direction ``grad f(X) @ U`` and the anchor's sample terms.
-On sensing that reads the operand once and forms no p-by-p gradient,
-and the secant of the stabilized BB step comes from the snapshots'
-measurements and slopes; on triplets it is the X-space pass.  Epoch
-accounting follows sample-gradient counts: FGD, SFGD, and ProjGD spend
-n sample gradients per epoch, SVRG spends n + m per outer iteration.
-Metric evaluations are not counted.
+snapshot and an FGD iterate are each one ``obj.snapshot(U)``: X = U U^T,
+f, the direction ``grad f(X) @ U`` and, on sensing, the measurements,
+slopes and anchor's sample terms, read off the operand once with no
+p-by-p gradient (the stabilized BB secant then comes from the slopes);
+on triplets it is ``value_and_grad_full``.  Epoch accounting follows
+sample-gradient counts: FGD, SFGD, and ProjGD spend n sample gradients
+per epoch, SVRG spends n + m per outer iteration.  Metric evaluations
+are not counted.
 """
 
 import math
@@ -155,6 +155,7 @@ class _Recorder:
         self.obj, self.cost = obj, epoch_cost(kind, obj.n, config.m)
         self.epochs, self.eval_every = config.epochs, config.eval_every
         self.X_ref, self.U_ref, self.metric = X_ref, U_ref, metric
+        self.X_scale = None if X_ref is None else max(1.0, np.linalg.norm(X_ref))
         self.record = RunRecord(config.algorithm, config.seed)
 
     def row(self, k, eta, U, X=None, f=None):
@@ -168,7 +169,7 @@ class _Recorder:
         if X is None:
             X = gram(U)
         error_X = None if self.X_ref is None else float(
-            np.linalg.norm(X - self.X_ref) / max(1.0, np.linalg.norm(self.X_ref)))
+            np.linalg.norm(X - self.X_ref) / self.X_scale)
         error_U = (None if U is None or self.U_ref is None
                    else procrustes_dist(U, self.U_ref))
         mval = None if self.metric is None else float(self.metric(X))
@@ -221,9 +222,9 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     """Variance-reduced solver on the factor, Option-I outer update.
 
     Every outer iteration takes one ``obj.snapshot`` of the stored factor,
-    consults the step schedule once with it and hands it to the objective's
-    ``factor_steps`` as the anchor; no snapshot, and so none of its anchor
-    terms, outlives the epoch.  The schedule's state lives in this call,
+    consults the step schedule once with it, less its anchor ``terms``, and
+    hands it to the objective's ``factor_steps`` as the anchor; no anchor
+    table outlives its epoch.  The schedule's state lives in this call,
     not the schedule.  A step that is not finite and positive ends the run
     at its epoch, before the inner loop runs, as a DivergedError naming
     that step.
@@ -238,11 +239,10 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     state = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
-            Xt = gram(Utilde)
-            snap = obj.snapshot(Utilde, Xt)
-            eta, state = config.schedule.next_step(state, snap)
+            snap = obj.snapshot(Utilde)
+            eta, state = config.schedule.next_step(state, snap._replace(terms=None))
             rec.check_step(k, eta, Utilde)
-            rec.row(k, eta, Utilde, Xt, snap.f)
+            rec.row(k, eta, Utilde, snap.X, snap.f)
             idx = rng.integers(0, obj.n, size=config.m)
             Utilde = obj.factor_steps(Utilde, idx, [eta] * config.m, anchor=snap)
             del snap  # its anchor terms go before the next snapshot's are made
@@ -253,7 +253,7 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
 def run_fgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     """Full factored gradient descent; one iteration is one epoch.
 
-    Each iterate's f and direction ``grad f(X) @ U`` come from one
+    Each iterate's X, f and direction ``grad f(X) @ U`` come from one
     ``obj.snapshot``, as an SVRG anchor's do.
     """
     if config.eta is None:
@@ -262,9 +262,8 @@ def run_fgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     rec = _Recorder(obj, config, "fgd", X_ref, U_ref, metric)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
-            X = gram(U)
-            snap = obj.snapshot(U, X)
-            rec.row(k, config.eta, U, X, snap.f)
+            snap = obj.snapshot(U)
+            rec.row(k, config.eta, U, snap.X, snap.f)
             U = U - config.eta * snap.g
             del snap  # as in run_svrg: one snapshot's table alive at a time
             rec.check(k + 1, U)

@@ -54,11 +54,11 @@ class StepSchedule:
         state : tuple or None
             The previous call's state, None at a run's first call.  The
             adaptive rule's is ``(snap, eta)`` of the last snapshot that
-            moved, without its anchor ``terms``, which are the inner
-            loop's.
+            moved, as it was handed in.
         snap : objective.Snapshot
             The objective at the current outer iterate: its symmetric
-            (p, p) ``X`` and what its ``secant`` reads.
+            (p, p) ``X`` and what its ``secant`` reads.  ``run_svrg``
+            hands it in without the anchor ``terms``.
 
         Returns
         -------
@@ -82,7 +82,7 @@ class StepSchedule:
         if self.kind == FIXED:
             return self.eta, state
         if state is None:
-            return self.eta0, (snap._replace(terms=None), self.eta0)
+            return self.eta0, (snap, self.eta0)
         prev, prev_eta = state
         dX = snap.X - prev.X
         dx2 = float(np.vdot(dX, dX))
@@ -97,7 +97,7 @@ class StepSchedule:
                 "outer iterates and eps = 0"
             )
         eta = dx2 / (self.m * denom)
-        return eta, (snap._replace(terms=None), eta)
+        return eta, (snap, eta)
 
 
 def fixed(eta):

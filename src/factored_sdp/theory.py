@@ -11,7 +11,7 @@ B1) that no closed form exists for.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -446,13 +446,10 @@ def lemma_trace_bound(A, B):
     return float(np.trace(A @ B)) - sigma_min * float(np.trace(B)) >= -1e-10
 
 
-CONSTANT_FIELDS = (
-    "L", "mu", "kappa", "r", "sigma_r_Xr", "sigma_1_Xr", "tau_Ur", "tau_Xr",
-    "Xr_norm", "approx_err", "grad_norm_at_Xr", "gamma0", "eta_bar", "xi",
-    "Delta", "Delta_tilde", "gamma_l", "gamma_u", "gamma_l_tilde",
-    "gamma_u_tilde", "calB", "B0", "B1", "B2", "delta", "theta", "theta_alt",
-    "zeta1", "zeta2", "eta_max", "eta_bar_max",
-)
+# The numeric constants in declaration order, less zeta1's two candidate forms.
+CONSTANT_FIELDS = tuple(
+    f.name for f in fields(ConvergenceConstants)
+    if f.type in (float, int) and f.name not in ("zeta1_a", "zeta1_b"))
 
 
 # The full gradient at a noiseless planted optimum is zero; what is

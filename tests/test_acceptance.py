@@ -522,8 +522,7 @@ def test_criterion_09_direction_unbiasedness():
             Ut = rng.standard_normal((p, 2))
             anchor = obj.grad_full(gram(Ut)) @ Ut
             if obj is triplet:
-                vr_mean = np.mean([kernel_direction(obj, i, U,
-                                                    anchor=obj.snapshot(Ut, gram(Ut)))
+                vr_mean = np.mean([kernel_direction(obj, i, U, anchor=obj.snapshot(Ut))
                                    for i in range(obj.n)], axis=0)
             else:
                 vr_mean = np.mean(

@@ -119,6 +119,13 @@ class TestReadTriplets:
         with pytest.raises(TripletFormatError, match="line 2"):
             read_triplets(path)
 
+    @pytest.mark.parametrize("token", ["1_0", "+4", "\u0663"])
+    def test_only_plain_decimal_indices(self, tmp_path, token):
+        """``int`` would read these as 10, 4 and 3 (an Arabic-Indic digit)."""
+        path = self.write(tmp_path, f"0 1 2\n{token} 7 8\n")
+        with pytest.raises(TripletFormatError, match="line 2: non-integer index"):
+            read_triplets(path)
+
     def test_negative_index_rejected(self, tmp_path):
         path = self.write(tmp_path, "0 -1 2\n")
         with pytest.raises(TripletFormatError, match="negative"):
@@ -203,9 +210,9 @@ class TestParseHelpers:
             parser.parse_args(["sensing", "--out", "o", "--eta", "0.5,big"])
 
     def test_default_steps_cover_all_algorithms(self):
-        args = argparse.Namespace(algos=list(ALGORITHMS), eta={},
+        args = argparse.Namespace(command="sensing", algos=list(ALGORITHMS), eta={},
                                   m=None, eps=None, t0=None)
-        _resolve_steps(args, 2.0, 10.0, 100, "sensing")
+        _resolve_steps(args, 2.0, 10.0, 100)
         steps = args.eta
         assert set(steps) == set(ALGORITHMS)
         assert steps["sfgd"] < steps["fgd"]
@@ -548,6 +555,32 @@ def test_negative_seed_error_names_the_flag(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: argument {argv[-2]}: must be at least 0\n"
     assert not out.exists()
+
+
+def plotted_column(out):
+    """The curves.csv header name of the column plot.gp plots."""
+    script = (out / "plot.gp").read_text(encoding="utf-8")
+    index = int(script.split("column(", 1)[1].split(")", 1)[0])
+    return read_rows(out / "curves.csv")[0][index - 1]
+
+
+class TestPlotScript:
+    """plot.gp plots the curves.csv column its y label names."""
+
+    def test_sensing_plots_error_x(self, tmp_path):
+        assert run_sensing(tmp_path / "run") == 0
+        assert plotted_column(tmp_path / "run") == "error_X"
+
+    def test_embed_plots_test_error(self, triplet_file, tmp_path):
+        assert run_embed(triplet_file, tmp_path / "run") == 0
+        assert plotted_column(tmp_path / "run") == "test_error"
+
+    def test_embed_without_a_test_set_plots_f(self, triplet_file, tmp_path):
+        out = tmp_path / "run"
+        assert run_embed(triplet_file, out, split="1.0") == 0
+        assert plotted_column(out) == "f"
+        script = (out / "plot.gp").read_text(encoding="utf-8")
+        assert 'set ylabel "training loss"' in script
 
 
 class TestEmbedCommand:

@@ -405,9 +405,9 @@ class TestSnapshot:
         prob = sensing_generate(p, r, 10 * p, seed=60 + p)
         U = prob.Ustar + 0.3 * np.random.default_rng(61).standard_normal((p, r))
         X = gram(U)
-        snap = self.NoXSpacePass(prob.A, prob.b).snapshot(U, X)
+        snap = self.NoXSpacePass(prob.A, prob.b).snapshot(U)
         f, G = prob.value_and_grad_full(X)
-        assert snap.U is U and snap.X is X and snap.G is None
+        assert snap.U is U and np.array_equal(snap.X, X) and snap.G is None
         assert abs(snap.f - f) <= 1e-12 * f
         assert rel(snap.g, G @ U) <= 1e-12
         assert rel(snap.z, prob._measure(X[None])[0]) <= 1e-12
@@ -420,7 +420,7 @@ class TestSnapshot:
         p = 12
         prob = sensing_generate(p, 2, 10 * p, seed=62)
         U = np.random.default_rng(63).standard_normal((p, r))
-        snap = prob.snapshot(U, gram(U))
+        snap = prob.snapshot(U)
         V = U.T.copy()
         VA = np.empty_like(V)
         for i in range(prob.n):
@@ -436,24 +436,23 @@ class TestSnapshot:
         U0 = prob.Ustar + 0.3 * rng.standard_normal((p, r))
         for scale in (1.0, 1e-4):
             U1 = U0 + scale * rng.standard_normal((p, r))
-            a, b = (prob.snapshot(U, gram(U)) for U in (U0, U1))
+            a, b = (prob.snapshot(U) for U in (U0, U1))
             dX = b.X - a.X
             exact = float(np.vdot(dX, prob.grad_full(b.X) - prob.grad_full(a.X)))
             assert abs(b.secant(a, dX) - exact) <= 1e-12 * abs(exact)
 
     @pytest.mark.parametrize("lam", [0.0, 0.05])
     def test_base_is_the_x_space_pass_bitwise(self, lam):
-        """A family without its own snapshot gets today's oracle, bit for bit."""
+        """Without a snapshot of its own, a family gets ``value_and_grad_full`` bitwise."""
         p = 15
         trip = TripletProblem(p, random_triplets(p, 300, 66), lam)
         rng = np.random.default_rng(67)
         U0, U1 = rng.standard_normal((p, 2)), rng.standard_normal((p, 2))
-        a, b = (trip.snapshot(U, gram(U)) for U in (U0, U1))
+        a, b = (trip.snapshot(U) for U in (U0, U1))
+        assert np.array_equal(b.X, gram(U1))
         f, G = trip.value_and_grad_full(b.X)
-        Z = trip._measure(b.X[None])
         assert b.f == f and np.array_equal(b.G, G) and np.array_equal(b.g, G @ U1)
-        assert np.array_equal(b.z, Z[0]) and np.array_equal(b.W, trip._slope(Z)[0])
-        assert b.terms is None
+        assert b.z is None and b.W is None and b.terms is None
         dX = b.X - a.X
         assert b.secant(a, dX) == float(np.vdot(dX, G - a.G))
 

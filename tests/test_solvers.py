@@ -352,6 +352,30 @@ class TestSvrg:
         two = run_svrg(base, svrg_config(epochs=2, schedule=fixed(0.01)), U0)
         np.testing.assert_array_equal(err.record.final_U, two.final_U)
 
+    def test_schedule_gets_snapshots_without_anchor_terms(self):
+        """The anchor table goes to the inner loop; the schedule never sees it."""
+        class Recording:
+            m = 5
+
+            def __init__(self):
+                self.seen = []
+
+            def next_step(self, state, snap):
+                self.seen.append(snap)
+                return 0.01, state
+
+        class Anchors(SensingProblem):
+            def factor_steps(self, U, idx, etas, anchor=None):
+                assert anchor.terms is not None
+                return super().factor_steps(U, idx, etas, anchor)
+
+        base = sensing_generate(5, 2, 20, seed=33)
+        schedule = Recording()
+        run_svrg(Anchors(base.A, base.b), svrg_config(epochs=3, schedule=schedule),
+                 np.random.default_rng(34).standard_normal((5, 2)))
+        assert len(schedule.seen) == 3
+        assert all(snap.terms is None and snap.g is not None for snap in schedule.seen)
+
 
 class TestFgd:
     def test_zero_step_is_constant(self):
@@ -480,7 +504,7 @@ class TestSensingInnerLoop:
                                          schedule=fixed(eta)), U0)
         gstf = prob.grad_sample_times_factor
         Ut = U0.copy()
-        g = prob.snapshot(Ut, gram(Ut)).g
+        g = prob.snapshot(Ut).g
         U = Ut.copy()
         for i in np.random.default_rng(seed).integers(0, prob.n, size=m).tolist():
             U = U - eta * (gstf(i, U) - gstf(i, Ut) + g)
@@ -522,7 +546,7 @@ class TestSensingKernel:
         rng = np.random.default_rng(51 + 10 * r)
         U0 = rng.standard_normal((p, r))
         Ut = U0 + 0.1 * rng.standard_normal((p, r))
-        anchor = prob.snapshot(Ut, gram(Ut))
+        anchor = prob.snapshot(Ut)
         m = int(m_per_n * prob.n)
         idx = rng.integers(0, prob.n, size=m)
         assert len(set(idx.tolist())) < m
