@@ -414,7 +414,7 @@ def _median(values):
 
 
 def _sensing_setup(args):
-    """The sensing instance, its rank-r reference factor, L_hat and constants.
+    """The sensing instance, its rank-r reference factor and its ConvergenceConstants.
 
     Fills the --r-star and --n defaults and rejects ranks outside [1, p] and
     a solver rank above the planted one, before the instance is drawn.
@@ -434,14 +434,14 @@ def _sensing_setup(args):
         obj, probe_pairs(obj.p, args.r, seed=args.instance_seed + 1))
     stats = estimate_region_stats(obj, U_ref, region_gamma0(L_hat, mu_hat),
                                   n_samples=args.region_samples, seed=args.instance_seed)
-    return obj, U_ref, L_hat, compute_constants(L_hat, mu_hat, obj.Xstar, args.r, stats)
+    return obj, U_ref, compute_constants(L_hat, mu_hat, obj.Xstar, args.r, stats)
 
 
 def cmd_sensing(args):
+    """Run the sensing trials; default steps read constants.csv's L and sigma_1_Xr."""
     args.eta = _per_algo_values(args.eta, args.algos, "--eta")
-    obj, U_ref, L_hat, constants = _sensing_setup(args)
-    sigma1 = float(np.linalg.eigvalsh(obj.Xstar).max())
-    _resolve_steps(args, L_hat, sigma1, obj.n)
+    obj, U_ref, constants = _sensing_setup(args)
+    _resolve_steps(args, constants.L, constants.sigma_1_Xr, obj.n)
     if args.init_radius is None:
         if math.isfinite(constants.gamma_u):
             args.init_radius = 0.5 * math.sqrt(constants.gamma_u)
@@ -552,7 +552,7 @@ def cmd_gen_triplets(args):
 
 
 def cmd_constants(args):
-    constants = _sensing_setup(args)[3]
+    constants = _sensing_setup(args)[2]
     sys.stdout.write(constants_report_text(constants))
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)

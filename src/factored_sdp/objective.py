@@ -288,8 +288,8 @@ def sensing_generate(p, r_star, n, seed):
     ``SYMMETRIZE_BLOCK_BYTES`` at a time, so the instance never holds a
     second (n, p, p) array; the result is bit-identical to (A + A^T)/2.
     """
-    if r_star > p or n < 1:
-        raise ValueError("need r_star <= p and n >= 1")
+    if not (1 <= r_star <= p and n >= 1):
+        raise ValueError("need 1 <= r_star <= p and n >= 1")
     rng = np.random.default_rng(seed)
     Ustar = rng.standard_normal((p, r_star))
     Xstar = gram(Ustar)
@@ -301,6 +301,16 @@ def sensing_generate(p, r_star, n, seed):
         blk *= 0.5
     b = np.einsum("kij,ij->k", A, Xstar)
     return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
+
+
+def _triplet_indices(triplets):
+    """``triplets`` as an int array; an index not an integer value (0.5, NaN) raises."""
+    T = np.asarray(triplets)
+    if T.dtype.kind not in "biu":
+        T = np.asarray(T, dtype=float)
+        if not np.all(np.isfinite(T) & (T == np.trunc(T)) & (abs(T) < 2.0**63)):
+            raise ValueError("triplet indices must be integer values")
+    return T.astype(int, copy=False)
 
 
 class TripletProblem(SampleObjective):
@@ -331,7 +341,7 @@ class TripletProblem(SampleObjective):
     """
 
     def __init__(self, p, triplets, lam=0.0):
-        T = np.asarray(triplets, dtype=int)
+        T = _triplet_indices(triplets)
         if T.ndim != 2 or T.shape[1] != 3 or T.shape[0] < 1:
             raise ValueError("triplets must be a nonempty (n, 3) index array")
         if T.min() < 0 or T.max() >= p:
@@ -594,9 +604,9 @@ def test_error(X, triplets):
     """Fraction of triplets (i, j, k) whose ordering d2_ij <= d2_ik fails.
 
     Ties count as violations, so the all-equal-distances Gram matrix
-    (the identity) scores 1.0.
+    (the identity) scores 1.0; a non-integer index raises ValueError.
     """
-    T = np.asarray(triplets, dtype=int)
+    T = _triplet_indices(triplets)
     if T.ndim != 2 or T.shape[1] != 3 or T.shape[0] == 0:
         raise EmptyTestSet("need a nonempty (n, 3) triplet array")
     X = np.asarray(X, dtype=float)

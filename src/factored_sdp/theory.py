@@ -31,16 +31,6 @@ class HypothesisError(RuntimeError):
 
 
 @dataclass
-class AssumptionReport:
-    """Rank-r approximation error check: lhs < rhs required."""
-
-    holds_approx_error: bool
-    lhs: float
-    rhs: float
-    margin: float
-
-
-@dataclass
 class FeasibilityReport:
     bounded_gradient_ok: bool
     psd_ok: bool
@@ -53,6 +43,8 @@ class FeasibilityReport:
 
 @dataclass
 class ConvergenceConstants:
+    """Every constant Theorem 1 reads; its fields in order are constants.csv's rows."""
+
     L: float
     mu: float
     kappa: float
@@ -80,14 +72,16 @@ class ConvergenceConstants:
     delta: float
     theta: float
     theta_alt: float
-    theta_forms_agree: bool
     zeta1: float
     zeta1_a: float
     zeta1_b: float
     zeta2: float
     eta_max: float
     eta_bar_max: float
-    assumption2: AssumptionReport
+    theta_forms_agree: bool
+    assumption2_lhs: float
+    assumption2_rhs: float
+    assumption2_holds: bool
     violated: tuple = ()
 
     def rho(self, eta):
@@ -108,19 +102,17 @@ class ConvergenceConstants:
                 + ", ".join(self.violated)
                 + " negative"
             )
-        if not self.assumption2.holds_approx_error:
+        if not self.assumption2_holds:
             raise HypothesisError(
                 "rank-r approximation error too large: "
-                f"{self.assumption2.lhs:.6g} >= {self.assumption2.rhs:.6g}"
+                f"{self.assumption2_lhs:.6g} >= {self.assumption2_rhs:.6g}"
             )
 
 
 def _assumption2(lhs, sigma_r, kappa, xi):
-    """The rank-r approximation-error condition: tail norm ``lhs`` against sigma_r."""
+    """The rank-r approximation-error condition on tail norm ``lhs``: (lhs, rhs, holds)."""
     rhs = SQRT2M1 / math.sqrt(3.0) * math.sqrt(xi) / kappa * sigma_r
-    return AssumptionReport(
-        holds_approx_error=lhs < rhs, lhs=lhs, rhs=rhs, margin=rhs - lhs
-    )
+    return lhs, rhs, lhs < rhs
 
 
 def region_gamma0(L, mu):
@@ -218,6 +210,7 @@ def compute_constants(L, mu, Xstar, r, region_stats):
         min(L * gamma_u / (2.0 * B2 * xi), eta_max) if not violated else nan
     )
 
+    lhs, rhs, holds = _assumption2(approx_err, sigma_r, kappa, xi)
     return ConvergenceConstants(
         L=float(L), mu=float(mu), kappa=kappa, r=int(r),
         sigma_r_Xr=sigma_r, sigma_1_Xr=sigma_1, tau_Ur=tau_Ur, tau_Xr=tau_Xr,
@@ -227,10 +220,10 @@ def compute_constants(L, mu, Xstar, r, region_stats):
         gamma_l=gamma_l, gamma_u=gamma_u,
         gamma_l_tilde=gamma_l_tilde, gamma_u_tilde=gamma_u_tilde,
         calB=calB, B0=B0, B1=B1, B2=B2, delta=delta,
-        theta=theta, theta_alt=theta_alt, theta_forms_agree=agree,
+        theta=theta, theta_alt=theta_alt,
         zeta1=zeta1, zeta1_a=zeta1_a, zeta1_b=zeta1_b, zeta2=zeta2,
-        eta_max=eta_max, eta_bar_max=eta_bar_max,
-        assumption2=_assumption2(approx_err, sigma_r, kappa, xi),
+        eta_max=eta_max, eta_bar_max=eta_bar_max, theta_forms_agree=agree,
+        assumption2_lhs=lhs, assumption2_rhs=rhs, assumption2_holds=holds,
         violated=tuple(violated),
     )
 
@@ -400,7 +393,8 @@ def lemma_feasibility(U, Ur, obj, eta_bar, L, gamma0):
     """
     U = np.asarray(U, dtype=float)
     Ur = np.asarray(Ur, dtype=float)
-    sigma_r_Xr = float(np.linalg.svd(Ur, compute_uv=False)[-1] ** 2)
+    s = np.linalg.svd(Ur, compute_uv=False)
+    sigma_r_Xr = float(s[-1] ** 2)
     d2 = float(np.linalg.norm(U - Ur)) ** 2
     if d2 >= gamma0 * sigma_r_Xr:
         raise NotApplicable(
@@ -410,7 +404,6 @@ def lemma_feasibility(U, Ur, obj, eta_bar, L, gamma0):
     Xr = gram(Ur)
     G = obj.grad_full(X)
     grad_norm = float(np.linalg.norm(G))
-    s = np.linalg.svd(Ur, compute_uv=False)
     tau_Ur = float(s[0] / s[-1])
     grad_bound = float(np.linalg.norm(obj.grad_full(Xr))) + (
         2.0 * math.sqrt(gamma0) + gamma0
@@ -446,10 +439,10 @@ def lemma_trace_bound(A, B):
     return float(np.trace(A @ B)) - sigma_min * float(np.trace(B)) >= -1e-10
 
 
-# The numeric constants in declaration order, less zeta1's two candidate forms.
+# The audit CSV's rows: the record's fields in order, less zeta1's two forms and violated.
 CONSTANT_FIELDS = tuple(
     f.name for f in fields(ConvergenceConstants)
-    if f.type in (float, int) and f.name not in ("zeta1_a", "zeta1_b"))
+    if f.name not in ("zeta1_a", "zeta1_b", "violated"))
 
 
 # The full gradient at a noiseless planted optimum is zero; what is
@@ -466,21 +459,15 @@ def grad_norm_floor(constants):
 
 
 def constants_rows(constants):
-    """(name, value) pairs for the audit CSV.
+    """(name, value) pairs for the audit CSV, one per :data:`CONSTANT_FIELDS` name.
 
-    ``grad_norm_at_Xr`` reads 0 when below :func:`grad_norm_floor`; every
-    other value is the constant as computed.
+    Bools read as 0.0 or 1.0, and ``grad_norm_at_Xr`` reads 0 when below
+    :func:`grad_norm_floor`; every other value is the constant as computed.
     """
-    rows = [(name, getattr(constants, name)) for name in CONSTANT_FIELDS]
+    values = {name: getattr(constants, name) for name in CONSTANT_FIELDS}
     if constants.grad_norm_at_Xr < grad_norm_floor(constants):
-        rows[CONSTANT_FIELDS.index("grad_norm_at_Xr")] = ("grad_norm_at_Xr", 0.0)
-    rows.append(("theta_forms_agree", float(constants.theta_forms_agree)))
-    rows.append(("assumption2_lhs", constants.assumption2.lhs))
-    rows.append(("assumption2_rhs", constants.assumption2.rhs))
-    rows.append(
-        ("assumption2_holds", float(constants.assumption2.holds_approx_error))
-    )
-    return rows
+        values["grad_norm_at_Xr"] = 0.0
+    return [(name, float(v) if isinstance(v, bool) else v) for name, v in values.items()]
 
 
 def constants_report_text(constants):

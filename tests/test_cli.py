@@ -91,6 +91,16 @@ class TestTestError:
         with pytest.raises(EmptyTestSet):
             triplet_error(np.eye(4), np.array([[0, 1], [2, 3]]))
 
+    @pytest.mark.parametrize("index", [0.5, 1.2, np.nan, np.inf])
+    def test_non_integer_index_raises(self, index):
+        """An index is rejected, not truncated, unless it is an integer value."""
+        with pytest.raises(ValueError, match="integer values"):
+            triplet_error(np.eye(3), np.array([[index, 1.0, 2.0]]))
+
+    def test_integer_valued_floats_score_as_indices(self):
+        _, X, T = planted_instance()
+        assert triplet_error(X, T.astype(float)) == triplet_error(X, T) == 0.0
+
 
 class TestReadTriplets:
     def write(self, tmp_path, text):
@@ -385,6 +395,21 @@ class TestSensingCommand:
         summary = read_rows(out / "summary.csv")
         assert [row[:4] for row in summary[1:]] == [
             ["svrg-fixed", "3e-06", "1", "1"], ["svrg-sbb", "3e-06", "1", "1"]]
+
+    def test_default_steps_read_the_constants_rows(self, tmp_path, monkeypatch):
+        """The default steps read L and sigma_1 off the record constants.csv prints."""
+        seen = []
+
+        def recorded(args, L_hat, sigma1, n):
+            seen.append((L_hat, sigma1))
+            return _resolve_steps(args, L_hat, sigma1, n)
+
+        monkeypatch.setattr(cli, "_resolve_steps", recorded)
+        out = tmp_path / "run"
+        assert main(["sensing", "--p", "20", "--r", "2", "--epochs", "1",
+                     "--seeds", "1", "--algos", "fgd", "--out", str(out)]) == 0
+        rows = dict(read_rows(out / "constants.csv")[1:])
+        assert seen == [(float(rows["L"]), float(rows["sigma_1_Xr"]))]
 
     def test_default_svrg_sbb_converges(self, tmp_path):
         """The default stabilizer caps svrg-sbb at the default svrg-fixed step."""

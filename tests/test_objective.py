@@ -314,6 +314,19 @@ class TestTripletProblem:
         with pytest.raises(ValueError):
             TripletProblem(3, [(0, 1, 1)])
 
+    @pytest.mark.parametrize("index", [0.9, 1.5, np.nan, np.inf, -np.inf, 1e30])
+    def test_rejects_non_integer_indices(self, index):
+        """An index is rejected, not truncated, unless it is an integer value."""
+        with pytest.raises(ValueError, match="integer values"):
+            TripletProblem(6, [(3, 4, 5), (index, 1.0, 2.0)])
+
+    def test_integer_valued_floats_are_indices(self):
+        """Floats such as ``np.loadtxt`` returns train on the same triplets."""
+        T = np.array([(0, 1, 2), (3, 4, 1)])
+        trip = TripletProblem(5, T.astype(float))
+        assert trip.triplets.dtype == TripletProblem(5, T).triplets.dtype
+        np.testing.assert_array_equal(trip.triplets, T)
+
     def test_full_gradient_is_sample_mean(self):
         trip = TripletProblem(5, [(0, 1, 2), (1, 3, 4), (2, 4, 0), (3, 0, 1)], lam=0.02)
         rng = np.random.default_rng(16)
@@ -581,13 +594,16 @@ class TestEstimateSmoothness:
      "A must be (n, p, p) and b (n,)"),
     (lambda: SensingProblem(np.zeros((3, 2, 3)), np.zeros(3)),
      "A must be (n, p, p) and b (n,)"),
-    (lambda: sensing_generate(2, 3, 5, seed=0), "need r_star <= p and n >= 1"),
-    (lambda: sensing_generate(4, 2, 0, seed=0), "need r_star <= p and n >= 1"),
+    (lambda: sensing_generate(2, 3, 5, seed=0), "need 1 <= r_star <= p and n >= 1"),
+    (lambda: sensing_generate(4, 2, 0, seed=0), "need 1 <= r_star <= p and n >= 1"),
+    (lambda: sensing_generate(0, 0, 5, seed=0), "need 1 <= r_star <= p and n >= 1"),
+    (lambda: sensing_generate(4, 0, 5, seed=0), "need 1 <= r_star <= p and n >= 1"),
     (lambda: TripletProblem(4, np.zeros((0, 3), dtype=int)),
      "triplets must be a nonempty (n, 3) index array"),
     (lambda: TripletProblem(4, [[0, 1], [1, 2]]),
      "triplets must be a nonempty (n, 3) index array"),
-], ids=["sensing-b", "sensing-A", "r-star", "n", "triplets-empty", "triplets-shape"])
+], ids=["sensing-b", "sensing-A", "r-star", "n", "empty-instance", "r-star-zero",
+        "triplets-empty", "triplets-shape"])
 def test_input_check_raises_its_message(call, message):
     with pytest.raises(ValueError) as info:
         call()

@@ -69,40 +69,41 @@ def rotation(r, angle, axes=(0, 1)):
 
 
 class TestCheckAssumption2:
-    """The rank-r approximation-error condition, ``compute_constants``'s ``assumption2``."""
+    """The rank-r approximation-error condition behind the ``assumption2_*`` fields."""
 
     @staticmethod
     def report(spectrum, r, kappa, xi):
-        """The condition on a decreasing spectrum truncated at rank r."""
+        """(lhs, rhs, holds) on a decreasing spectrum truncated at rank r."""
         tail = np.asarray(spectrum[r:], dtype=float)
         return _assumption2(float(np.sqrt(np.sum(tail**2))), spectrum[r - 1], kappa, xi)
 
     def test_exact_rank_always_holds(self):
         """Zero tail beats any positive threshold."""
-        rep = self.report([4.0, 1.0, 0.0], 2, kappa=2.0, xi=0.3)
-        assert rep.holds_approx_error
-        assert rep.lhs == 0.0
-        assert rep.margin == rep.rhs > 0.0
+        lhs, rhs, holds = self.report([4.0, 1.0, 0.0], 2, kappa=2.0, xi=0.3)
+        assert holds
+        assert lhs == 0.0
+        assert rhs > 0.0
 
     def test_identity_one_rank_down_fails(self):
         """Dropping one direction of the identity leaves a unit tail."""
-        rep = self.report([1.0] * 5, 4, kappa=1.0, xi=0.5)
-        assert not rep.holds_approx_error
-        np.testing.assert_allclose(rep.lhs, 1.0, rtol=1e-12)
-        assert rep.rhs < 1.0
+        lhs, rhs, holds = self.report([1.0] * 5, 4, kappa=1.0, xi=0.5)
+        assert not holds
+        np.testing.assert_allclose(lhs, 1.0, rtol=1e-12)
+        assert rhs < 1.0
 
     def test_cubic_decay_tail_too_heavy(self):
         """sigma_i = i^-3 truncated at r=3 violates the condition."""
-        rep = self.report([float(i) ** -3 for i in range(1, 9)], 3, kappa=1.5, xi=0.3)
-        assert not rep.holds_approx_error
-        np.testing.assert_allclose(rep.lhs, 0.018490231272904178, rtol=1e-10)
-        np.testing.assert_allclose(rep.rhs, 0.00323421801192889, rtol=1e-10)
+        lhs, rhs, holds = self.report(
+            [float(i) ** -3 for i in range(1, 9)], 3, kappa=1.5, xi=0.3)
+        assert not holds
+        np.testing.assert_allclose(lhs, 0.018490231272904178, rtol=1e-10)
+        np.testing.assert_allclose(rhs, 0.00323421801192889, rtol=1e-10)
 
     def test_tiny_tail_passes(self):
         """A 1e-6-scale tail sits far below the threshold."""
-        rep = self.report([4.0, 1.0, 1e-6, 1e-7], 2, kappa=1.5, xi=0.3)
-        assert rep.holds_approx_error
-        np.testing.assert_allclose(rep.lhs, math.sqrt(1e-12 + 1e-14), rtol=1e-10)
+        lhs, _, holds = self.report([4.0, 1.0, 1e-6, 1e-7], 2, kappa=1.5, xi=0.3)
+        assert holds
+        np.testing.assert_allclose(lhs, math.sqrt(1e-12 + 1e-14), rtol=1e-10)
 
 
 class TestComputeConstants:
@@ -140,7 +141,7 @@ class TestComputeConstants:
         # exact rank-2 optimum: the inner lower radius collapses to zero
         assert abs(c.gamma_l_tilde) <= 1e-15
         assert c.violated == ()
-        assert c.assumption2.holds_approx_error
+        assert c.assumption2_holds
 
     def test_frozen_near_rank2_instance(self):
         """A 0.02 tail shrinks the annulus but keeps it open."""
@@ -154,7 +155,7 @@ class TestComputeConstants:
             c.gamma_u_tilde, 0.04737744569881723, rtol=1e-10
         )
         np.testing.assert_allclose(c.theta, 74310.43135780406, rtol=1e-10)
-        assert c.assumption2.holds_approx_error
+        assert c.assumption2_holds
 
     def test_radius_sum_identity(self):
         """gamma_l + gamma_u equals twice the annulus center."""
@@ -197,7 +198,7 @@ class TestComputeConstants:
         for name in ("gamma_l", "gamma_u", "gamma_l_tilde", "gamma_u_tilde",
                      "delta", "theta", "eta_max", "eta_bar_max"):
             assert math.isnan(getattr(c, name)), name
-        assert not c.assumption2.holds_approx_error
+        assert not c.assumption2_holds
         with pytest.raises(HypothesisError, match="negative"):
             c.require_assumption2()
 
@@ -594,6 +595,17 @@ class TestEstimateRegionStats:
 
 
 class TestReporting:
+    # the audit CSV's rows, in order: the record's fields less zeta1_a,
+    # zeta1_b and violated
+    ROW_NAMES = [
+        "L", "mu", "kappa", "r", "sigma_r_Xr", "sigma_1_Xr", "tau_Ur", "tau_Xr",
+        "Xr_norm", "approx_err", "grad_norm_at_Xr", "gamma0", "eta_bar", "xi",
+        "Delta", "Delta_tilde", "gamma_l", "gamma_u", "gamma_l_tilde",
+        "gamma_u_tilde", "calB", "B0", "B1", "B2", "delta", "theta", "theta_alt",
+        "zeta1", "zeta2", "eta_max", "eta_bar_max", "theta_forms_agree",
+        "assumption2_lhs", "assumption2_rhs", "assumption2_holds",
+    ]
+
     def test_rows_cover_all_fields(self):
         rows = constants_rows(rank2_constants())
         names = [name for name, _ in rows]
@@ -601,6 +613,18 @@ class TestReporting:
             assert field in names
         assert "assumption2_holds" in names
         assert len(names) == len(set(names))
+
+    def test_rows_are_the_record_fields_in_order(self):
+        c = rank2_constants()
+        rows = constants_rows(c)
+        assert [name for name, _ in rows] == self.ROW_NAMES
+        assert list(CONSTANT_FIELDS) == self.ROW_NAMES
+        values = dict(rows)
+        assert values["r"] == 2 and isinstance(values["r"], int)
+        for name in ("theta_forms_agree", "assumption2_holds"):
+            assert values[name] == 1.0 and type(values[name]) is float
+        assert values["assumption2_lhs"] == c.assumption2_lhs == c.approx_err
+        assert values["assumption2_rhs"] == c.assumption2_rhs
 
     def test_report_text_mentions_sources(self):
         text = constants_report_text(rank2_constants())
