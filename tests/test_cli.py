@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -28,6 +29,7 @@ from factored_sdp.objective import (
     EmptyTestSet,
     planted_triplets,
     sensing_generate,
+    snapshot_threads,
     split_triplets,
 )
 from factored_sdp.objective import test_error as triplet_error
@@ -750,22 +752,79 @@ class TestTrialPool:
 
     @staticmethod
     def log_fgd_pids(monkeypatch, path):
-        """Patch ``cli.run_fgd`` to append the calling process id to ``path``."""
+        """Patch ``cli.run_fgd`` to append the calling process id and its CPUs to ``path``."""
         original = cli.run_fgd
 
         def logged(*args, **kwargs):
+            cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
             with open(path, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
+                fh.write(f"{os.getpid()} {cpus}\n")
             return original(*args, **kwargs)
         monkeypatch.setattr(cli, "run_fgd", logged)
+
+    @staticmethod
+    def logged_calls(path):
+        """The (pid, CPUs) lines ``log_fgd_pids`` wrote."""
+        return [(int(pid), tuple(int(c) for c in cpus.split(",")))
+                for pid, cpus in map(str.split, path.read_text(encoding="utf-8").splitlines())]
 
     def test_jobs_run_trials_in_other_processes(self, tmp_path, monkeypatch):
         pids = tmp_path / "pids.txt"
         self.log_fgd_pids(monkeypatch, pids)
         assert run_sensing(tmp_path / "run", algos="fgd", jobs=2) == 0
-        seen = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
+        seen = [pid for pid, _ in self.logged_calls(pids)]
         assert len(seen) == 2 and os.getpid() not in seen
         assert read_manifest(tmp_path / "run")["timing"]["pool"] == "fork"
+
+    def test_each_worker_runs_on_its_own_cpus(self, tmp_path, monkeypatch):
+        """Worker k of two takes every other CPU from the k-th on (all, on one CPU)."""
+        cpus = sorted(os.sched_getaffinity(0))
+        shares = {tuple(cpus[k % len(cpus)::2]) for k in range(2)}
+        log = tmp_path / "pids.txt"
+        self.log_fgd_pids(monkeypatch, log)
+        assert run_sensing(tmp_path / "run", algos="fgd", seeds=6, jobs=2) == 0
+        pinned = dict(self.logged_calls(log))
+        assert len(pinned) <= 2 and set(pinned.values()) <= shares
+        if len(cpus) > 1:  # no two workers share a CPU
+            assert len(set(pinned.values())) == len(pinned)
+        trials = read_manifest(tmp_path / "run")["timing"]["trials"]
+        assert {t["snapshot_threads"] for t in trials} <= {min(2, len(s)) for s in shares}
+        assert sorted(os.sched_getaffinity(0)) == cpus  # the parent is not pinned
+
+    def test_forked_workers_split_snapshots_after_the_parent_did(self, tmp_path):
+        """A snapshot taken before the fork leaves each worker a helper thread of its own.
+
+        A forked child inherits an executor but not its thread, so a helper
+        made in the parent would never run a worker's block.  Both processes
+        split every snapshot, and the run goes in a subprocess whose timeout
+        turns such a hang into a failure.
+        """
+        import factored_sdp
+
+        script = (
+            "import sys\n"
+            "from factored_sdp import cli, objective\n"
+            "objective.snapshot_threads = lambda: 2\n"
+            "prob = objective.sensing_generate(8, 2, 80, 0)\n"
+            "prob.snapshot(prob.Ustar)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        argv = ["sensing", "--out", str(tmp_path / "forked"), "--p", "8", "--r", "2",
+                "--n", "80", "--epochs", "3", "--seeds", "2",
+                "--algos", "fgd,svrg-fixed", "--jobs", "2"]
+        src = os.path.dirname(os.path.dirname(factored_sdp.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the workers too
+            proc.communicate()
+            pytest.fail("sensing --jobs 2 after a snapshot still ran after 60 s")
+        assert proc.returncode == 0, err
+        assert run_sensing(tmp_path / "serial") == 0
+        assert data_files(tmp_path / "forked") == data_files(tmp_path / "serial")
 
     def test_without_fork_the_trials_run_serially(self, tmp_path, monkeypatch):
         import multiprocessing
@@ -775,7 +834,7 @@ class TestTrialPool:
         pids = tmp_path / "pids.txt"
         self.log_fgd_pids(monkeypatch, pids)
         assert run_sensing(tmp_path / "run", algos="fgd", jobs=2) == 0
-        seen = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
+        seen = [pid for pid, _ in self.logged_calls(pids)]
         assert seen == [os.getpid()] * 2
         assert read_manifest(tmp_path / "run")["timing"]["pool"] == "serial"
 
@@ -853,6 +912,8 @@ class TestTrialPool:
             assert [(t["algorithm"], t["seed"]) for t in timing["trials"]] == [
                 ("fgd", 0), ("fgd", 1), ("svrg-fixed", 0), ("svrg-fixed", 1)]
             assert all(t["solver_s"] > 0 for t in timing["trials"])
+        assert {t["snapshot_threads"] for t in serial["timing"]["trials"]} == {
+            snapshot_threads()}
 
 
 class TestConstantsCommand:

@@ -1,8 +1,11 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from factored_sdp import objective
 from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
     SYMMETRIZE_BLOCK_BYTES,
@@ -440,6 +443,60 @@ class TestSnapshot:
             V.dot(prob.A[i], out=VA)
             assert snap.W[i] == float(V.reshape(-1).dot(VA.reshape(-1))) - prob.b[i]
             assert np.array_equal(snap.terms[i], prob.grad_sample_times_factor(i, U).T)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("p", [5, 12, 60])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 120])
+    def test_sensing_split_is_the_single_thread_pass_bitwise(self, monkeypatch, n, p, r,
+                                                             threads):
+        """Every field, with the samples in one block or two, is that of one pass.
+
+        n = 1 leaves the helper thread an empty block, n = 2 and 3 give it
+        one row, and an odd n splits unevenly.
+        """
+        monkeypatch.setattr(objective, "snapshot_threads", lambda: threads)
+        prob = sensing_generate(p, 1, n, seed=68 + n + p)
+        U = np.random.default_rng(69 + r).standard_normal((p, r))
+        snap = prob.snapshot(U)
+        V = U.T.copy()
+        T = np.matmul(V, prob.A)
+        z = np.matmul(T.reshape(n, 1, -1), V.reshape(-1))[:, 0]
+        W = z - prob.b
+        T *= W[:, None, None]
+        assert np.array_equal(snap.z, z) and np.array_equal(snap.W, W)
+        assert np.array_equal(snap.terms, T)
+        assert np.array_equal(snap.g, (T.sum(axis=0) / n).T)
+        assert snap.f == 0.5 * float(W @ W) / n
+
+    def test_sensing_split_from_many_threads_at_once(self, monkeypatch):
+        """Callers on more threads than cores share the one helper and each get their own pass."""
+        monkeypatch.setattr(objective, "snapshot_threads", lambda: 2)
+        prob = sensing_generate(12, 2, 120, seed=70)
+        Us = [np.random.default_rng(71 + k).standard_normal((12, 2)) for k in range(6)]
+        want = [prob.snapshot(U) for U in Us]
+        got = [[] for _ in Us]
+
+        def take(k):
+            for _ in range(50):
+                got[k].append(prob.snapshot(Us[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=take, args=(k,)) for k in range(len(Us))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for snaps, ref in zip(got, want):
+            assert len(snaps) == 50
+            for snap in snaps:
+                assert np.array_equal(snap.terms, ref.terms) and np.array_equal(snap.g, ref.g)
+                assert np.array_equal(snap.z, ref.z) and snap.f == ref.f
 
     @pytest.mark.parametrize("p, r", [(12, 2), (60, 4)])
     def test_sensing_secant_is_the_x_space_product(self, p, r):
