@@ -11,10 +11,10 @@ values before the manifest is written, and output bytes never depend on
 --jobs or the output path.  The manifest lists every option of the
 subcommand's parser except --out and --jobs, in parser order; for the
 solver commands it also carries a ``timing`` block (the job count, the
-pool used, and each trial's seconds and snapshot threads) that replay
-ignores.  With --jobs above 1 the (algorithm, seed) trials run in forked
-worker processes that share the operand copy-on-write, each on its own
-share of the CPUs; where the platform cannot fork they run serially.
+pool used and each trial's seconds, and for sensing the threads its
+snapshots split over) that replay ignores.  With --jobs above 1 the
+(algorithm, seed) trials run in forked worker processes that share the
+operand copy-on-write; where the platform cannot fork they run serially.
 The rules that build an experiment (planted triplets, the
 train/test split, the held-out test error, the smoothness probe pairs)
 live in ``objective``, and epochs-to-threshold in ``solvers``, so the
@@ -219,41 +219,25 @@ _FORKED_TRIALS = []
 
 
 def _timed(trial):
-    """The trial's record, its seconds and the threads its snapshots split over."""
+    """The trial's record and its seconds."""
     start = time.perf_counter()
     record = trial()
-    return record, time.perf_counter() - start, snapshot_threads()
+    return record, time.perf_counter() - start
 
 
 def _forked_trial(index):
     return _timed(_FORKED_TRIALS[index])
 
 
-def _own_cpus(counter, cpus, workers):
-    """Pin this forked worker to its own share of the CPUs.
-
-    The k-th worker to start takes every ``workers``-th CPU from the k-th
-    on, so that while there are no more workers than CPUs no two workers'
-    snapshot helpers or BLAS threads share a core; where there are more,
-    each worker takes one CPU.
-    """
-    with counter.get_lock():
-        k = counter.value
-        counter.value += 1
-    os.sched_setaffinity(0, cpus[k % len(cpus)::workers])
-
-
 def _run_parallel(trials, jobs):
     """Run the trial closures; return their records in input order and the timing.
 
     With more than one job and more than one trial they run in forked worker
-    processes through ``Executor.map``, each pinned to its own share of the
-    CPUs where the platform can pin, else (or where the platform cannot
+    processes through ``Executor.map``, else (or where the platform cannot
     fork) serially.  The first failing trial's exception is raised here; a
     worker that ends without a result (killed, say, by the out-of-memory
     killer) raises CliError.  ``timing`` is the run.json block: ``jobs``,
-    the ``pool`` used and each trial's ``solver_s`` and the
-    ``snapshot_threads`` of the process that ran it.
+    the ``pool`` used and each trial's ``solver_s``.
     """
     # Imported here, so that importing this module for its helpers alone
     # loads no process-pool machinery.
@@ -268,24 +252,18 @@ def _run_parallel(trials, jobs):
         pool = "fork"
         _FORKED_TRIALS[:] = trials
         try:
-            context = multiprocessing.get_context("fork")
-            workers = min(jobs, len(trials))
-            pin = {}
-            if hasattr(os, "sched_setaffinity"):
-                pin = {"initializer": _own_cpus, "initargs": (
-                    context.Value("i", 0), sorted(os.sched_getaffinity(0)), workers)}
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                                     **pin) as executor:
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(trials)),
+                    mp_context=multiprocessing.get_context("fork")) as executor:
                 results = list(executor.map(_forked_trial, range(len(trials))))
         except BrokenProcessPool as err:
             raise CliError(f"trial worker died: {err}") from None
         finally:
             _FORKED_TRIALS.clear()
     timing = {"jobs": jobs, "pool": pool, "trials": [
-        {"algorithm": rec.algorithm, "seed": rec.seed, "solver_s": seconds,
-         "snapshot_threads": threads}
-        for rec, seconds, threads in results]}
-    return [rec for rec, _, _ in results], timing
+        {"algorithm": rec.algorithm, "seed": rec.seed, "solver_s": seconds}
+        for rec, seconds in results]}
+    return [rec for rec, _ in results], timing
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +459,7 @@ def cmd_sensing(args):
         for seed in range(args.seed_base, args.seed_base + args.seeds)
     ]
     records, timing = _run_parallel(trials, args.jobs)
+    timing["snapshot_threads"] = snapshot_threads(obj.A.nbytes)
 
     summary = []
     for algo in sorted(args.algos):

@@ -10,9 +10,11 @@ instances, the train/test split of a triplet set, the held-out test
 error and the smoothness probes.
 """
 
+import contextvars
 import functools
 import math
 import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -168,31 +170,49 @@ class SampleObjective:
         return G, moments
 
 
-def snapshot_threads():
-    """The threads ``SensingProblem.snapshot`` splits its samples over.
+# Operand bytes from which ``SensingProblem.snapshot`` splits its samples
+# over two threads.  On a 2-vCPU VM under OpenBLAS's default two threads,
+# whole FGD runs at n = 10p ran slower split up to p=70 (27 MB) and
+# faster from p=80 (41 MB) on.
+SPLIT_SNAPSHOT_BYTES = 32 << 20
 
-    Two where this process may run on two or more CPUs, else one.
+
+def snapshot_threads(nbytes):
+    """The threads a sensing snapshot over an operand of ``nbytes`` splits over.
+
+    Two where the operand holds at least ``SPLIT_SNAPSHOT_BYTES`` and this
+    process may run on two or more CPUs, else one.
     """
+    if nbytes < SPLIT_SNAPSHOT_BYTES:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return min(2, len(os.sched_getaffinity(0)))
     return min(2, os.cpu_count() or 1)
 
 
-# The snapshot's helper thread, as (pid, executor).  A forked child
-# inherits the executor but not its thread, so each process makes its own.
-_HELPER = (None, None)
+def _halves(work, n):
+    """Run ``work(0, n // 2)`` on a new thread and ``work(n // 2, n)`` on this one.
 
+    The new thread runs in a copy of this thread's context, so under its
+    ``np.errstate``, and is joined before return: no thread is left alive
+    for a later fork to copy.  An exception on either thread is raised here.
+    """
+    failed = []
 
-def _helper():
-    """This process's one-thread executor, made on first use."""
-    global _HELPER
-    if _HELPER[0] != os.getpid():
-        # Imported here, so that a process that never splits a snapshot
-        # loads no executor machinery.
-        from concurrent.futures import ThreadPoolExecutor
+    def first():
+        try:
+            work(0, n // 2)
+        except BaseException as err:
+            failed.append(err)
 
-        _HELPER = (os.getpid(), ThreadPoolExecutor(1))
-    return _HELPER[1]
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(first,))
+    helper.start()
+    try:
+        work(n // 2, n)
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 class SensingProblem(SampleObjective):
@@ -247,22 +267,23 @@ class SensingProblem(SampleObjective):
         oracle's, so the anchor terms are too.
 
         All but the mean is per sample, so the samples are cut into
-        ``snapshot_threads()`` contiguous blocks: a helper thread runs the
-        first block's product, row dots, slopes and scaling while the
-        calling thread runs the second (numpy releases the GIL in all
-        four).  A block's rows are bitwise the whole stack's, so no field
+        ``snapshot_threads(A.nbytes)`` contiguous blocks: with two, a helper
+        thread started for this call runs the first block's product, row
+        dots, slopes and scaling while the calling thread runs the second
+        (numpy releases the GIL in all four), and is joined before the
+        mean.  A block's rows are bitwise the whole stack's, so no field
         depends on the split.  The batched product is a loop of small gemms
-        that even a threaded BLAS runs on one core; on a 2-vCPU VM a p=100
-        snapshot took 6.8-7.0 ms split against 11.3-11.7 ms whole, with
-        OpenBLAS's default two threads and with one.  For about 0.1 s after
-        a threaded BLAS call, though, OpenBLAS's idle worker spins on the
-        other core, and a split snapshot is then no faster than a whole
-        one.  The mean is one numpy sum on the calling thread, not a BLAS
-        matrix-vector product: at p=100 that product took 8 ms under
-        OpenBLAS with two threads, against 0.2 ms with one.
+        that even a threaded BLAS runs on one core, so the second core
+        speeds it up, but only past ``SPLIT_SNAPSHOT_BYTES``: below, the
+        thread's start and OpenBLAS's idle worker, which spins on the
+        second core for about 0.1 s after a threaded BLAS call, cost more
+        than that core gives.  The mean is one numpy sum on the
+        calling thread, not a BLAS matrix-vector product: at p=100 that
+        product took 8 ms under OpenBLAS with two threads, against 0.2 ms
+        with one.
         """
         n, X = self.n, gram(U)
-        A, b = self.A, self.b
+        A = self.A
         V = U.T.copy()
         T = np.empty((n,) + V.shape)
         z, W = np.empty(n), np.empty(n)
@@ -271,17 +292,13 @@ class SensingProblem(SampleObjective):
             np.matmul(V, A[lo:hi], out=T[lo:hi])
             np.matmul(T[lo:hi].reshape(hi - lo, 1, V.size), V.reshape(-1),
                       out=z[lo:hi, None])
-            np.subtract(z[lo:hi], b[lo:hi], out=W[lo:hi])  # the slopes
+            W[lo:hi] = self._slope(z[lo:hi], slice(lo, hi))
             T[lo:hi] *= W[lo:hi, None, None]
 
-        if snapshot_threads() == 1:
+        if snapshot_threads(A.nbytes) == 1:
             block(0, n)
         else:
-            helper = _helper().submit(block, 0, n // 2)
-            try:
-                block(n // 2, n)
-            finally:
-                helper.result()
+            _halves(block, n)
         g = T.sum(axis=0)
         g /= n
         return Snapshot(U=U, X=X, f=self._f(z, X), z=z, W=W, g=g.T, terms=T)
@@ -321,8 +338,9 @@ class SensingProblem(SampleObjective):
         resid = z - self.b
         return 0.5 * float(resid @ resid) / self.n
 
-    def _slope(self, Z):
-        return Z - self.b
+    def _slope(self, Z, rows=slice(None)):
+        """The slopes ``Z - b``; with ``rows``, Z holds those samples' columns only."""
+        return Z - self.b[rows]
 
     def _adjoint(self, W):
         return W @ self._A2

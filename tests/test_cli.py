@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from factored_sdp import cli, solvers
+from factored_sdp import cli, objective, solvers
 from factored_sdp.cli import (
     ALGORITHMS,
     CliError,
@@ -752,59 +752,37 @@ class TestTrialPool:
 
     @staticmethod
     def log_fgd_pids(monkeypatch, path):
-        """Patch ``cli.run_fgd`` to append the calling process id and its CPUs to ``path``."""
+        """Patch ``cli.run_fgd`` to append the calling process id to ``path``."""
         original = cli.run_fgd
 
         def logged(*args, **kwargs):
-            cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
             with open(path, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()} {cpus}\n")
+                fh.write(f"{os.getpid()}\n")
             return original(*args, **kwargs)
         monkeypatch.setattr(cli, "run_fgd", logged)
-
-    @staticmethod
-    def logged_calls(path):
-        """The (pid, CPUs) lines ``log_fgd_pids`` wrote."""
-        return [(int(pid), tuple(int(c) for c in cpus.split(",")))
-                for pid, cpus in map(str.split, path.read_text(encoding="utf-8").splitlines())]
 
     def test_jobs_run_trials_in_other_processes(self, tmp_path, monkeypatch):
         pids = tmp_path / "pids.txt"
         self.log_fgd_pids(monkeypatch, pids)
         assert run_sensing(tmp_path / "run", algos="fgd", jobs=2) == 0
-        seen = [pid for pid, _ in self.logged_calls(pids)]
+        seen = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
         assert len(seen) == 2 and os.getpid() not in seen
         assert read_manifest(tmp_path / "run")["timing"]["pool"] == "fork"
 
-    def test_each_worker_runs_on_its_own_cpus(self, tmp_path, monkeypatch):
-        """Worker k of two takes every other CPU from the k-th on (all, on one CPU)."""
-        cpus = sorted(os.sched_getaffinity(0))
-        shares = {tuple(cpus[k % len(cpus)::2]) for k in range(2)}
-        log = tmp_path / "pids.txt"
-        self.log_fgd_pids(monkeypatch, log)
-        assert run_sensing(tmp_path / "run", algos="fgd", seeds=6, jobs=2) == 0
-        pinned = dict(self.logged_calls(log))
-        assert len(pinned) <= 2 and set(pinned.values()) <= shares
-        if len(cpus) > 1:  # no two workers share a CPU
-            assert len(set(pinned.values())) == len(pinned)
-        trials = read_manifest(tmp_path / "run")["timing"]["trials"]
-        assert {t["snapshot_threads"] for t in trials} <= {min(2, len(s)) for s in shares}
-        assert sorted(os.sched_getaffinity(0)) == cpus  # the parent is not pinned
-
     def test_forked_workers_split_snapshots_after_the_parent_did(self, tmp_path):
-        """A snapshot taken before the fork leaves each worker a helper thread of its own.
+        """Forked workers split their snapshots after the parent split one.
 
-        A forked child inherits an executor but not its thread, so a helper
-        made in the parent would never run a worker's block.  Both processes
-        split every snapshot, and the run goes in a subprocess whose timeout
-        turns such a hang into a failure.
+        A forked child inherits no thread, so a helper thread that outlived
+        the parent's snapshot would never run a worker's block.  Both
+        processes split every snapshot, and the run goes in a subprocess
+        whose timeout turns such a hang into a failure.
         """
         import factored_sdp
 
         script = (
             "import sys\n"
             "from factored_sdp import cli, objective\n"
-            "objective.snapshot_threads = lambda: 2\n"
+            "objective.snapshot_threads = lambda nbytes: 2\n"
             "prob = objective.sensing_generate(8, 2, 80, 0)\n"
             "prob.snapshot(prob.Ustar)\n"
             "sys.exit(cli.main(sys.argv[1:]))\n")
@@ -834,7 +812,7 @@ class TestTrialPool:
         pids = tmp_path / "pids.txt"
         self.log_fgd_pids(monkeypatch, pids)
         assert run_sensing(tmp_path / "run", algos="fgd", jobs=2) == 0
-        seen = [pid for pid, _ in self.logged_calls(pids)]
+        seen = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
         assert seen == [os.getpid()] * 2
         assert read_manifest(tmp_path / "run")["timing"]["pool"] == "serial"
 
@@ -912,8 +890,18 @@ class TestTrialPool:
             assert [(t["algorithm"], t["seed"]) for t in timing["trials"]] == [
                 ("fgd", 0), ("fgd", 1), ("svrg-fixed", 0), ("svrg-fixed", 1)]
             assert all(t["solver_s"] > 0 for t in timing["trials"])
-        assert {t["snapshot_threads"] for t in serial["timing"]["trials"]} == {
-            snapshot_threads()}
+
+    def test_sensing_timing_records_its_snapshot_threads(self, tmp_path, monkeypatch,
+                                                        triplet_file):
+        """Once per sensing run, 1 below the split size; embed takes no snapshot."""
+        assert run_sensing(tmp_path / "small", jobs=2) == 0
+        monkeypatch.setattr(objective, "SPLIT_SNAPSHOT_BYTES", 0)
+        assert run_sensing(tmp_path / "split", jobs=2) == 0
+        assert run_embed(triplet_file, tmp_path / "embed") == 0
+        assert read_manifest(tmp_path / "small")["timing"]["snapshot_threads"] == 1
+        assert read_manifest(tmp_path / "split")["timing"]["snapshot_threads"] == (
+            snapshot_threads(0))
+        assert "snapshot_threads" not in read_manifest(tmp_path / "embed")["timing"]
 
 
 class TestConstantsCommand:

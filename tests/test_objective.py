@@ -1,6 +1,8 @@
+import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from factored_sdp import objective
 from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
+    SPLIT_SNAPSHOT_BYTES,
     SYMMETRIZE_BLOCK_BYTES,
     NoProbes,
     SensingProblem,
@@ -16,6 +19,7 @@ from factored_sdp.objective import (
     planted_triplets,
     probe_pairs,
     sensing_generate,
+    snapshot_threads,
 )
 from helpers import (
     LinearObjective,
@@ -455,7 +459,7 @@ class TestSnapshot:
         n = 1 leaves the helper thread an empty block, n = 2 and 3 give it
         one row, and an odd n splits unevenly.
         """
-        monkeypatch.setattr(objective, "snapshot_threads", lambda: threads)
+        monkeypatch.setattr(objective, "snapshot_threads", lambda nbytes: threads)
         prob = sensing_generate(p, 1, n, seed=68 + n + p)
         U = np.random.default_rng(69 + r).standard_normal((p, r))
         snap = prob.snapshot(U)
@@ -470,8 +474,8 @@ class TestSnapshot:
         assert snap.f == 0.5 * float(W @ W) / n
 
     def test_sensing_split_from_many_threads_at_once(self, monkeypatch):
-        """Callers on more threads than cores share the one helper and each get their own pass."""
-        monkeypatch.setattr(objective, "snapshot_threads", lambda: 2)
+        """Callers on more threads than cores each get their own pass."""
+        monkeypatch.setattr(objective, "snapshot_threads", lambda nbytes: 2)
         prob = sensing_generate(12, 2, 120, seed=70)
         Us = [np.random.default_rng(71 + k).standard_normal((12, 2)) for k in range(6)]
         want = [prob.snapshot(U) for U in Us]
@@ -497,6 +501,40 @@ class TestSnapshot:
             for snap in snaps:
                 assert np.array_equal(snap.terms, ref.terms) and np.array_equal(snap.g, ref.g)
                 assert np.array_equal(snap.z, ref.z) and snap.f == ref.f
+
+    def test_sensing_split_leaves_no_thread_behind(self, monkeypatch):
+        """The helper is joined before the snapshot returns, so a later fork copies none."""
+        monkeypatch.setattr(objective, "snapshot_threads", lambda nbytes: 2)
+        prob = sensing_generate(12, 2, 120, seed=72)
+        before = threading.enumerate()
+        prob.snapshot(prob.Ustar)
+        assert threading.enumerate() == before
+
+    def test_sensing_split_keeps_the_callers_errstate_and_raises_its_errors(self,
+                                                                          monkeypatch):
+        """An overflow in the helper's block alone obeys the caller's np.errstate.
+
+        Only the first half of the samples, the helper's block, is scaled to
+        overflow ``z``; what follows makes no new overflow.
+        """
+        monkeypatch.setattr(objective, "snapshot_threads", lambda nbytes: 2)
+        A = np.random.default_rng(73).standard_normal((8, 5, 5))
+        A[:4] *= 1e200
+        prob = SensingProblem(A + A.transpose(0, 2, 1), np.zeros(8))
+        U = np.full((5, 1), 1e60)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            prob.snapshot(U)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                snap = prob.snapshot(U)
+        assert np.isinf(snap.z[:4]).all() and np.isfinite(snap.z[4:]).all()
+
+    def test_sensing_splits_from_a_size_on(self):
+        """Operands below ``SPLIT_SNAPSHOT_BYTES`` take one block, larger ones up to two."""
+        cpus = len(os.sched_getaffinity(0))
+        assert snapshot_threads(SPLIT_SNAPSHOT_BYTES - 1) == 1
+        assert snapshot_threads(SPLIT_SNAPSHOT_BYTES) == min(2, cpus)
 
     @pytest.mark.parametrize("p, r", [(12, 2), (60, 4)])
     def test_sensing_secant_is_the_x_space_product(self, p, r):
