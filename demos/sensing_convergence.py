@@ -18,7 +18,7 @@ import numpy as np
 
 from factored_sdp.init import init_perturbed_optimum
 from factored_sdp.objective import estimate_smoothness, probe_pairs, sensing_generate
-from factored_sdp.solvers import SolverConfig, epochs_to, run_fgd, run_sfgd, run_svrg
+from factored_sdp.solvers import SolverConfig, epochs_to, run
 from factored_sdp.stepsize import fixed, sbb
 
 
@@ -45,31 +45,25 @@ def main():
 
     U0 = init_perturbed_optimum(prob.Ustar, 0.3 * math.sqrt(sigma1), args.seed + 7)
     runs = [
-        ("fgd", run_fgd,
-         SolverConfig(algorithm="fgd", r=args.r, epochs=8 * args.epochs,
-                      seed=args.seed, eta=0.25 * base)),
-        ("sfgd", run_sfgd,
-         SolverConfig(algorithm="sfgd", r=args.r, epochs=2 * args.epochs,
-                      seed=args.seed, eta0=0.25 * base / root_n, t0=10.0 * prob.n)),
-        ("svrg-fixed", run_svrg,
-         SolverConfig(algorithm="svrg-fixed", r=args.r, epochs=args.epochs,
-                      seed=args.seed, m=prob.n,
-                      schedule=fixed(0.25 * base / root_n))),
-        ("svrg-sbb", run_svrg,
-         SolverConfig(algorithm="svrg-sbb", r=args.r, epochs=args.epochs,
-                      seed=args.seed, m=prob.n,
-                      schedule=sbb(20.0 * L_hat, prob.n,
-                                   eta0=0.1 * base / root_n))),
+        SolverConfig(algorithm="fgd", r=args.r, epochs=8 * args.epochs,
+                     seed=args.seed, eta=0.25 * base),
+        SolverConfig(algorithm="sfgd", r=args.r, epochs=2 * args.epochs,
+                     seed=args.seed, eta0=0.25 * base / root_n, t0=10.0 * prob.n),
+        SolverConfig(algorithm="svrg-fixed", r=args.r, epochs=args.epochs,
+                     seed=args.seed, m=prob.n, schedule=fixed(0.25 * base / root_n)),
+        SolverConfig(algorithm="svrg-sbb", r=args.r, epochs=args.epochs,
+                     seed=args.seed, m=prob.n,
+                     schedule=sbb(20.0 * L_hat, prob.n, eta0=0.1 * base / root_n)),
     ]
 
     print(f"{'algorithm':<12} {'epochs':>6} {'to 1e-4':>8} {'to 1e-6':>8} "
           f"{'final error_X':>14} {'wall s':>7}")
-    for name, runner, cfg in runs:
+    for cfg in runs:
         t0 = time.perf_counter()
-        rec = runner(prob, cfg, U0, X_ref=prob.Xstar, U_ref=prob.Ustar)
+        rec = run(prob, cfg, U0, X_ref=prob.Xstar, U_ref=prob.Ustar)
         dt = time.perf_counter() - t0
         rows = rec.rows
-        print(f"{name:<12} {cfg.epochs:>6} {epochs_to(rows, 1e-4):>8} "
+        print(f"{cfg.algorithm:<12} {cfg.epochs:>6} {epochs_to(rows, 1e-4):>8} "
               f"{epochs_to(rows, 1e-6):>8} {rows[-1].error_X:>14.3e} {dt:>7.2f}")
 
     print("\nepoch cost: one full pass for fgd/sfgd, one pass plus m inner "

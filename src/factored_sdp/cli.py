@@ -17,8 +17,8 @@ snapshots split over) that replay ignores.  With --jobs above 1 the
 operand copy-on-write; where the platform cannot fork they run serially.
 The rules that build an experiment (planted triplets, the
 train/test split, the held-out test error, the smoothness probe pairs)
-live in ``objective``, and epochs-to-threshold in ``solvers``, so the
-CLI, the tests and the demos build the same instances.
+live in ``objective``, and epochs-to-threshold and the algorithm table in
+``solvers``, so the CLI, the tests and the demos build the same instances.
 
 Exit codes: 0 success; 3 solver divergence (partial CSVs are still written,
 the divergence row marked by NaN metrics); 2 bad input, with one ``error:``
@@ -43,7 +43,7 @@ import time
 import numpy as np
 
 from .init import init_perturbed_optimum, init_scheme3
-from .linalg import gram, truncated_approx
+from .linalg import truncated_approx
 from .objective import (
     TripletProblem,
     estimate_smoothness,
@@ -56,9 +56,11 @@ from .objective import (
     train_size,
 )
 from .solvers import (
+    ALGORITHMS,
     DivergedError,
     SolverConfig,
     epochs_to,
+    run,
     run_fgd,
     run_projgd,
     run_sfgd,
@@ -72,8 +74,6 @@ from .theory import (
     estimate_region_stats,
     region_gamma0,
 )
-
-ALGORITHMS = ("fgd", "sfgd", "projgd", "svrg-fixed", "svrg-sbb0", "svrg-sbb")
 
 # Trial inits draw from their own seed stream. Offsetting keeps trial seed
 # s from replaying the dataset seed's generator: with a shared seed the
@@ -310,11 +310,11 @@ def _resolve_steps(args, L_hat, sigma1, n):
     losses sit much closer to their stability edge (the Gram scale grows
     along the run), so ``embed`` (``args.command``) uses smaller fractions,
     calibrated on planted instances, and ``eps = 0.02 * L_hat``.
-    ``m = t0 = n``.  Each algorithm reads one step from the map: the
-    fixed step of fgd, projgd and svrg-fixed, the initial step of sfgd,
-    svrg-sbb0 and svrg-sbb.  Defaults are starting points; benchmarks pass
-    --eta.  With ``L_hat`` None (every step given, and no default
-    stabilizer read) only --m and --t0 are filled.
+    ``m = t0 = n``.  Each algorithm reads one step from the map, as its
+    ``ALGORITHMS`` row says: the fixed step of fgd, projgd and svrg-fixed,
+    the initial step of sfgd, svrg-sbb0 and svrg-sbb.  Defaults are starting
+    points; benchmarks pass --eta.  With ``L_hat`` None (every step given,
+    and no default stabilizer read) only --m and --t0 are filled.
     """
     if args.m is None:
         args.m = n
@@ -347,37 +347,33 @@ def _checked(fn, *args, **kwargs):
 
 
 def _trial(args, algo, seed, obj, U0, X_ref=None, U_ref=None, metric=None):
-    """The (algorithm, seed) trial as a closure returning its record.
+    """The (algorithm, seed) trial, a ``solvers.run`` closure returning its record.
 
     Config and schedule are built now, so a derived default outside their
     range is a CliError before any trial runs.  A diverged run returns its marked record.
     """
-    fields = dict(algorithm=algo, r=U0.shape[1], epochs=args.epochs, seed=seed,
-                  eval_every=args.eval_every)
-    if algo.startswith("svrg"):
-        if algo == "svrg-fixed":
-            schedule = _checked(StepSchedule, "fixed", eta=args.eta[algo])
-        else:
-            eps = 0.0 if algo == "svrg-sbb0" else args.eps
-            schedule = _checked(StepSchedule, "sbb", eps=eps, m=args.m,
-                                eta0=args.eta[algo])
-        fields.update(m=args.m, schedule=schedule)
-    elif algo == "sfgd":
-        fields.update(eta0=args.eta[algo], t0=args.t0)
+    eta = args.eta[algo]
+    if algo == "svrg-fixed":
+        fields = dict(m=args.m, schedule=_checked(StepSchedule, "fixed", eta=eta))
+    elif algo in ("svrg-sbb0", "svrg-sbb"):
+        eps = 0.0 if algo == "svrg-sbb0" else args.eps
+        schedule = _checked(StepSchedule, "sbb", eps=eps, m=args.m, eta0=eta)
+        fields = dict(m=args.m, schedule=schedule)
     else:
-        fields.update(eta=args.eta[algo])
-    config = _checked(SolverConfig, **fields)
+        fields = dict(eta0=eta, t0=args.t0) if algo == "sfgd" else dict(eta=eta)
+    config = _checked(SolverConfig, algorithm=algo, r=U0.shape[1], epochs=args.epochs,
+                      seed=seed, eval_every=args.eval_every, **fields)
 
-    def run():
+    def trial():
+        # perfbench's traced run patches run_* here; the benchmark revision can drop the map
+        runner = dict(run_svrg=run_svrg, run_fgd=run_fgd, run_sfgd=run_sfgd, run_projgd=run_projgd)
         try:
-            if algo == "projgd":
-                return run_projgd(obj, config, gram(U0), X_ref=X_ref, metric=metric)
-            solver = {"fgd": run_fgd, "sfgd": run_sfgd}.get(algo, run_svrg)
-            return solver(obj, config, U0, X_ref=X_ref, U_ref=U_ref, metric=metric)
+            return run(obj, config, U0, X_ref, U_ref, metric,
+                       runner[ALGORITHMS[algo][0].__name__])
         except DivergedError as err:
             return err.record
 
-    return run
+    return trial
 
 
 def _write_run(args, records, timing, columns, summary_header, summary, ylabel,

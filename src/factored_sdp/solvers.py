@@ -1,6 +1,7 @@
 """Iterative solvers over a SampleObjective.
 
-Four algorithms share the RunRecord trace format:
+The six names of the ``ALGORITHMS`` table run on four runners, which
+share the RunRecord trace format:
 
 * ``run_svrg``    variance-reduced stochastic gradient on the factor U,
                   with a fresh full-gradient anchor every outer iteration
@@ -46,6 +47,8 @@ class DivergedError(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """One run's settings; of the step fields it sets just those its ``ALGORITHMS`` row reads."""
+
     algorithm: str
     r: int
     epochs: int
@@ -58,8 +61,12 @@ class SolverConfig:
     t0: float | None = None
 
     def __post_init__(self):
-        if not self.algorithm:
-            raise ValueError("algorithm label must be a nonempty string")
+        _, needs, reads = _row(self.algorithm)
+        for name in ("m", "schedule", "eta", "eta0", "t0"):
+            if getattr(self, name) is None and name in needs:
+                raise ValueError(f"{self.algorithm} needs {name}")
+            if getattr(self, name) is not None and name not in needs + reads:
+                raise ValueError(f"{self.algorithm} does not read {name}")
         if self.r < 1:
             raise ValueError("rank r must be at least 1")
         if self.epochs < 1:
@@ -122,15 +129,19 @@ def epochs_to(rows, threshold, field="error_X"):
     return math.inf
 
 
+def _row(algorithm):
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHMS)}")
+    return ALGORITHMS[algorithm]
+
+
 def epoch_cost(algorithm, n, m=None):
-    """Sample gradients spent per epoch of the named algorithm."""
-    if algorithm.startswith("svrg"):
-        if m is None or m < 1:
-            raise ValueError("svrg epoch cost needs the inner-loop length m")
-        return n + m
-    if algorithm in ("fgd", "sfgd", "projgd"):
+    """Sample gradients spent per epoch of the named algorithm: n, plus m if it reads m."""
+    if "m" not in _row(algorithm)[1]:
         return n
-    raise ValueError(f"unknown algorithm: {algorithm!r}")
+    if m is None or m < 1:
+        raise ValueError(f"{algorithm} epoch cost needs the inner-loop length m")
+    return n + m
 
 
 def _check_factor(obj, config, U0):
@@ -144,15 +155,17 @@ def _check_factor(obj, config, U0):
 class _Recorder:
     """The rows, divergence marker and final state of one run.
 
-    ``kind`` prices an epoch through ``epoch_cost``.  ``U`` is the factor,
+    ``runner``, the recording runner's name, must be the config's.  ``U`` is the factor,
     or None for the X-space solver, which has no factor error; ``X``
     defaults to ``gram(U)``.  A row computes its metrics before any
     objective value it still has to evaluate.  ``eta`` is the step of the
     last epoch begun, recorded or not.
     """
 
-    def __init__(self, obj, config, kind, X_ref, U_ref, metric):
-        self.obj, self.cost = obj, epoch_cost(kind, obj.n, config.m)
+    def __init__(self, runner, obj, config, X_ref, U_ref, metric):
+        if ALGORITHMS[config.algorithm][0].__name__ != runner:
+            raise ValueError(f"{runner} does not run {config.algorithm}")
+        self.obj, self.cost = obj, epoch_cost(config.algorithm, obj.n, config.m)
         self.epochs, self.eval_every = config.epochs, config.eval_every
         self.X_ref, self.U_ref, self.metric = X_ref, U_ref, metric
         self.X_scale = None if X_ref is None else max(1.0, np.linalg.norm(X_ref))
@@ -229,13 +242,9 @@ def run_svrg(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     at its epoch, before the inner loop runs, as a DivergedError naming
     that step.
     """
-    if config.schedule is None:
-        raise ValueError("run_svrg needs config.schedule")
-    if config.m is None:
-        raise ValueError("run_svrg needs config.m")
     Utilde = _check_factor(obj, config, U0)
     rng = np.random.default_rng(config.seed)
-    rec = _Recorder(obj, config, "svrg", X_ref, U_ref, metric)
+    rec = _Recorder("run_svrg", obj, config, X_ref, U_ref, metric)
     state = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
@@ -256,10 +265,8 @@ def run_fgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     Each iterate's X, f and direction ``grad f(X) @ U`` come from one
     ``obj.snapshot``, as an SVRG anchor's do.
     """
-    if config.eta is None:
-        raise ValueError("run_fgd needs config.eta")
     U = _check_factor(obj, config, U0)
-    rec = _Recorder(obj, config, "fgd", X_ref, U_ref, metric)
+    rec = _Recorder("run_fgd", obj, config, X_ref, U_ref, metric)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
             snap = obj.snapshot(U)
@@ -280,12 +287,10 @@ def run_sfgd(obj, config, U0, X_ref=None, U_ref=None, metric=None):
     same float operations.  The row for epoch k records the step used at
     the first inner step of that epoch.
     """
-    if config.eta0 is None:
-        raise ValueError("run_sfgd needs config.eta0")
     t0 = float(config.t0) if config.t0 is not None else float(obj.n)
     U = _check_factor(obj, config, U0)
     rng = np.random.default_rng(config.seed)
-    rec = _Recorder(obj, config, "sfgd", X_ref, U_ref, metric)
+    rec = _Recorder("run_sfgd", obj, config, X_ref, U_ref, metric)
     n = obj.n
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
@@ -303,12 +308,10 @@ def run_projgd(obj, config, X0, X_ref=None, metric=None):
     Divergence is judged on the unprojected step, which a diverged
     record keeps as ``final_X``.
     """
-    if config.eta is None:
-        raise ValueError("run_projgd needs config.eta")
     X = symmetrize(np.array(X0, dtype=float))
     if X.shape != (obj.p, obj.p):
         raise ValueError(f"initial matrix must have shape ({obj.p}, {obj.p})")
-    rec = _Recorder(obj, config, "projgd", X_ref, None, metric)
+    rec = _Recorder("run_projgd", obj, config, X_ref, None, metric)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.epochs):
             f, G = obj.value_and_grad_full(X)
@@ -317,3 +320,28 @@ def run_projgd(obj, config, X0, X_ref=None, metric=None):
             rec.check(k + 1, None, raw)
             X = proj_psd(raw)
         return rec.finish(None, X)
+
+
+# name: (runner, the step fields it needs, the optional ones it reads)
+ALGORITHMS = {
+    "fgd": (run_fgd, ("eta",), ()),
+    "sfgd": (run_sfgd, ("eta0",), ("t0",)),
+    "projgd": (run_projgd, ("eta",), ()),
+    "svrg-fixed": (run_svrg, ("m", "schedule"), ()),
+    "svrg-sbb0": (run_svrg, ("m", "schedule"), ()),
+    "svrg-sbb": (run_svrg, ("m", "schedule"), ()),
+}
+
+
+def run(obj, config, U0, X_ref=None, U_ref=None, metric=None, runner=None):
+    """Run ``config`` from the factor U0 on its ``ALGORITHMS`` runner; the record.
+
+    ProjGD starts from ``gram(U0)`` and takes no ``U_ref``.  ``runner``,
+    given, is called in place of the row's runner, which it wraps (a
+    tracer's timing wrapper, say).
+    """
+    row_runner = ALGORITHMS[config.algorithm][0]
+    runner = runner or row_runner
+    if row_runner is run_projgd:
+        return runner(obj, config, gram(U0), X_ref=X_ref, metric=metric)
+    return runner(obj, config, U0, X_ref=X_ref, U_ref=U_ref, metric=metric)

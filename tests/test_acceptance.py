@@ -40,8 +40,7 @@ from factored_sdp.solvers import (
     DivergedError,
     SolverConfig,
     epochs_to,
-    run_fgd,
-    run_sfgd,
+    run,
     run_svrg,
 )
 from factored_sdp.stepsize import fixed, sbb
@@ -129,9 +128,8 @@ def test_criterion_01_sensing_convergence_and_ordering():
                 eta0=4e-5 if algo == "sfgd" else None,
                 t0=1e4 if algo == "sfgd" else None,
             )
-            runner = {"sfgd": run_sfgd, "fgd": run_fgd}.get(algo, run_svrg)
             try:
-                rec = runner(prob, cfg, U0, X_ref=X_ref, U_ref=U_ref)
+                rec = run(prob, cfg, U0, X_ref=X_ref, U_ref=U_ref)
                 curves[algo].append(rec.rows)
             except DivergedError as err:
                 curves[algo].append(err.record.rows)
@@ -566,23 +564,14 @@ def test_criterion_10_embedding_pipeline():
             obj = TripletProblem(p, train, lam)
             metric = lambda X: triplet_test_error(X, test)
             U0 = init_scheme3(p, dim, 1.0, INIT_SEED_OFFSET + seed)
-            if algo == "svrg-sbb":
-                cfg = SolverConfig(
-                    algorithm=algo, r=dim, epochs=epochs, seed=seed, m=obj.n,
-                    schedule=sbb(0.02 * L, obj.n, eta0=1.0),
-                )
-                rec = run_svrg(obj, cfg, U0, metric=metric)
-            elif algo == "sfgd":
-                cfg = SolverConfig(
-                    algorithm=algo, r=dim, epochs=epochs, seed=seed,
-                    eta0=2.0, t0=3200.0,
-                )
-                rec = run_sfgd(obj, cfg, U0, metric=metric)
-            else:
-                cfg = SolverConfig(
-                    algorithm=algo, r=dim, epochs=epochs, seed=seed, eta=40.0
-                )
-                rec = run_fgd(obj, cfg, U0, metric=metric)
+            steps = {
+                "svrg-sbb": dict(m=obj.n, schedule=sbb(0.02 * L, obj.n, eta0=1.0)),
+                "sfgd": dict(eta0=2.0, t0=3200.0),
+                "fgd": dict(eta=40.0),
+            }
+            cfg = SolverConfig(algorithm=algo, r=dim, epochs=epochs, seed=seed,
+                               **steps[algo])
+            rec = run(obj, cfg, U0, metric=metric)
             cross.append(epochs_to(rec.rows, threshold, field="metric"))
             final.append(rec.rows[-1].metric)
         crossings[algo] = cross

@@ -19,12 +19,14 @@ from factored_sdp.objective import (
     split_triplets,
 )
 from factored_sdp.solvers import (
+    ALGORITHMS,
     DivergedError,
     Row,
     RunRecord,
     SolverConfig,
     epoch_cost,
     epochs_to,
+    run,
     run_fgd,
     run_projgd,
     run_sfgd,
@@ -40,10 +42,13 @@ def constant_objective(p, n=4):
 
 
 def assert_diverges_with_partial_record(algo):
-    """A huge step makes ``algo`` diverge; check the marked partial record."""
+    """A huge step makes ``algo`` diverge; check the marked partial record.
+
+    ``algo`` "svrg" runs svrg-fixed.
+    """
     prob = sensing_generate(5, 2, 10, seed=21)
     U0 = np.random.default_rng(22).standard_normal((5, 2))
-    base = dict(algorithm=algo, r=2, epochs=50, seed=0)
+    base = dict(algorithm="svrg-fixed" if algo == "svrg" else algo, r=2, epochs=50, seed=0)
     if algo == "svrg":
         run = lambda: run_svrg(prob, SolverConfig(**base, m=10, schedule=fixed(1e6)), U0,
                                X_ref=prob.Xstar, U_ref=prob.Ustar)
@@ -103,19 +108,25 @@ def svrg_config(**kw):
 
 class TestSolverConfig:
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            SolverConfig(algorithm="fgd", r=0, epochs=1, seed=0)
-        with pytest.raises(ValueError):
-            SolverConfig(algorithm="fgd", r=1, epochs=0, seed=0)
-        with pytest.raises(ValueError):
-            SolverConfig(algorithm="svrg-fixed", r=1, epochs=1, seed=0, m=0)
-        with pytest.raises(ValueError):
-            SolverConfig(algorithm="fgd", r=1, epochs=1, seed=0, eval_every=0)
+        fgd = dict(algorithm="fgd", eta=0.1)
+        for bad, message in ((dict(fgd, r=0, epochs=1), "rank r"),
+                             (dict(fgd, r=1, epochs=0), "epochs"),
+                             (dict(fgd, r=1, epochs=1, eval_every=0), "eval_every")):
+            with pytest.raises(ValueError, match=f"^{message} must be at least 1$"):
+                SolverConfig(**bad, seed=0)
+        with pytest.raises(ValueError, match="^inner-loop length m must be at least 1$"):
+            SolverConfig(algorithm="svrg-fixed", r=1, epochs=1, seed=0, m=0,
+                         schedule=fixed(0.1))
         nan, inf = float("nan"), float("inf")
-        for bad in ({"eta": -1.0}, {"eta": nan}, {"eta": inf}, {"eta0": 0.0},
-                    {"eta0": nan}, {"t0": 0.0}, {"t0": nan}):
-            with pytest.raises(ValueError):
+        for bad in ({"eta": -1.0}, {"eta": nan}, {"eta": inf}):
+            with pytest.raises(ValueError, match="^eta must be finite and >= 0$"):
                 SolverConfig(algorithm="fgd", r=1, epochs=1, seed=0, **bad)
+        for bad, message in (({"eta0": 0.0}, "eta0 must be finite"),
+                             ({"eta0": nan}, "eta0 must be finite"),
+                             ({"eta0": 1.0, "t0": 0.0}, "t0 must be positive"),
+                             ({"eta0": 1.0, "t0": nan}, "t0 must be positive")):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                SolverConfig(algorithm="sfgd", r=1, epochs=1, seed=0, **bad)
         SolverConfig(algorithm="sfgd", r=1, epochs=1, seed=0, eta0=1.0, t0=inf)
 
     def test_rejects_schedule_with_another_inner_loop_length(self):
@@ -132,23 +143,26 @@ class TestSolverConfig:
                                        eta=0.1), np.zeros((4, 3)))
 
 
-def tiny_run(runner, start, **fields):
-    """Call ``runner`` on a p=4 sensing instance with a rank-2 config of ``fields``."""
+def tiny_config(algorithm, **fields):
+    """A rank-2, one-epoch config of ``algorithm`` and its step ``fields``."""
+    return SolverConfig(algorithm=algorithm, r=2, epochs=1, seed=0, **fields)
+
+
+def tiny_run(runner, start, algorithm, **fields):
+    """Call ``runner`` on a p=4 sensing instance with ``tiny_config(algorithm, **fields)``."""
     prob = sensing_generate(4, 2, 8, seed=0)
-    config = SolverConfig(algorithm="run", r=2, epochs=1, seed=0, **fields)
-    return lambda: runner(prob, config, start)
+    return lambda: runner(prob, tiny_config(algorithm, **fields), start)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: SolverConfig(algorithm="", r=1, epochs=1, seed=0),
-     "algorithm label must be a nonempty string"),
-    (tiny_run(run_svrg, np.zeros((4, 2)), m=3), "run_svrg needs config.schedule"),
-    (tiny_run(run_svrg, np.zeros((4, 2)), schedule=fixed(0.1)),
-     "run_svrg needs config.m"),
-    (tiny_run(run_fgd, np.zeros((4, 2))), "run_fgd needs config.eta"),
-    (tiny_run(run_projgd, np.zeros((4, 4))), "run_projgd needs config.eta"),
-    (tiny_run(run_sfgd, np.zeros((4, 2))), "run_sfgd needs config.eta0"),
-    (tiny_run(run_projgd, np.zeros((3, 3)), eta=0.1),
+    (lambda: tiny_config(""),
+     "unknown algorithm ''; choose from fgd, sfgd, projgd, svrg-fixed, svrg-sbb0, svrg-sbb"),
+    (lambda: tiny_config("svrg-fixed", m=3), "svrg-fixed needs schedule"),
+    (lambda: tiny_config("svrg-sbb", schedule=fixed(0.1)), "svrg-sbb needs m"),
+    (lambda: tiny_config("fgd"), "fgd needs eta"),
+    (lambda: tiny_config("projgd"), "projgd needs eta"),
+    (lambda: tiny_config("sfgd", t0=5.0), "sfgd needs eta0"),
+    (tiny_run(run_projgd, np.zeros((3, 3)), "projgd", eta=0.1),
      "initial matrix must have shape (4, 4)"),
 ], ids=["empty-label", "svrg-schedule", "svrg-m", "fgd-eta", "projgd-eta",
         "sfgd-eta0", "projgd-shape"])
@@ -157,6 +171,119 @@ def test_input_check_raises_its_message(call, message):
         call()
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+# the step fields each algorithm reads, at steps that stay finite for four
+# epochs on table_instance(); plain BB needs the long inner loop for that
+STEPS = {
+    "fgd": dict(eta=0.01),
+    "sfgd": dict(eta0=0.002, t0=50.0),
+    "projgd": dict(eta=0.01),
+    "svrg-fixed": dict(m=20, schedule=fixed(0.002)),
+    "svrg-sbb0": dict(m=160, schedule=sbb(0.0, 160, eta0=0.002)),
+    "svrg-sbb": dict(m=40, schedule=sbb(5.0, 40, eta0=0.002)),
+}
+EVERY_STEP = dict(m=20, schedule=fixed(0.002), eta=0.01, eta0=0.002, t0=50.0)
+RUNNERS = {"fgd": run_fgd, "sfgd": run_sfgd, "projgd": run_projgd, "svrg-fixed": run_svrg,
+           "svrg-sbb0": run_svrg, "svrg-sbb": run_svrg}
+UNKNOWN = "choose from fgd, sfgd, projgd, svrg-fixed, svrg-sbb0, svrg-sbb"
+
+
+def table_instance():
+    """A p=8 sensing instance and a start near its planted factor."""
+    prob = sensing_generate(8, 2, 40, seed=3)
+    return prob, init_perturbed_optimum(prob.Ustar, 0.3, 4)
+
+
+class TestAlgorithmTable:
+    """A config sets just the step fields its algorithm reads; ``run`` calls its runner."""
+
+    def test_rows_are_the_six_names(self):
+        assert list(ALGORITHMS) == list(STEPS)
+
+    @pytest.mark.parametrize("algo", list(STEPS))
+    def test_a_field_the_algorithm_does_not_read_raises(self, algo):
+        for name, value in EVERY_STEP.items():
+            if name not in STEPS[algo]:
+                with pytest.raises(ValueError, match=f"^{algo} does not read {name}$"):
+                    tiny_config(algo, **STEPS[algo], **{name: value})
+
+    @pytest.mark.parametrize("algo", list(STEPS))
+    def test_a_missing_field_the_algorithm_needs_raises(self, algo):
+        tiny_config(algo, **STEPS[algo])
+        for name in STEPS[algo]:
+            fields = {k: v for k, v in STEPS[algo].items() if k != name}
+            if name == "t0":  # sfgd's t0 is optional: it defaults to n
+                tiny_config(algo, **fields)
+                continue
+            with pytest.raises(ValueError, match=f"^{algo} needs {name}$"):
+                tiny_config(algo, **fields)
+
+    @pytest.mark.parametrize("algo", ["svrg", "SFGD", "sgd", "fgd ", "run"])
+    def test_an_unknown_name_raises(self, algo):
+        message = f"^unknown algorithm {algo!r}; {UNKNOWN}$"
+        with pytest.raises(ValueError, match=message):
+            tiny_config(algo, eta=0.01)
+        with pytest.raises(ValueError, match=message):
+            epoch_cost(algo, 10, 5)
+
+    def test_the_misuse_cases_raise(self):
+        """A step field the algorithm ignores, and a runner of another algorithm."""
+        prob, U0 = table_instance()
+        with pytest.raises(ValueError, match="^svrg-fixed does not read eta$"):
+            SolverConfig(algorithm="svrg-fixed", r=2, epochs=2, seed=0, eta=1e-3,
+                         schedule=fixed(1e-5), m=40)
+        with pytest.raises(ValueError, match="^sfgd does not read eta$"):
+            SolverConfig(algorithm="sfgd", r=2, epochs=2, seed=0, eta=1e-3, eta0=1e-3)
+        with pytest.raises(ValueError, match="^run_svrg does not run fgd$"):
+            run_svrg(prob, tiny_config("fgd", eta=1e-3), U0)
+        with pytest.raises(ValueError, match="^run_fgd does not run svrg-sbb$"):
+            run_fgd(prob, tiny_config("svrg-sbb", m=7, schedule=sbb(0.1, 7)), U0)
+
+    @pytest.mark.parametrize("runner", [run_svrg, run_fgd, run_sfgd, run_projgd])
+    def test_each_runner_refuses_the_other_rows(self, runner):
+        prob, U0 = table_instance()
+        start = gram(U0) if runner is run_projgd else U0
+        for algo in STEPS:
+            if RUNNERS[algo] is not runner:
+                with pytest.raises(ValueError,
+                                   match=f"^{runner.__name__} does not run {algo}$"):
+                    runner(prob, tiny_config(algo, **STEPS[algo]), start)
+
+    @pytest.mark.parametrize("algo", list(STEPS))
+    def test_run_is_the_direct_runner_call(self, algo):
+        prob, U0 = table_instance()
+        config = SolverConfig(algorithm=algo, r=2, epochs=4, seed=5, **STEPS[algo])
+        via = run(prob, config, U0, X_ref=prob.Xstar, U_ref=prob.Ustar)
+        if algo == "projgd":
+            direct = run_projgd(prob, config, gram(U0), X_ref=prob.Xstar)
+        else:
+            direct = RUNNERS[algo](prob, config, U0, X_ref=prob.Xstar, U_ref=prob.Ustar)
+        assert not direct.diverged
+        assert via.rows == direct.rows
+        for final in ("final_U", "final_X"):
+            a, b = getattr(via, final), getattr(direct, final)
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_run_calls_a_given_runner_in_place_of_the_rows(self):
+        prob, U0 = table_instance()
+        starts = []
+
+        def traced(obj, config, start, **kwargs):
+            starts.append(start)
+            return run_projgd(obj, config, start, **kwargs)
+        rec = run(prob, tiny_config("projgd", eta=0.01), U0, X_ref=prob.Xstar,
+                  runner=traced)
+        assert len(starts) == 1 and np.array_equal(starts[0], gram(U0))
+        assert rec.final_U is None and rec.rows[0].error_U is None
+
+    def test_rows_price_epochs_from_the_table(self):
+        prob, U0 = table_instance()
+        for algo in STEPS:
+            rec = run(prob, tiny_config(algo, **STEPS[algo]), U0)
+            assert rec.rows[-1].sample_grads == epoch_cost(algo, prob.n, STEPS[algo].get("m"))
+            n_plus_m = {"svrg-fixed": 60, "svrg-sbb0": 200, "svrg-sbb": 80}
+            assert rec.rows[-1].sample_grads == n_plus_m.get(algo, 40)
 
 
 class TestEpochCost:
@@ -629,12 +756,13 @@ class TestRowLayout:
         assert epochs_to(rows, 1e-9) == math.inf
 
     @pytest.mark.parametrize("runner,fields", [
-        (run_svrg, dict(m=5, schedule=fixed(0.01))), (run_sfgd, dict(eta0=0.01)),
-        (run_fgd, dict(eta=0.01))])
+        (run_svrg, dict(algorithm="svrg-fixed", m=5, schedule=fixed(0.01))),
+        (run_sfgd, dict(algorithm="sfgd", eta0=0.01)),
+        (run_fgd, dict(algorithm="fgd", eta=0.01))])
     def test_factored_run_keeps_only_its_factor(self, runner, fields):
         prob = sensing_generate(4, 2, 8, seed=37)
         U0 = np.random.default_rng(38).standard_normal((4, 2))
-        config = SolverConfig(algorithm="factored", r=2, epochs=2, seed=0, **fields)
+        config = SolverConfig(r=2, epochs=2, seed=0, **fields)
         rec = runner(prob, config, U0)
         assert rec.final_X is None and rec.final_U.shape == (4, 2)
 
@@ -675,13 +803,13 @@ class CountingTriplets(TripletProblem):
 def kernel_and_reference(algo, p, triplets, lam, U0, **fields):
     """The records of one run through the kernel and through the reference.
 
-    ``fields`` go to SolverConfig.  A diverged run's record is returned as
-    it stands.
+    ``fields`` go to SolverConfig; ``algo`` "svrg" runs svrg-fixed.  A
+    diverged run's record is returned as it stands.
     """
     records = []
-    config = SolverConfig(algorithm=algo, r=U0.shape[1], seed=0, **fields)
+    config = SolverConfig(algorithm="svrg-fixed" if algo == "svrg" else algo,
+                          r=U0.shape[1], seed=0, **fields)
     for cls in (TripletProblem, ReferenceTriplets):
-        run = run_sfgd if algo == "sfgd" else run_svrg
         try:
             records.append(run(cls(p, triplets, lam), config, U0))
         except DivergedError as err:
