@@ -66,7 +66,7 @@ from .solvers import (
     run_sfgd,
     run_svrg,
 )
-from .stepsize import StallError, StepSchedule
+from .stepsize import FIXED, SBB, StallError, StepSchedule
 from .theory import (
     compute_constants,
     constants_report_text,
@@ -349,27 +349,23 @@ def _checked(fn, *args, **kwargs):
 def _trial(args, algo, seed, obj, U0, X_ref=None, U_ref=None, metric=None):
     """The (algorithm, seed) trial, a ``solvers.run`` closure returning its record.
 
-    Config and schedule are built now, so a derived default outside their
-    range is a CliError before any trial runs.  A diverged run returns its marked record.
+    Config and schedule are built now, from the ``ALGORITHMS`` row, so a derived default
+    outside their range is a CliError before any trial runs.  A diverged run returns its record.
     """
+    row_runner, needs, reads, rule = ALGORITHMS[algo]
     eta = args.eta[algo]
-    if algo == "svrg-fixed":
-        fields = dict(m=args.m, schedule=_checked(StepSchedule, "fixed", eta=eta))
-    elif algo in ("svrg-sbb0", "svrg-sbb"):
-        eps = 0.0 if algo == "svrg-sbb0" else args.eps
-        schedule = _checked(StepSchedule, "sbb", eps=eps, m=args.m, eta0=eta)
-        fields = dict(m=args.m, schedule=schedule)
-    else:
-        fields = dict(eta0=eta, t0=args.t0) if algo == "sfgd" else dict(eta=eta)
-    config = _checked(SolverConfig, algorithm=algo, r=U0.shape[1], epochs=args.epochs,
-                      seed=seed, eval_every=args.eval_every, **fields)
+    fields = dict(eta=eta, eta0=eta, t0=args.t0, m=args.m)
+    if rule:
+        steps = dict(eta=eta) if rule["kind"] == FIXED else dict(eps=args.eps, m=args.m, eta0=eta)
+        fields["schedule"] = _checked(StepSchedule, **{**steps, **rule})
+    config = _checked(SolverConfig, algorithm=algo, r=U0.shape[1], epochs=args.epochs, seed=seed,
+                      eval_every=args.eval_every, **{k: fields[k] for k in needs + reads})
 
     def trial():
         # perfbench's traced run patches run_* here; the benchmark revision can drop the map
         runner = dict(run_svrg=run_svrg, run_fgd=run_fgd, run_sfgd=run_sfgd, run_projgd=run_projgd)
         try:
-            return run(obj, config, U0, X_ref, U_ref, metric,
-                       runner[ALGORITHMS[algo][0].__name__])
+            return run(obj, config, U0, X_ref, U_ref, metric, runner[row_runner.__name__])
         except DivergedError as err:
             return err.record
 
@@ -492,10 +488,10 @@ def cmd_embed(args):
     if has_test and n_train == len(triplets):
         raise CliError(f"--split {args.split!r} leaves no triplet for the test set")
 
-    # L_hat feeds only the default steps and the default stabilizer
+    # L_hat feeds only the default steps and the --eps default, read by a rule with eps free
     L_hat = None
-    if any(algo not in args.eta for algo in args.algos) or \
-            (args.eps is None and "svrg-sbb" in args.algos):
+    if any(algo not in args.eta for algo in args.algos) or args.eps is None and \
+            any(ALGORITHMS[algo][3] == {"kind": SBB} for algo in args.algos):
         L_hat, _ = estimate_smoothness(
             TripletProblem(args.p, triplets, args.lam),
             probe_pairs(args.p, args.dim, seed=args.seed_base + 1))

@@ -46,8 +46,7 @@ def gram(U):
         bit-for-bit; PSD up to roundoff by construction.
     """
     U = np.asarray(U, dtype=float)
-    G = U @ U.T
-    return (G + G.T) / 2.0
+    return symmetrize(U @ U.T)
 
 
 def eig_sym(M):

@@ -10,21 +10,17 @@ share the RunRecord trace format:
                   step (n sampled steps per epoch)
 * ``run_projgd``  projected gradient descent in X-space (baseline)
 
-SVRG and SFGD share one inner loop, the objective's ``factor_steps``:
-SFGD is the SVRG loop without an anchor and with a decaying step.  The
-runners draw the samples and steps and hand the loop to it whole.
-``SampleObjective.factor_steps`` is the per-step loop, the reference;
-each family runs a kernel of its own on the same samples and steps
-(sensing's matches the reference bit for bit; TripletProblem's
-docstring says how closely the triplet kernel matches it).  An SVRG
-snapshot and an FGD iterate are each one ``obj.snapshot(U)``: X = U U^T,
-f, the direction ``grad f(X) @ U`` and, on sensing, the measurements,
-slopes and anchor's sample terms, read off the operand once with no
-p-by-p gradient (the stabilized BB secant then comes from the slopes);
-on triplets it is ``value_and_grad_full``.  Epoch accounting follows
-sample-gradient counts: FGD, SFGD, and ProjGD spend n sample gradients
-per epoch, SVRG spends n + m per outer iteration.  Metric evaluations
-are not counted.
+Each SVRG name runs the step rule its row fixes: svrg-fixed the fixed
+step, svrg-sbb0 the Barzilai-Borwein secant step (eps = 0) and svrg-sbb
+the stabilized secant step at any eps >= 0.  SVRG and SFGD share one
+inner loop, the objective's ``factor_steps``: SFGD is the SVRG loop
+without an anchor and with a decaying step.  The runners draw the
+samples and steps and hand the loop to it whole, where each family runs
+a kernel tested against the per-step reference.  An SVRG snapshot and
+an FGD iterate are each one ``obj.snapshot(U)`` (see
+``objective.Snapshot``).  Epoch accounting follows sample-gradient
+counts: FGD, SFGD, and ProjGD spend n sample gradients per epoch, SVRG
+spends n + m per outer iteration.  Metric evaluations are not counted.
 """
 
 import math
@@ -33,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import gram, procrustes_dist, proj_psd, symmetrize
+from .stepsize import FIXED, SBB
 
 DIVERGE_LIMIT = 1e150
 
@@ -47,7 +44,7 @@ class DivergedError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """One run's settings; of the step fields it sets just those its ``ALGORITHMS`` row reads."""
+    """One run's settings: only the step fields and step rule its ``ALGORITHMS`` row allows."""
 
     algorithm: str
     r: int
@@ -61,12 +58,15 @@ class SolverConfig:
     t0: float | None = None
 
     def __post_init__(self):
-        _, needs, reads = _row(self.algorithm)
+        _, needs, reads, rule = _row(self.algorithm)
         for name in ("m", "schedule", "eta", "eta0", "t0"):
             if getattr(self, name) is None and name in needs:
                 raise ValueError(f"{self.algorithm} needs {name}")
             if getattr(self, name) is not None and name not in needs + reads:
                 raise ValueError(f"{self.algorithm} does not read {name}")
+        # a schedule without the rule's fields (a test double, say) is not checked
+        if any(getattr(self.schedule, k, v) != v for k, v in (rule or {}).items()):
+            raise ValueError(f"{self.algorithm} does not run {self.schedule!r}")
         if self.r < 1:
             raise ValueError("rank r must be at least 1")
         if self.epochs < 1:
@@ -322,14 +322,15 @@ def run_projgd(obj, config, X0, X_ref=None, metric=None):
         return rec.finish(None, X)
 
 
-# name: (runner, the step fields it needs, the optional ones it reads)
+# name: (runner, the step fields it needs, the optional ones it reads, and its
+# step rule: the schedule fields the name fixes; svrg-sbb leaves eps free)
 ALGORITHMS = {
-    "fgd": (run_fgd, ("eta",), ()),
-    "sfgd": (run_sfgd, ("eta0",), ("t0",)),
-    "projgd": (run_projgd, ("eta",), ()),
-    "svrg-fixed": (run_svrg, ("m", "schedule"), ()),
-    "svrg-sbb0": (run_svrg, ("m", "schedule"), ()),
-    "svrg-sbb": (run_svrg, ("m", "schedule"), ()),
+    "fgd": (run_fgd, ("eta",), (), None),
+    "sfgd": (run_sfgd, ("eta0",), ("t0",), None),
+    "projgd": (run_projgd, ("eta",), (), None),
+    "svrg-fixed": (run_svrg, ("m", "schedule"), (), {"kind": FIXED}),
+    "svrg-sbb0": (run_svrg, ("m", "schedule"), (), {"kind": SBB, "eps": 0.0}),
+    "svrg-sbb": (run_svrg, ("m", "schedule"), (), {"kind": SBB}),
 }
 
 

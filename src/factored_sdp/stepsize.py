@@ -46,6 +46,10 @@ class StepSchedule:
             if not 0 < self.eta0 < math.inf:
                 raise ValueError("eta0 must be finite and positive")
 
+    def __repr__(self):
+        fields = ("eta",) if self.kind == FIXED else ("eps", "m", "eta0")
+        return f"{self.kind}({', '.join(f'{k}={getattr(self, k)!r}' for k in fields)})"
+
     def next_step(self, state, snap):
         """Return ``(eta, state)``: the step at an outer snapshot, and the next state.
 

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from factored_sdp import cli, objective, solvers
+from factored_sdp import cli, objective, solvers, stepsize
 from factored_sdp.cli import (
     ALGORITHMS,
     CliError,
@@ -745,6 +746,64 @@ class TestEmbedCommand:
                    "--epochs", "1"])
         assert rc == 2
         capsys.readouterr()
+
+
+def reads(row, field):
+    """Whether an ``ALGORITHMS`` row reads ``field`` of the CLI's step flags.
+
+    ``eta`` is a fixed step, ``eta0`` an initial step and ``eps`` the
+    stabilizer; a row reads each as a config field or through its step rule.
+    """
+    _, needs, _, rule = row
+    kind = (rule or {}).get("kind")
+    return {"eta": "eta" in needs or kind == stepsize.FIXED,
+            "eta0": "eta0" in needs or kind == stepsize.SBB,
+            "eps": kind == stepsize.SBB and "eps" not in rule}[field]
+
+
+def named(text):
+    """The algorithm names of an English list, "a, b and c"."""
+    return set(re.split(r", | and ", text))
+
+
+class TestAlgorithmRows:
+    """Each trial's step fields and schedule come from its ``ALGORITHMS`` row."""
+
+    @pytest.mark.parametrize("command", ["sensing", "embed"])
+    def test_every_row_builds_a_config_of_its_rule(self, command, triplet_file,
+                                                  tmp_path, monkeypatch):
+        configs, real = [], cli.run
+
+        def recorded(obj, config, *args):
+            configs.append(config)
+            return real(obj, config, *args)
+        monkeypatch.setattr(cli, "run", recorded)
+        algos = ",".join(ALGORITHMS)
+        if command == "sensing":
+            code = run_sensing(tmp_path, algos=algos, seeds=1, epochs=2)
+        else:
+            code = run_embed(triplet_file, tmp_path, algos=algos, seeds=1, epochs=2)
+        assert code in (0, 3)
+        argv = read_manifest(tmp_path)["replay_argv"]
+        eps = float(argv[argv.index("--eps") + 1])
+        assert [config.algorithm for config in configs] == list(ALGORITHMS)
+        for config in configs:
+            rule = ALGORITHMS[config.algorithm][3]
+            assert (config.schedule is None) == (rule is None)
+            if rule:
+                assert config.schedule.kind == rule["kind"]
+                if config.schedule.kind == stepsize.SBB:
+                    assert config.schedule.eps == rule.get("eps", eps)
+
+    def test_help_texts_name_the_rows_that_read_each_flag(self):
+        subs = build_parser()._subparsers._group_actions[0].choices
+        for command in ("sensing", "embed"):
+            helps = {a.dest: a.help for a in subs[command]._actions}
+            eta = re.fullmatch(r"step: the fixed step of (.*), the initial step of (.*?); "
+                               r"one value .*", helps["eta"])
+            eps = re.fullmatch(r"stabilizer for (.*?) \(default: .*", helps["eps"])
+            for text, field in ((eta[1], "eta"), (eta[2], "eta0"), (eps[1], "eps")):
+                assert named(text) == {a for a, row in ALGORITHMS.items() if reads(row, field)}
 
 
 class TestTrialPool:

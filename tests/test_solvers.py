@@ -132,8 +132,8 @@ class TestSolverConfig:
     def test_rejects_schedule_with_another_inner_loop_length(self):
         """The secant step divides by the schedule's m, the loop runs config.m steps."""
         with pytest.raises(ValueError, match="differs from m=5"):
-            svrg_config(m=5, schedule=sbb(0.1, 6))
-        svrg_config(m=5, schedule=sbb(0.1, 5))
+            svrg_config(algorithm="svrg-sbb", m=5, schedule=sbb(0.1, 6))
+        svrg_config(algorithm="svrg-sbb", m=5, schedule=sbb(0.1, 5))
         svrg_config(m=7, schedule=fixed(0.1))
 
     def test_rejects_factor_shape_mismatch(self):
@@ -285,6 +285,30 @@ class TestAlgorithmTable:
             n_plus_m = {"svrg-fixed": 60, "svrg-sbb0": 200, "svrg-sbb": 80}
             assert rec.rows[-1].sample_grads == n_plus_m.get(algo, 40)
 
+    @pytest.mark.parametrize("algo, schedule, message", [
+        ("svrg-fixed", sbb(1.0, 10, eta0=0.1),
+         "svrg-fixed does not run sbb(eps=1.0, m=10, eta0=0.1)"),
+        ("svrg-sbb0", fixed(0.1), "svrg-sbb0 does not run fixed(eta=0.1)"),
+        ("svrg-sbb", fixed(0.1), "svrg-sbb does not run fixed(eta=0.1)"),
+        ("svrg-sbb0", sbb(5.0, 10, eta0=0.1),
+         "svrg-sbb0 does not run sbb(eps=5.0, m=10, eta0=0.1)"),
+    ], ids=["fixed-given-secant", "sbb0-given-fixed", "sbb-given-fixed", "sbb0-given-eps-5"])
+    def test_a_schedule_of_another_rule_raises(self, algo, schedule, message):
+        """Each SVRG name runs the step rule its row fixes, and no other."""
+        with pytest.raises(ValueError) as info:
+            tiny_config(algo, m=10, schedule=schedule)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("algo, schedule", [
+        ("svrg-fixed", fixed(0.1)),
+        ("svrg-sbb0", sbb(0.0, 10, eta0=0.1)),
+        ("svrg-sbb", sbb(5.0, 10, eta0=0.1)),
+        ("svrg-sbb", sbb(0.0, 10, eta0=0.1)),
+    ], ids=["fixed", "sbb0", "sbb", "sbb-at-eps-0"])
+    def test_a_schedule_of_the_rows_rule_is_accepted(self, algo, schedule):
+        assert tiny_config(algo, m=10, schedule=schedule).schedule is schedule
+
 
 class TestEpochCost:
     def test_known_counts(self):
@@ -388,9 +412,11 @@ class TestSvrg:
     def test_deterministic_per_seed(self):
         prob = sensing_generate(5, 2, 12, seed=9)
         U0 = np.random.default_rng(10).standard_normal((5, 2))
-        a = run_svrg(prob, svrg_config(seed=42, schedule=sbb(0.1, 5, eta0=0.01)),
+        a = run_svrg(prob, svrg_config(algorithm="svrg-sbb", seed=42,
+                                       schedule=sbb(0.1, 5, eta0=0.01)),
                      U0, X_ref=prob.Xstar, U_ref=prob.Ustar)
-        b = run_svrg(prob, svrg_config(seed=42, schedule=sbb(0.1, 5, eta0=0.01)),
+        b = run_svrg(prob, svrg_config(algorithm="svrg-sbb", seed=42,
+                                       schedule=sbb(0.1, 5, eta0=0.01)),
                      U0, X_ref=prob.Xstar, U_ref=prob.Ustar)
         assert a.rows == b.rows
         np.testing.assert_array_equal(a.final_U, b.final_U)
@@ -398,7 +424,7 @@ class TestSvrg:
     def test_stall_propagates(self):
         obj = LinearObjective(np.diag([1.0, 2.0, 3.0]))
         U0 = np.random.default_rng(11).standard_normal((3, 2))
-        cfg = svrg_config(epochs=3, schedule=sbb(0.0, 5, eta0=1e-3))
+        cfg = svrg_config(algorithm="svrg-sbb0", epochs=3, schedule=sbb(0.0, 5, eta0=1e-3))
         with pytest.raises(StallError):
             run_svrg(obj, cfg, U0)
 

@@ -156,6 +156,13 @@ class TestAdaptive:
                 sbb(0.1, 10, eta0=bad)
 
 
+def test_repr_is_the_factory_call():
+    assert repr(fixed(0.05)) == "fixed(eta=0.05)"
+    assert repr(sbb(0.1, 20)) == "sbb(eps=0.1, m=20, eta0=0.001)"
+    for sched in (fixed(0.05), sbb(0.0, 7, eta0=0.5)):
+        assert repr(eval(repr(sched), {"fixed": fixed, "sbb": sbb})) == repr(sched)
+
+
 class TestUpperBound:
     def test_arithmetic(self):
         assert sbb_upper_bound(0.02, 100) == pytest.approx(0.5)
