@@ -14,7 +14,6 @@ import contextvars
 import functools
 import math
 import os
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -190,31 +189,6 @@ def snapshot_threads(nbytes):
     return min(2, os.cpu_count() or 1)
 
 
-def _halves(work, n):
-    """Run ``work(0, n // 2)`` on a new thread and ``work(n // 2, n)`` on this one.
-
-    The new thread runs in a copy of this thread's context, so under its
-    ``np.errstate``, and is joined before return: no thread is left alive
-    for a later fork to copy.  An exception on either thread is raised here.
-    """
-    failed = []
-
-    def first():
-        try:
-            work(0, n // 2)
-        except BaseException as err:
-            failed.append(err)
-
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(first,))
-    helper.start()
-    try:
-        work(n // 2, n)
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
-
-
 class SensingProblem(SampleObjective):
     """Noiseless matrix sensing: f_i(X) = (1/2)(b_i - <A_i, X>)^2.
 
@@ -298,7 +272,13 @@ class SensingProblem(SampleObjective):
         if snapshot_threads(A.nbytes) == 1:
             block(0, n)
         else:
-            _halves(block, n)
+            from concurrent.futures import ThreadPoolExecutor
+            # The helper runs in a copy of this context, so under the caller's
+            # np.errstate, and the ``with`` joins it: no thread is left for a fork.
+            with ThreadPoolExecutor(1) as helper:
+                first = helper.submit(contextvars.copy_context().run, block, 0, n // 2)
+                block(n // 2, n)
+            first.result()
         g = T.sum(axis=0)
         g /= n
         return Snapshot(U=U, X=X, f=self._f(z, X), z=z, W=W, g=g.T, terms=T)

@@ -530,11 +530,37 @@ class TestSnapshot:
                 snap = prob.snapshot(U)
         assert np.isinf(snap.z[:4]).all() and np.isfinite(snap.z[4:]).all()
 
+    @pytest.mark.parametrize("half", [slice(None, 4), slice(4, None)],
+                             ids=["helper", "caller"])
+    def test_sensing_split_raises_either_halfs_overflow_and_leaves_no_thread(
+            self, monkeypatch, half):
+        """An overflow in either block alone raises under the caller's np.errstate.
+
+        The first half of the samples is the helper's block, the second the
+        calling thread's.  The raising call, too, joins the helper before it
+        returns.
+        """
+        monkeypatch.setattr(objective, "snapshot_threads", lambda nbytes: 2)
+        A = np.random.default_rng(74).standard_normal((8, 5, 5))
+        A[half] *= 1e200
+        prob = SensingProblem(A + A.transpose(0, 2, 1), np.zeros(8))
+        before = threading.enumerate()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            prob.snapshot(np.full((5, 1), 1e60))
+        assert threading.enumerate() == before
+
     def test_sensing_splits_from_a_size_on(self):
         """Operands below ``SPLIT_SNAPSHOT_BYTES`` take one block, larger ones up to two."""
         cpus = len(os.sched_getaffinity(0))
         assert snapshot_threads(SPLIT_SNAPSHOT_BYTES - 1) == 1
         assert snapshot_threads(SPLIT_SNAPSHOT_BYTES) == min(2, cpus)
+
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (4, 2), (None, 1)])
+    def test_sensing_split_counts_cpus_without_affinity(self, monkeypatch, cpus, threads):
+        """Where ``os.sched_getaffinity`` is missing, as on macOS, ``os.cpu_count()`` decides."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert snapshot_threads(SPLIT_SNAPSHOT_BYTES) == threads
 
     @pytest.mark.parametrize("p, r", [(12, 2), (60, 4)])
     def test_sensing_secant_is_the_x_space_product(self, p, r):
