@@ -66,7 +66,7 @@ from .solvers import (
     run_sfgd,
     run_svrg,
 )
-from .stepsize import FIXED, SBB, StallError, StepSchedule
+from .stepsize import FIXED, StallError, StepSchedule
 from .theory import (
     compute_constants,
     constants_report_text,
@@ -296,46 +296,13 @@ def _per_algo_values(values, algos, flag):
     return dict(zip(algos, values))
 
 
-def _resolve_steps(args, L_hat, sigma1, n):
-    """Merge the default steps into the --eta map and fill --eps/--m/--t0.
-
-    Default steps come from measured curvature and scale.  ``base`` is the
-    classic stability ceiling 1/(L sigma_1) for factored gradient steps,
-    with sigma_1 the top eigenvalue of the reference (or initial) Gram
-    matrix.  For sensing, stochastic algorithms shrink it by sqrt(n)
-    because their per-sample directions are that much larger than the
-    averaged gradient, and the stabilizer defaults to
-    ``eps = 1/(m * default svrg-fixed step)``: svrg-sbb's step, at most
-    ``1/(m eps)``, is then capped at the default svrg-fixed step.  Triplet
-    losses sit much closer to their stability edge (the Gram scale grows
-    along the run), so ``embed`` (``args.command``) uses smaller fractions,
-    calibrated on planted instances, and ``eps = 0.02 * L_hat``.
-    ``m = t0 = n``.  Each algorithm reads one step from the map, as its
-    ``ALGORITHMS`` row says: the fixed step of fgd, projgd and svrg-fixed,
-    the initial step of sfgd, svrg-sbb0 and svrg-sbb.  Defaults are starting
-    points; benchmarks pass --eta.  With ``L_hat`` None (every step given,
-    and no default stabilizer read) only --m and --t0 are filled.
-    """
+def _resolve_steps(args, defaults, n):
+    """Fill --m and --t0 with the sample size ``n``; --eta's steps win over ``defaults``."""
     if args.m is None:
         args.m = n
     if args.t0 is None:
         args.t0 = float(n)
-    if L_hat is None:
-        return
-    base = 1.0 / (L_hat * max(sigma1, 1e-12))
-    if args.command == "embed":
-        full, stochastic, adaptive = 0.03 * base, 0.0015 * base, 0.001 * base
-        eps = 0.02 * L_hat
-    else:
-        root_n = math.sqrt(n)
-        full = 0.25 * base
-        stochastic, adaptive = 0.25 * base / root_n, 0.1 * base / root_n
-        eps = 1.0 / (args.m * stochastic)
-    defaults = {"fgd": full, "projgd": 0.5 / L_hat, "sfgd": stochastic,
-                "svrg-fixed": stochastic, "svrg-sbb0": adaptive, "svrg-sbb": adaptive}
     args.eta = {**defaults, **args.eta}
-    if args.eps is None:
-        args.eps = eps
 
 
 def _checked(fn, *args, **kwargs):
@@ -432,10 +399,23 @@ def _sensing_setup(args):
 
 
 def cmd_sensing(args):
-    """Run the sensing trials; default steps read constants.csv's L and sigma_1_Xr."""
+    """Run the sensing trials; default steps read constants.csv's L and sigma_1_Xr.
+
+    ``base`` is the stability ceiling 1/(L sigma_1) of factored gradient steps.
+    Stochastic algorithms shrink it by sqrt(n), their per-sample directions
+    being that much larger than the averaged gradient.  ``eps = 1/(m * default
+    svrg-fixed step)`` caps svrg-sbb's step, at most ``1/(m eps)``, at that step.
+    """
     args.eta = _per_algo_values(args.eta, args.algos, "--eta")
     obj, U_ref, constants = _sensing_setup(args)
-    _resolve_steps(args, constants.L, constants.sigma_1_Xr, obj.n)
+    base = 1.0 / (constants.L * max(constants.sigma_1_Xr, 1e-12))
+    stochastic = 0.25 * base / math.sqrt(obj.n)
+    adaptive = 0.1 * base / math.sqrt(obj.n)
+    _resolve_steps(args, {"fgd": 0.25 * base, "projgd": 0.5 / constants.L, "sfgd": stochastic,
+                          "svrg-fixed": stochastic, "svrg-sbb0": adaptive, "svrg-sbb": adaptive},
+                   obj.n)
+    if args.eps is None:
+        args.eps = 1.0 / (args.m * stochastic)
     if args.init_radius is None:
         if math.isfinite(constants.gamma_u):
             args.init_radius = 0.5 * math.sqrt(constants.gamma_u)
@@ -479,23 +459,21 @@ def cmd_sensing(args):
 
 
 def cmd_embed(args):
+    """Run the embedding trials at the --eta steps; svrg-sbb's --eps defaults to 1/(m * its --eta)."""
+    if args.eta is None:
+        raise CliError("argument --eta: embed takes every step from it: one value, "
+                       "or one per --algos entry")
     args.eta = _per_algo_values(args.eta, args.algos, "--eta")
-    sigma1 = max(args.init_scale ** 2, 1.0)
     triplets, args.p = read_triplets(args.triplets, args.p)
     args.triplets = os.path.abspath(args.triplets)
     n_train = train_size(args.split, len(triplets))
     has_test = args.split < 1.0
     if has_test and n_train == len(triplets):
         raise CliError(f"--split {args.split!r} leaves no triplet for the test set")
-
-    # L_hat feeds only the default steps and the --eps default, read by a rule with eps free
-    L_hat = None
-    if any(algo not in args.eta for algo in args.algos) or args.eps is None and \
-            any(ALGORITHMS[algo][3] == {"kind": SBB} for algo in args.algos):
-        L_hat, _ = estimate_smoothness(
-            TripletProblem(args.p, triplets, args.lam),
-            probe_pairs(args.p, args.dim, seed=args.seed_base + 1))
-    _resolve_steps(args, L_hat, sigma1, n_train)
+    _resolve_steps(args, {}, n_train)
+    if args.eps is None and "svrg-sbb" in args.eta:
+        # its secant step, at most 1/(m eps), never exceeds its initial step
+        args.eps = 1.0 / (args.m * args.eta["svrg-sbb"])
 
     trials = []
     for seed in range(args.seed_base, args.seed_base + args.seeds):
@@ -632,12 +610,11 @@ def _add_common(sub, algos):
     sub.add_argument("--eta", type=_comma_list(_FINITE_POSITIVE), default=None,
                      help="step: the fixed step of fgd, projgd and svrg-fixed, "
                           "the initial step of sfgd, svrg-sbb0 and svrg-sbb; "
-                          "one value or a comma list per --algos (default: "
-                          "from the measured curvature)")
+                          "one value or a comma list per --algos (sensing default: "
+                          "from the measured curvature; embed requires it)")
     sub.add_argument("--eps", type=_FINITE_NONNEG, default=None,
                      help="stabilizer for svrg-sbb (default: sensing "
-                          "1/(m * default svrg-fixed step), embed 0.02 * "
-                          "measured L)")
+                          "1/(m * default svrg-fixed step), embed 1/(m * its --eta))")
     sub.add_argument("--m", type=_COUNT, default=None,
                      help="inner-loop length (default: sample size)")
     sub.add_argument("--t0", type=_ranged(float, lambda v: v > 0, "above 0"),

@@ -31,6 +31,10 @@ class StepSchedule:
         if kind not in (FIXED, SBB):
             raise ValueError(f"unknown schedule kind: {kind!r}")
         self.kind = kind
+        reads = ("eta",) if kind == FIXED else ("eps", "m", "eta0")
+        for name, value in dict(eta=eta, eps=eps, m=m, eta0=eta0).items():
+            if value is not None and name not in reads:
+                raise ValueError(f"{kind} schedule does not read {name}")
         if kind == FIXED:
             if eta is None or not 0 < eta < math.inf:
                 raise ValueError("fixed schedule requires a finite eta > 0")

@@ -621,7 +621,7 @@ def test_criterion_11_manifest_replay(tmp_path):
     embed = tmp_path / "embed"
     assert main(["embed", "--triplets", str(gen / "triplets.txt"),
                  "--out", str(embed), "--dim", "2", "--epochs", "4",
-                 "--seeds", "2", "--algos", "svrg-sbb,fgd"]) == 0
+                 "--seeds", "2", "--algos", "svrg-sbb,fgd", "--eta", "0.5,40"]) == 0
     embed_rep = tmp_path / "embed-rep"
     assert main(["replay", str(embed / "run.json"), "--out", str(embed_rep)]) == 0
     assert tree_bytes(embed) == tree_bytes(embed_rep)

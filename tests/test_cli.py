@@ -166,7 +166,8 @@ class TestReadTriplets:
         with pytest.raises(TripletFormatError, match="line 2.*too large"):
             read_triplets(path)
         out = tmp_path / "o"
-        rc = main(["embed", "--triplets", path, "--out", str(out), "--epochs", "1"])
+        rc = main(["embed", "--triplets", path, "--out", str(out), "--epochs", "1",
+                   "--eta", "0.05"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 2") and err.count("\n") == 1
@@ -175,7 +176,7 @@ class TestReadTriplets:
     def test_malformed_file_exits_2_via_cli(self, tmp_path, capsys):
         path = self.write(tmp_path, "0 1 2\n0 1 2 3\n")
         rc = main(["embed", "--triplets", path, "--out", str(tmp_path / "o"),
-                   "--epochs", "1"])
+                   "--epochs", "1", "--eta", "0.05"])
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
@@ -186,7 +187,7 @@ class TestReadTriplets:
             read_triplets(str(path))
         out = tmp_path / "o"
         rc = main(["embed", "--triplets", str(path), "--out", str(out),
-                   "--epochs", "1"])
+                   "--epochs", "1", "--eta", "0.05"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -222,11 +223,15 @@ class TestParseHelpers:
         with pytest.raises(CliError, match="argument --eta: invalid float value: '0.5,big'"):
             parser.parse_args(["sensing", "--out", "o", "--eta", "0.5,big"])
 
-    def test_default_steps_cover_all_algorithms(self):
-        args = argparse.Namespace(command="sensing", algos=list(ALGORITHMS), eta={},
-                                  m=None, eps=None, t0=None)
-        _resolve_steps(args, 2.0, 10.0, 100)
-        steps = args.eta
+    def test_default_steps_cover_all_algorithms(self, tmp_path, monkeypatch):
+        """Sensing hands _resolve_steps a default step for each of the six names."""
+        seen = []
+        monkeypatch.setattr(cli, "_resolve_steps", lambda args, defaults, n: (
+            seen.append(defaults), _resolve_steps(args, defaults, n)))
+        assert main(["sensing", "--p", "8", "--r", "2", "--n", "60", "--epochs", "1",
+                     "--region-samples", "2", "--algos", "fgd",
+                     "--out", str(tmp_path / "run")]) == 0
+        [steps] = seen
         assert set(steps) == set(ALGORITHMS)
         assert steps["sfgd"] < steps["fgd"]
         assert steps["svrg-fixed"] == steps["sfgd"]
@@ -403,16 +408,19 @@ class TestSensingCommand:
         """The default steps read L and sigma_1 off the record constants.csv prints."""
         seen = []
 
-        def recorded(args, L_hat, sigma1, n):
-            seen.append((L_hat, sigma1))
-            return _resolve_steps(args, L_hat, sigma1, n)
+        def recorded(args, defaults, n):
+            seen.append(defaults)
+            return _resolve_steps(args, defaults, n)
 
         monkeypatch.setattr(cli, "_resolve_steps", recorded)
         out = tmp_path / "run"
         assert main(["sensing", "--p", "20", "--r", "2", "--epochs", "1",
                      "--seeds", "1", "--algos", "fgd", "--out", str(out)]) == 0
         rows = dict(read_rows(out / "constants.csv")[1:])
-        assert seen == [(float(rows["L"]), float(rows["sigma_1_Xr"]))]
+        L, sigma1 = float(rows["L"]), float(rows["sigma_1_Xr"])
+        [steps] = seen
+        assert steps["fgd"] == 0.25 * (1.0 / (L * sigma1))
+        assert steps["projgd"] == 0.5 / L
 
     def test_default_svrg_sbb_converges(self, tmp_path):
         """The default stabilizer caps svrg-sbb at the default svrg-fixed step."""
@@ -557,10 +565,10 @@ class TestSensingCommand:
 
 
 def run_embed(triplet_path, out, **overrides):
-    argv = ["embed", "--triplets", str(triplet_path), "--out", str(out),
-            "--dim", "2", "--epochs", "3", "--seeds", "2",
-            "--algos", "fgd,sfgd"]
-    for flag, value in overrides.items():
+    argv = ["embed", "--triplets", str(triplet_path), "--out", str(out)]
+    flags = {"dim": 2, "epochs": 3, "seeds": 2, "algos": "fgd,sfgd", "eta": 0.05,
+             **overrides}
+    for flag, value in flags.items():
         argv.extend([f"--{flag.replace('_', '-')}", str(value)])
     return main(argv)
 
@@ -670,30 +678,28 @@ class TestEmbedCommand:
         path.write_text("0 1 2\n1 2 3\n2 3 4\n3 4 0\n4 0 1\n", encoding="utf-8")
         out = tmp_path / "run"
         rc = main(["embed", "--triplets", str(path), "--out", str(out),
-                   "--split", "0.95", "--epochs", "2"])
+                   "--split", "0.95", "--epochs", "2", "--eta", "0.05"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --split") and err.count("\n") == 1
         assert not out.exists()
 
     def test_stalled_secant_exits_2(self, tmp_path, capsys):
-        """At this init scale every margin saturates, so the gradient does not
-        change between snapshots and svrg-sbb0's secant denominator is 0."""
+        """At this init scale every margin saturates, so at a small step the gradient
+        does not change between snapshots and svrg-sbb0's secant denominator is 0."""
         data = tmp_path / "data"
         assert main(["gen-triplets", "--out", str(data), "--p", "20",
                      "--count", "600", "--noise", "0.1", "--seed", "3"]) == 0
         out = tmp_path / "run"
         rc = main(["embed", "--triplets", str(data / "triplets.txt"),
                    "--out", str(out), "--dim", "2", "--epochs", "3",
-                   "--algos", "svrg-sbb0", "--init-scale", "1e3"])
+                   "--algos", "svrg-sbb0", "--init-scale", "1e3", "--eta", "1e-6"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: BB denominator is zero")
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.xfail(strict=True, reason="embed's default svrg-sbb steps diverge "
-                       "on this file (ROADMAP: safe embed defaults)")
     def test_readme_example_converges(self, tmp_path):
         """The README's gen-triplets and embed lines, cut to one seed and six epochs."""
         data = tmp_path / "data" / "t1"
@@ -701,7 +707,7 @@ class TestEmbedCommand:
                      "--count", "4000", "--noise", "0.1"]) == 0
         assert main(["embed", "--out", str(tmp_path / "runs" / "e1"),
                      "--triplets", str(data / "triplets.txt"), "--dim", "2",
-                     "--seeds", "1", "--epochs", "6", "--algos", "svrg-sbb"]) == 0
+                     "--seeds", "1", "--eta", "0.5,0.5,40", "--epochs", "6"]) == 0
 
     def test_init_scale_too_large_to_square_exits_2(self, triplet_file, tmp_path,
                                                     capsys):
@@ -717,33 +723,49 @@ class TestEmbedCommand:
         """--r and --dim write the same bytes and a replay_argv with --dim alone."""
         for flag in ("--r", "--dim"):
             assert main(["embed", "--triplets", str(triplet_file), "--epochs", "2",
-                         "--out", str(tmp_path / flag), flag, "3"]) == 0
+                         "--eta", "0.05", "--out", str(tmp_path / flag), flag, "3"]) == 0
         assert data_files(tmp_path / "--r") == data_files(tmp_path / "--dim")
         argv = read_manifest(tmp_path / "--r")["replay_argv"]
         assert argv == read_manifest(tmp_path / "--dim")["replay_argv"]
         assert "--r" not in argv and argv.count("--dim") == 1
         assert argv[argv.index("--dim") + 1] == "3"
 
-    def test_curvature_probes_run_only_for_a_default(self, triplet_file, tmp_path,
-                                                    monkeypatch):
-        """L_hat feeds only the default steps and svrg-sbb's default stabilizer."""
-        def no_probes(*args):
-            raise AssertionError("estimate_smoothness ran")
+    def test_missing_eta_exits_2_before_reading_the_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["embed", "--triplets", str(tmp_path / "absent.txt"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --eta: ") and err.count("\n") == 1
+        assert not out.exists()
 
-        monkeypatch.setattr(cli, "estimate_smoothness", no_probes)
-        assert run_embed(triplet_file, tmp_path / "given", algos="svrg-fixed,svrg-sbb",
-                         eta="0.05", eps="0.01") == 0
-        assert run_embed(triplet_file, tmp_path / "no-eps", algos="svrg-fixed,fgd",
-                         eta="0.05") == 0
-        assert "--eps" not in read_manifest(tmp_path / "no-eps")["replay_argv"]
-        # a step left to its default, or svrg-sbb without --eps, needs them
-        for flags in (dict(eps="0.01"), dict(algos="svrg-fixed,svrg-sbb", eta="0.05")):
-            with pytest.raises(AssertionError, match="estimate_smoothness ran"):
-                run_embed(triplet_file, tmp_path / "default", **flags)
+    def test_no_run_probes_curvature(self, triplet_file, tmp_path, monkeypatch):
+        """Every step comes from --eta: no embed run measures curvature."""
+        def no_probes(*args, **kwargs):
+            raise AssertionError("curvature probed")
+
+        for name in ("estimate_smoothness", "probe_pairs"):
+            monkeypatch.setattr(cli, name, no_probes)
+            monkeypatch.setattr(objective, name, no_probes)
+        assert run_embed(triplet_file, tmp_path / "all", algos=",".join(ALGORITHMS),
+                         seeds=1, epochs=2) in (0, 3)
+        assert run_embed(triplet_file, tmp_path / "sbb", algos="svrg-sbb,fgd",
+                         eps="0.01") == 0
+
+    def test_svrg_sbb_eps_defaults_to_its_step_cap(self, triplet_file, tmp_path):
+        """Without --eps, svrg-sbb's cap 1/(m eps) is its own --eta; without svrg-sbb,
+        --eps stays unset."""
+        assert run_embed(triplet_file, tmp_path / "sbb", algos="fgd,svrg-sbb",
+                         eta="0.05,0.5") == 0
+        argv = read_manifest(tmp_path / "sbb")["replay_argv"]
+        m = int(argv[argv.index("--m") + 1])
+        assert argv[argv.index("--eps") + 1] == repr(1.0 / (m * 0.5))
+        assert run_embed(triplet_file, tmp_path / "no-sbb", algos="svrg-fixed,svrg-sbb0") == 0
+        assert "--eps" not in read_manifest(tmp_path / "no-sbb")["replay_argv"]
+
     def test_negative_lambda_exits_2(self, triplet_file, tmp_path, capsys):
         rc = main(["embed", "--triplets", str(triplet_file),
                    "--out", str(tmp_path / "run"), "--lambda", "-1.0",
-                   "--epochs", "1"])
+                   "--epochs", "1", "--eta", "0.05"])
         assert rc == 2
         capsys.readouterr()
 
@@ -884,7 +906,7 @@ class TestTrialPool:
         rc = main(["embed", "--triplets", str(data / "triplets.txt"),
                    "--out", str(out), "--dim", "2", "--epochs", "3",
                    "--algos", "svrg-sbb0,fgd", "--init-scale", "1e3",
-                   "--seeds", "2", "--jobs", "2"])
+                   "--eta", "1e-6", "--seeds", "2", "--jobs", "2"])
         assert rc == 2
         err = capfd.readouterr().err
         assert err.startswith("error: BB denominator is zero")
@@ -1023,7 +1045,7 @@ class TestManifest:
                         "--epochs", "1", "--region-samples", "2",
                         "--algos", "fgd,svrg-sbb"],
             "embed": ["embed", "--triplets", str(triplet_file), "--r", "2",
-                      "--epochs", "1", "--algos", "fgd, svrg-sbb"],
+                      "--epochs", "1", "--algos", "fgd, svrg-sbb", "--eta", "0.05"],
             "gen-triplets": ["gen-triplets", "--p", "8", "--count", "20"],
             "constants": ["constants", "--p", "8", "--r", "2", "--n", "60",
                           "--region-samples", "2"],

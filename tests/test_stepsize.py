@@ -189,7 +189,13 @@ class TestUpperBound:
 @pytest.mark.parametrize("call, message", [
     (lambda: StepSchedule("newton"), "unknown schedule kind: 'newton'"),
     (lambda: sbb_upper_bound(0.1, 0), "m must be a positive integer"),
-], ids=["schedule-kind", "upper-bound-m"])
+    (lambda: StepSchedule("fixed", eta=1e-3, eps=5.0, m=3, eta0=9.0),
+     "fixed schedule does not read eps"),
+    (lambda: StepSchedule("fixed", eta=1e-3, eta0=9.0), "fixed schedule does not read eta0"),
+    (lambda: StepSchedule("sbb", eta=7.0, eps=0.1, m=3, eta0=0.5),
+     "sbb schedule does not read eta"),
+], ids=["schedule-kind", "upper-bound-m", "fixed-reads-eps", "fixed-reads-eta0",
+        "sbb-reads-eta"])
 def test_input_check_raises_its_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
