@@ -36,7 +36,6 @@ import json
 import math
 import os
 import re
-import statistics
 import sys
 import time
 
@@ -367,7 +366,7 @@ def _write_run(args, records, timing, columns, summary_header, summary, ylabel,
 
 
 def _median(values):
-    return float(statistics.median(values)) if values else None
+    return float(np.median(values)) if values else None
 
 
 # ---------------------------------------------------------------------------

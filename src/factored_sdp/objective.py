@@ -326,10 +326,6 @@ class SensingProblem(SampleObjective):
         return W @ self._A2
 
 
-# Bytes of the transposed copy ``sensing_generate`` symmetrizes one block with.
-SYMMETRIZE_BLOCK_BYTES = 1 << 20
-
-
 def sensing_generate(p, r_star, n, seed):
     """Plant a rank-r* optimum and draw n symmetrized Gaussian measurements.
 
@@ -337,9 +333,9 @@ def sensing_generate(p, r_star, n, seed):
     standard normal matrix symmetrized as (A + A^T)/2, and b_i = <A_i, X*>
     exactly (no noise). Deterministic for a fixed seed.
 
-    The draws are symmetrized in place, a block of about
-    ``SYMMETRIZE_BLOCK_BYTES`` at a time, so the instance never holds a
-    second (n, p, p) array; the result is bit-identical to (A + A^T)/2.
+    The draws are symmetrized in place, one measurement at a time, so the
+    instance never holds a second (n, p, p) array; the result is
+    bit-identical to (A + A^T)/2.
     """
     if not (1 <= r_star <= p and n >= 1):
         raise ValueError("need 1 <= r_star <= p and n >= 1")
@@ -347,11 +343,9 @@ def sensing_generate(p, r_star, n, seed):
     Ustar = rng.standard_normal((p, r_star))
     Xstar = gram(Ustar)
     A = rng.standard_normal((n, p, p))
-    step = max(1, SYMMETRIZE_BLOCK_BYTES // A[0].nbytes)
-    for start in range(0, n, step):
-        blk = A[start:start + step]
-        blk += blk.transpose(0, 2, 1).copy()
-        blk *= 0.5
+    for Ai in A:
+        Ai += Ai.T.copy()
+        Ai *= 0.5
     b = np.einsum("kij,ij->k", A, Xstar)
     return SensingProblem(A, b, Xstar=Xstar, Ustar=Ustar)
 

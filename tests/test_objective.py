@@ -11,7 +11,6 @@ from factored_sdp import objective
 from factored_sdp.linalg import gram, symmetrize
 from factored_sdp.objective import (
     SPLIT_SNAPSHOT_BYTES,
-    SYMMETRIZE_BLOCK_BYTES,
     NoProbes,
     SensingProblem,
     TripletProblem,
@@ -69,11 +68,11 @@ class TestSensingGenerate:
         for A_i in prob.A:
             assert np.array_equal(A_i, A_i.T)
 
-    def test_in_place_blocks_equal_whole_array_symmetrization(self):
-        """A is bitwise (G + G^T)/2 of the same draws, across a partial last block."""
-        p, r, n, seed = 60, 4, 100, 11
-        step = SYMMETRIZE_BLOCK_BYTES // (8 * p * p)
-        assert 1 < step < n and n % step != 0
+    @pytest.mark.parametrize("p", [1, 5, 60])
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_in_place_symmetrization_equals_whole_array(self, n, p):
+        """A is bitwise (G + G^T)/2 of the same draws, b the batched einsum."""
+        r, seed = min(p, 4), 11
         rng = np.random.default_rng(seed)
         Ustar = rng.standard_normal((p, r))
         G = rng.standard_normal((n, p, p))
